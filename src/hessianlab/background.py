@@ -1,6 +1,8 @@
 """Background geometry on the torus and built-in data generators.
 
-The metric ``omega`` is positive definite, ``chi`` is a closed form whose
+The metric ``omega`` is one constant positive-definite (n, n) matrix,
+checked when the background is built, with its inverse square root and its
+volume density det(omega) computed once.  ``chi`` is a closed form whose
 eigenvalues relative to omega stay in the closed degree-m cone, and
 ``chi_tilde`` is positive semidefinite.  On the flat torus "semipositive
 and big" is realized as kappa * omega with kappa > 0 (or identically zero
@@ -11,7 +13,7 @@ stays closed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,38 +24,49 @@ from .grid import (
     TorusGrid,
     complex_hessian,
     complex_hessian_spectral,
-    eigen_field,
 )
-from .symfunc import binom, cone_margins, elem_sym_table
+from .symfunc import (
+    binom, cone_margins, elem_sym_table, frame_eigh, hermitize, metric_inv_sqrt,
+)
 
 OMEGA_MIN_MARGIN = 1e-8
 
 
 @dataclass
 class BackgroundData:
-    """Fixed geometric data of one problem instance."""
+    """Fixed geometric data of one problem instance.
 
-    omega: HermitianField
+    ``omega`` is one constant Hermitian positive-definite (n, n) matrix;
+    ``omega_inv_sqrt`` and the scalar ``volume`` = det(omega) are derived
+    from it once, on construction.
+    """
+
+    omega: np.ndarray
     chi: HermitianField
     chi_tilde: HermitianField
     kappa: float = 0.0
+    omega_inv_sqrt: np.ndarray = field(init=False, repr=False)
+    volume: float = field(init=False)
+
+    def __post_init__(self):
+        n = self.chi.grid.n
+        if np.shape(self.omega) != (n, n):
+            raise DomainError(
+                f"omega must be one ({n}, {n}) matrix, got shape {np.shape(self.omega)}"
+            )
+        self.omega = hermitize(self.omega)
+        self.omega_inv_sqrt = metric_inv_sqrt(self.omega, OMEGA_MIN_MARGIN)
+        self.volume = float(np.linalg.det(self.omega).real)
 
     @property
     def grid(self) -> TorusGrid:
-        return self.omega.grid
+        return self.chi.grid
 
     def validate(self, m: int) -> None:
         grid = self.grid
-        for f in (self.chi, self.chi_tilde):
-            if f.grid != grid:
-                raise DomainError("background fields live on different grids")
-        w_omega = np.linalg.eigvalsh(self.omega.data)
-        if w_omega[..., 0].min() < OMEGA_MIN_MARGIN:
-            raise DomainError(
-                f"omega minimal eigenvalue {w_omega[..., 0].min():.3e} "
-                f"below {OMEGA_MIN_MARGIN}"
-            )
-        lam_chi = eigen_field(self.chi, self.omega)
+        if self.chi_tilde.grid != grid:
+            raise DomainError("background fields live on different grids")
+        lam_chi, _ = frame_eigh(self.chi.data, self.omega_inv_sqrt)
         worst = cone_margins(lam_chi, m)
         if worst.min() < -1e-10:
             idx = np.unravel_index(int(np.argmin(worst)), grid.shape)
@@ -68,14 +81,10 @@ class BackgroundData:
         if self.kappa < 0:
             raise DomainError("kappa must be nonnegative")
 
-    def volume(self) -> ScalarField:
-        """Determinant of omega as the volume density."""
-        return ScalarField(self.grid, np.linalg.det(self.omega.data).real)
-
     def base_form(self, t: float) -> HermitianField:
         """chi + chi_tilde + t * omega."""
         return HermitianField(
-            self.grid, self.chi.data + self.chi_tilde.data + t * self.omega.data
+            self.grid, self.chi.data + self.chi_tilde.data + t * self.omega
         )
 
     @classmethod
@@ -83,18 +92,11 @@ class BackgroundData:
              omega_matrix=None) -> "BackgroundData":
         """Constant-coefficient background; chi_tilde = kappa * omega."""
         n = grid.n
-        omega = (
-            HermitianField.identity(grid)
-            if omega_matrix is None
-            else HermitianField.constant(grid, omega_matrix)
-        )
-        chi = (
-            HermitianField.constant(grid, np.zeros((n, n)))
-            if chi_matrix is None
-            else HermitianField.constant(grid, chi_matrix)
-        )
-        chi_tilde = HermitianField(grid, kappa * omega.data)
-        return cls(omega=omega, chi=chi, chi_tilde=chi_tilde, kappa=float(kappa))
+        omega = np.eye(n) if omega_matrix is None else np.asarray(omega_matrix)
+        chi = np.zeros((n, n)) if chi_matrix is None else chi_matrix
+        return cls(omega=omega, chi=HermitianField.constant(grid, chi),
+                   chi_tilde=HermitianField.constant(grid, kappa * omega),
+                   kappa=float(kappa))
 
     @classmethod
     def with_potential_chi(cls, grid: TorusGrid, chi0_matrix, potential: ScalarField,
@@ -232,8 +234,7 @@ def manufactured_solution(bg: BackgroundData, t: float, m: int,
     """
     grid = bg.grid
     hess = complex_hessian(potential) if discrete else complex_hessian_spectral(potential)
-    x = HermitianField(grid, bg.base_form(t).data + hess.data)
-    lam = eigen_field(x, bg.omega)
+    lam, _ = frame_eigh(bg.base_form(t).data + hess.data, bg.omega_inv_sqrt)
     worst = cone_margins(lam, m)
     worst_min = float(worst.min())
     if worst_min < margin_floor:

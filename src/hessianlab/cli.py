@@ -112,7 +112,7 @@ def cmd_continuation(cfg: ExperimentConfig) -> int:
     states, report = continuation_degenerate(bg, f, schedule, solver_cfg)
     cert = decreasing_sequence(states)
     uniformity = linf_uniformity_report(states, schedule.t_values, f=f,
-                                        p=cfg.entropy_p, volume=bg.volume())
+                                        p=cfg.entropy_p, volume=bg.volume)
 
     lines = [",".join(_STAGE_COLUMNS)]
     for rec in report.stages:
@@ -288,8 +288,7 @@ def cmd_conecheck(args) -> int:
         if not isinstance(field, HermitianField):
             raise ConfigError("conecheck --field expects a Hermitian field file")
         m = args.m or 2
-        omega = HermitianField.identity(field.grid)
-        margins = cone_margins(eigen_field(field, omega), m)
+        margins = cone_margins(eigen_field(field, np.eye(field.grid.n)), m)
         hist, edges = np.histogram(margins, bins=10)
         print(f"points: {margins.size}  worst_margin: {margins.min():.6g}")
         for count, lo, hi in zip(hist, edges[:-1], edges[1:]):

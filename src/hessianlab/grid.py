@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SingularMetricError
+from .errors import DomainError
 from .symfunc import pencil_eigh
 
 DEFAULT_POINT_BUDGET = 2_000_000
@@ -41,8 +41,8 @@ class TorusGrid:
             raise DomainError("complex dimension must be >= 1")
         if self.points_per_axis < 2 or self.points_per_axis % 2:
             raise DomainError("points_per_axis must be even and >= 2")
-        if self.period <= 0:
-            raise DomainError("period must be positive")
+        if not 0.0 < self.period < np.inf:
+            raise DomainError("period must be positive and finite")
         if self.points_per_axis ** (2 * self.n) > self.point_budget:
             raise DomainError(
                 f"{self.points_per_axis}^{2 * self.n} points exceed the budget "
@@ -121,14 +121,6 @@ class HermitianField:
 
     def copy(self) -> "HermitianField":
         return HermitianField(self.grid, self.data.copy())
-
-
-def _same_grid(*fields):
-    g = fields[0].grid
-    for f in fields[1:]:
-        if f.grid != g:
-            raise DomainError("fields live on different grids")
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -242,20 +234,18 @@ def fd_laplacian_symbol(grid: TorusGrid) -> np.ndarray:
 # eigen fields, reductions, norms
 
 
-def eigen_field(A: HermitianField, G: HermitianField) -> np.ndarray:
-    """Pointwise generalized eigenvalues of A with respect to G, descending.
+def eigen_field(A: HermitianField, omega: np.ndarray) -> np.ndarray:
+    """Pointwise eigenvalues of A relative to one constant (n, n) metric, descending.
 
-    Shape grid + (n,).  A singular metric aborts with the grid coordinates
-    of the failing point.
+    Shape grid + (n,).  A singular metric raises SingularMetricError.
     """
-    _same_grid(A, G)
-    try:
-        lam, _, _ = pencil_eigh(A.data, G.data)
-    except SingularMetricError as err:
-        raise SingularMetricError(
-            f"metric singular at grid point {err.point}", point=err.point
-        ) from err
-    return lam.real
+    n = A.grid.n
+    if np.shape(omega) != (n, n):
+        raise DomainError(
+            f"omega must be one ({n}, {n}) matrix, got shape {np.shape(omega)}"
+        )
+    lam, _, _ = pencil_eigh(A.data, omega)
+    return lam
 
 
 def tree_sum(values: np.ndarray) -> float:
@@ -279,21 +269,16 @@ def tree_sum(values: np.ndarray) -> float:
     return float(a[0])
 
 
-def integrate(g: ScalarField, volume: ScalarField | None = None) -> float:
-    """Integral of g against a volume density, h^(2n) * sum in tree order."""
-    if volume is None:
-        values = g.data
-    else:
-        _same_grid(g, volume)
-        values = g.data * volume.data
-    return g.grid.spacing ** (2 * g.grid.n) * tree_sum(values)
+def integrate(g: ScalarField, volume: float = 1.0) -> float:
+    """Integral of g against a constant volume density, h^(2n) * sum in tree order."""
+    return volume * g.grid.spacing ** (2 * g.grid.n) * tree_sum(g.data)
 
 
 def grid_mean(g: ScalarField) -> float:
     return tree_sum(g.data) / g.grid.num_points
 
 
-def lp_norm(g: ScalarField, p: float, volume: ScalarField | None = None) -> float:
+def lp_norm(g: ScalarField, p: float, volume: float = 1.0) -> float:
     """L^p norm against the volume density; p = inf returns the grid max."""
     if np.isinf(p):
         return float(np.abs(g.data).max())
@@ -303,7 +288,7 @@ def lp_norm(g: ScalarField, p: float, volume: ScalarField | None = None) -> floa
     return integrate(absg, volume) ** (1.0 / p)
 
 
-def entropy_functional(f: ScalarField, p: float, volume: ScalarField | None = None) -> float:
+def entropy_functional(f: ScalarField, p: float, volume: float = 1.0) -> float:
     """The weighted mass integral of exp(n f) (1 + n |f|)^p.
 
     Evaluated in log space, exp(n f + p log1p(n |f|)), so large nf does not
@@ -348,10 +333,11 @@ def mollify(g: ScalarField, sigma: float) -> ScalarField:
     return ScalarField(grid, out)
 
 
-def laplacian_with_metric(v: ScalarField, omega: HermitianField) -> ScalarField:
+def trace_with_metric(x: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """Pointwise trace of omega^{-1} x for one constant (n, n) metric omega."""
+    return np.einsum("ij,...ji->...", np.linalg.inv(omega), x).real
+
+
+def laplacian_with_metric(v: ScalarField, omega: np.ndarray) -> ScalarField:
     """Trace of omega^{-1} times the complex Hessian of v."""
-    _same_grid(v, omega)
-    hess = complex_hessian(v)
-    inv = np.linalg.inv(omega.data)
-    vals = np.einsum("...ij,...ji->...", inv, hess.data).real
-    return ScalarField(v.grid, vals)
+    return ScalarField(v.grid, trace_with_metric(complex_hessian(v).data, omega))

@@ -30,6 +30,7 @@ MAGIC = b"HLF1"
 VERSION = 1
 KIND_SCALAR = 0
 KIND_HERMITIAN = 1
+MAX_HEADER_DIM = 16
 
 
 def _sidecar_path(path) -> Path:
@@ -69,6 +70,15 @@ def _read_raw(path):
     if version != VERSION:
         raise DomainError(f"{path}: unsupported HLF1 version {version}")
     n, N, kind, _ = struct.unpack_from("<4I", raw, 16)
+    # n is bounded before N^(2n) is formed, so a corrupt header stays cheap
+    if kind not in (KIND_SCALAR, KIND_HERMITIAN) or not 1 <= n <= MAX_HEADER_DIM:
+        raise DomainError(f"{path}: bad HLF1 header (n={n}, N={N}, kind={kind})")
+    expected = 8 * N ** (2 * n) * (1 if kind == KIND_SCALAR else 2 * n * n)
+    if len(raw) - 32 != expected:
+        raise DomainError(
+            f"{path}: payload holds {len(raw) - 32} bytes, header "
+            f"(n={n}, N={N}, kind={kind}) needs {expected}"
+        )
     payload = np.frombuffer(raw, dtype="<f8", offset=32)
     return n, N, kind, payload
 
@@ -78,9 +88,21 @@ def _grid_from_sidecar(path, n: int, N: int, period: float | None) -> TorusGrid:
     if period is None:
         if not sidecar.exists():
             raise DomainError(f"{path}: missing sidecar and no period given")
-        meta = json.loads(sidecar.read_text())
-        period = float(meta["period"])
-    return TorusGrid(n=n, points_per_axis=N, period=period)
+        try:
+            meta = json.loads(sidecar.read_text())
+            period = float(meta["period"])
+            header = (meta["n"], meta["points_per_axis"])
+        except (ValueError, KeyError, TypeError) as err:
+            raise DomainError(f"{sidecar}: unreadable sidecar ({err!r})") from err
+        if header != (n, N):
+            raise DomainError(
+                f"{sidecar}: (n, points_per_axis) = {header} disagrees with "
+                f"the binary header {(n, N)}"
+            )
+    try:
+        return TorusGrid(n=n, points_per_axis=N, period=period)
+    except DomainError as err:
+        raise DomainError(f"{path}: {err}") from err
 
 
 def write_field(path, field) -> None:
@@ -100,10 +122,8 @@ def read_field(path, period: float | None = None):
     grid = _grid_from_sidecar(path, n, N, period)
     if kind == KIND_SCALAR:
         return ScalarField(grid, payload.reshape(grid.shape).copy())
-    if kind == KIND_HERMITIAN:
-        shaped = payload.reshape(grid.shape + (n, n, 2))
-        return HermitianField(grid, shaped[..., 0] + 1j * shaped[..., 1])
-    raise DomainError(f"{path}: unknown field kind {kind}")
+    shaped = payload.reshape(grid.shape + (n, n, 2))
+    return HermitianField(grid, shaped[..., 0] + 1j * shaped[..., 1])
 
 
 def csv_slice(field: ScalarField, path, axes=(0, 1), index=None) -> None:

@@ -32,7 +32,7 @@ from .grid import (
     integrate,
     mollify,
 )
-from .symfunc import binom, elem_sym_table, restricted_esp
+from .symfunc import binom, cone_margins, elem_sym_table, frame_eigh, restricted_esp
 
 DAMPING_FLOOR = 2.0 ** -20
 
@@ -147,11 +147,9 @@ def wedge_integral(bg: BackgroundData, form: HermitianField, k: int) -> float:
     Uses the eigenvalue identity: the integrand equals
     S_k(lam(form)) / C(n, k) times the volume density of omega.
     """
-    from .grid import eigen_field
-
-    lam = eigen_field(form, bg.omega)
+    lam, _ = frame_eigh(form.data, bg.omega_inv_sqrt)
     sk = elem_sym_table(lam)[..., k] / binom(bg.grid.n, k)
-    return integrate(ScalarField(bg.grid, sk), bg.volume())
+    return integrate(ScalarField(bg.grid, sk), bg.volume)
 
 
 def compatibility_constant(bg: BackgroundData, t: float, f: ScalarField, m: int) -> float:
@@ -161,9 +159,8 @@ def compatibility_constant(bg: BackgroundData, t: float, f: ScalarField, m: int)
     by the mass of C(n, m) exp(m f), both against the omega volume.
     """
     num = binom(bg.grid.n, m) * wedge_integral(bg, bg.base_form(t), m)
-    vol = bg.volume()
     den = binom(bg.grid.n, m) * integrate(
-        ScalarField(bg.grid, np.exp(m * f.data)), vol
+        ScalarField(bg.grid, np.exp(m * f.data)), bg.volume
     )
     if num <= 0 or den <= 0:
         raise ConfigError(
@@ -193,15 +190,13 @@ def degenerate_brackets(bg: BackgroundData, t: float, f: ScalarField, m: int):
     (chi + chi_tilde)^m wedge omega^(n-m) and the omega volume.
     """
     n = bg.grid.n
-    v_t = wedge_integral(
-        bg, HermitianField(bg.grid, bg.chi_tilde.data + t * bg.omega.data), n
-    )
+    v_t = wedge_integral(bg, HermitianField(bg.grid, bg.chi_tilde.data + t * bg.omega), n)
     b_t = compatibility_constant(bg, t, f, m)
     mid = v_t / np.exp(n * b_t)
     lower = wedge_integral(bg, bg.chi_tilde, n) / wedge_integral(
         bg, bg.base_form(1.0), m
     ) ** (n / m)
-    vol_total = integrate(bg.volume())
+    vol_total = bg.volume * bg.grid.period ** (2 * n)
     upper = wedge_integral(bg, bg.base_form(0.0), m) ** (n / m) / vol_total ** (
         (n - m) / m
     )
@@ -227,8 +222,7 @@ class _NewtonDriver:
         self.n = grid.n
         self.binom = binom(grid.n, config.m)
         self.base = bg.base_form(self.t).data
-        w, V = np.linalg.eigh(bg.omega.data)
-        self.gis = np.einsum("...ik,...k,...jk->...ij", V, 1.0 / np.sqrt(w), np.conj(V))
+        self.gis = bg.omega_inv_sqrt
         sym = fd_laplacian_symbol(grid)
         with np.errstate(divide="ignore"):
             inv = np.where(sym != 0.0, 1.0 / np.where(sym != 0.0, sym, 1.0), 0.0)
@@ -242,15 +236,10 @@ class _NewtonDriver:
         return self.base + hess.data
 
     def eigen(self, x_data: np.ndarray):
-        mat = self.gis @ x_data @ self.gis
-        mat = 0.5 * (mat + np.conj(np.swapaxes(mat, -1, -2)))
-        w, U = np.linalg.eigh(mat)
-        return w[..., ::-1].real, U[..., ::-1]
+        return frame_eigh(x_data, self.gis)
 
     def margins(self, lam: np.ndarray) -> np.ndarray:
-        e = elem_sym_table(lam)
-        scale = np.array([binom(self.n, k) for k in range(1, self.m + 1)])
-        return np.min(e[..., 1 : self.m + 1] / scale, axis=-1)
+        return cone_margins(lam, self.m)
 
     def analyze(self, phi_data: np.ndarray, b: float, require_margin: float = 0.0):
         """Eigen data, residual and linearization coefficients at an iterate."""
@@ -513,16 +502,25 @@ def continuation_degenerate(bg: BackgroundData, f: ScalarField,
         states.append(state)
         warm = state.phi
 
-    sups = [float(np.abs(s.phi.data).max()) for s in states]
-    med = float(np.median(sups))
+    sups, _, passed = uniformity_proxy(states)
     report.meta["sup_norms"] = sups
-    report.meta["uniformity_pass"] = bool(max(sups) <= 3.0 * med + 1e-12)
+    report.meta["uniformity_pass"] = passed
     report.meta["consecutive_sup_diffs"] = [
         float(np.max(states[i + 1].phi.data - states[i].phi.data))
         for i in range(len(states) - 1)
     ]
     report.meta["b_values"] = [s.b for s in states]
     return states, report
+
+
+def uniformity_proxy(states: list):
+    """The t-uniformity proxy max_t ||phi_t||_inf <= 3 median_t ||phi_t||_inf.
+
+    Returns ``(sups, median, passed)`` with the per-state sup norms.
+    """
+    sups = [float(np.abs(s.phi.data).max()) for s in states]
+    med = float(np.median(sups))
+    return sups, med, bool(max(sups) <= 3.0 * med + 1e-12)
 
 
 @dataclass

@@ -232,6 +232,37 @@ def check_garding(lam_values, eta_values, m: int) -> float:
     return pairing - rhs
 
 
+def metric_inv_sqrt(G: np.ndarray, min_eig: float = METRIC_MIN_EIG) -> np.ndarray:
+    """Inverse square root of a Hermitian positive-definite metric, batched.
+
+    Raises SingularMetricError when G is not positive definite, reporting
+    the index of the failing point for batched input.
+    """
+    wg, Vg = np.linalg.eigh(np.asarray(G, dtype=complex))
+    bad = wg[..., 0] <= min_eig
+    if np.any(bad):
+        point = tuple(np.argwhere(bad)[0]) if wg.ndim > 1 else None
+        raise SingularMetricError(
+            f"metric not positive definite (min eigenvalue {wg[..., 0].min():.3e})",
+            point=point,
+        )
+    return np.einsum("...ik,...k,...jk->...ij", Vg, 1.0 / np.sqrt(wg), np.conj(Vg))
+
+
+def frame_eigh(x: np.ndarray, g_inv_sqrt: np.ndarray):
+    """Pointwise eigen-decomposition of x in the frame of a metric.
+
+    ``g_inv_sqrt`` is the inverse square root of the metric (one matrix or
+    one per point).  Returns ``(lam, U)``: the eigenvalues of
+    g_inv_sqrt x g_inv_sqrt in descending order and the matching unitary
+    eigenvectors, batched over the leading axes of ``x``.
+    """
+    mat = g_inv_sqrt @ x @ g_inv_sqrt
+    mat = 0.5 * (mat + np.conj(np.swapaxes(mat, -1, -2)))
+    w, U = np.linalg.eigh(mat)
+    return w[..., ::-1], U[..., ::-1]
+
+
 def pencil_eigh(A: np.ndarray, G: np.ndarray, min_eig: float = METRIC_MIN_EIG):
     """Eigen-decomposition of a Hermitian pencil, batched.
 
@@ -241,22 +272,9 @@ def pencil_eigh(A: np.ndarray, G: np.ndarray, min_eig: float = METRIC_MIN_EIG):
     SingularMetricError when G is not positive definite, reporting the index
     of the failing point for batched input.
     """
-    a = np.asarray(A, dtype=complex)
-    g = np.asarray(G, dtype=complex)
-    wg, Vg = np.linalg.eigh(g)
-    bad = wg[..., 0] <= min_eig
-    if np.any(bad):
-        point = tuple(np.argwhere(bad)[0]) if wg.ndim > 1 else None
-        raise SingularMetricError(
-            f"metric not positive definite (min eigenvalue {wg[..., 0].min():.3e})",
-            point=point,
-        )
-    inv_sqrt_w = 1.0 / np.sqrt(wg)
-    gis = np.einsum("...ik,...k,...jk->...ij", Vg, inv_sqrt_w, np.conj(Vg))
-    mat = gis @ a @ gis
-    mat = 0.5 * (mat + np.conj(np.swapaxes(mat, -1, -2)))
-    w, U = np.linalg.eigh(mat)
-    return w[..., ::-1], U[..., ::-1], gis
+    gis = metric_inv_sqrt(G, min_eig)
+    lam, U = frame_eigh(np.asarray(A, dtype=complex), gis)
+    return lam, U, gis
 
 
 def generalized_eigenvalues(A, G) -> np.ndarray:
@@ -267,7 +285,7 @@ def generalized_eigenvalues(A, G) -> np.ndarray:
     a = hermitize(A)
     g = hermitize(G)
     lam, _, _ = pencil_eigh(a, g)
-    return lam.real
+    return lam
 
 
 def hessian_operator_F(values, m: int) -> float:

@@ -25,9 +25,10 @@ from .grid import (
     laplacian_with_metric,
     lp_norm,
     entropy_functional,
+    trace_with_metric,
 )
-from .solver import SolverConfig, SolverState, solve_nondegenerate
-from .symfunc import binom, elem_sym_table, pencil_eigh
+from .solver import SolverConfig, SolverState, solve_nondegenerate, uniformity_proxy
+from .symfunc import binom, cone_margins, elem_sym_table, frame_eigh
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +101,7 @@ def stability_experiment(bg: BackgroundData, t: float, f_base: ScalarField,
     """
     m = config.m
     floor = stability_floor(bg.grid.n, q, q_prime, epsilon)
-    vol = bg.volume()
+    vol = bg.volume
     try:
         base_state, _ = solve_nondegenerate(bg, t, f_base, config)
     except NonConvergenceError:
@@ -221,28 +222,24 @@ def viscosity_check(phi: ScalarField, b: float, bg: BackgroundData, t: float,
 
     x_data = bg.base_form(t).data + complex_hessian(phi).data
     x_flat = x_data.reshape(total, n, n)[flat_idx]
-    omega_flat = bg.omega.data.reshape(total, n, n)[flat_idx]
     rhs = np.exp(b + f.data).reshape(total)[flat_idx]
     eye = np.eye(n)
 
-    scale = np.array([binom(n, k) for k in range(1, m + 1)])
+    def operator_f(lam):
+        sm = elem_sym_table(lam)[..., m]
+        return np.where(sm > 0, sm, 0.0) ** (1.0 / m) / binom(n, m) ** (1.0 / m)
+
     sub_bad = np.zeros(flat_idx.size, dtype=bool)
     super_bad = np.zeros(flat_idx.size, dtype=bool)
     skipped = 0
     for eta in etas:
-        lam_up, _, _ = pencil_eigh(x_flat + eta * eye, omega_flat)
-        sm_up = elem_sym_table(lam_up.real)[..., m]
-        f_up = np.where(sm_up > 0, sm_up, 0.0) ** (1.0 / m) / binom(n, m) ** (1.0 / m)
-        sub_bad |= f_up < rhs - tol
+        lam_up, _ = frame_eigh(x_flat + eta * eye, bg.omega_inv_sqrt)
+        sub_bad |= operator_f(lam_up) < rhs - tol
 
-        lam_dn, _, _ = pencil_eigh(x_flat - eta * eye, omega_flat)
-        e_dn = elem_sym_table(lam_dn.real)
-        margins = np.min(e_dn[..., 1 : m + 1] / scale, axis=-1)
-        in_cone = margins >= 0.0
+        lam_dn, _ = frame_eigh(x_flat - eta * eye, bg.omega_inv_sqrt)
+        in_cone = cone_margins(lam_dn, m) >= 0.0
         skipped += int(np.sum(~in_cone))
-        sm_dn = e_dn[..., m]
-        f_dn = np.where(sm_dn > 0, sm_dn, 0.0) ** (1.0 / m) / binom(n, m) ** (1.0 / m)
-        super_bad |= in_cone & (f_dn > rhs + tol)
+        super_bad |= in_cone & (operator_f(lam_dn) > rhs + tol)
 
     bad_flat = flat_idx[sub_bad | super_bad]
     points = [np.unravel_index(int(i), grid.shape) for i in bad_flat[:64]]
@@ -276,16 +273,15 @@ def uniqueness_energy(phi1: ScalarField, phi2: ScalarField, bg: BackgroundData,
     grad = complex_gradient(u)
 
     alpha = bg.base_form(t).data
-    w, V = np.linalg.eigh(bg.omega.data)
-    gis = np.einsum("...ik,...k,...jk->...ij", V, 1.0 / np.sqrt(w), np.conj(V))
+    gis = bg.omega_inv_sqrt
     alpha_frame = gis @ alpha @ gis
     trace = np.einsum("...ii->...", alpha_frame).real
     n = bg.grid.n
     tensor = trace[..., None, None] * np.eye(n) - alpha_frame
-    grad_frame = np.einsum("...ji,...j->...i", gis, grad)
+    grad_frame = np.einsum("ji,...j->...i", gis, grad)
     density = np.einsum("...ij,...i,...j->...", tensor, grad_frame,
                         np.conj(grad_frame)).real
-    return float(integrate(ScalarField(bg.grid, density), bg.volume()))
+    return float(integrate(ScalarField(bg.grid, density), bg.volume))
 
 
 def twin_solve_uniqueness(bg: BackgroundData, t: float, f: ScalarField,
@@ -310,7 +306,7 @@ def twin_solve_uniqueness(bg: BackgroundData, t: float, f: ScalarField,
     grad = complex_gradient(state_a.phi)
     grad_sq = integrate(
         ScalarField(bg.grid, np.einsum("...i,...i->...", grad, np.conj(grad)).real),
-        bg.volume(),
+        bg.volume,
     )
     alpha = bg.base_form(t).data
     trace_max = float(np.einsum("...ii->...", alpha).real.max())
@@ -351,18 +347,9 @@ def laplacian_monitor(state: SolverState, bg: BackgroundData, t: float,
         return MonitorReport(sup_w=np.nan, bound_rhs=np.nan, A=np.nan,
                              kappa=bg.kappa, skipped=True,
                              notice="kappa = 0: chi_tilde lower bound unavailable")
-    spread = np.abs(bg.omega.data - bg.omega.data.reshape(
-        -1, bg.grid.n, bg.grid.n)[0]).max()
-    if spread > 1e-12:
-        return MonitorReport(sup_w=np.nan, bound_rhs=np.nan, A=np.nan,
-                             kappa=bg.kappa, skipped=True,
-                             notice="omega is not constant-coefficient")
 
     n = bg.grid.n
-    x_data = bg.base_form(t).data + complex_hessian(state.phi).data
-    inv_omega = np.linalg.inv(bg.omega.data)
-    w = np.einsum("...ij,...ji->...", inv_omega, x_data).real
-    sup_w = float(w.max())
+    sup_w = float(trace_field(state, bg, t).data.max())
 
     a_mult = 1.0 / bg.kappa
     ef = ScalarField(bg.grid, np.exp(f.data))
@@ -377,11 +364,9 @@ def laplacian_monitor(state: SolverState, bg: BackgroundData, t: float,
 
 
 def trace_field(state: SolverState, bg: BackgroundData, t: float) -> ScalarField:
-    """w = trace of omega^{-1} X at a state, for consistency checks."""
+    """w = trace of omega^{-1} X at a state."""
     x_data = bg.base_form(t).data + complex_hessian(state.phi).data
-    inv_omega = np.linalg.inv(bg.omega.data)
-    w = np.einsum("...ij,...ji->...", inv_omega, x_data).real
-    return ScalarField(bg.grid, w)
+    return ScalarField(bg.grid, trace_with_metric(x_data, bg.omega))
 
 
 @dataclass
@@ -402,7 +387,7 @@ class UniformityReport:
 
 def linf_uniformity_report(states: list, t_values: list,
                            f: ScalarField | None = None, p: float = 3.0,
-                           volume: ScalarField | None = None) -> UniformityReport:
+                           volume: float = 1.0) -> UniformityReport:
     """Table of (t, sup-norm of phi_t, entropy mass of f) with the proxy check.
 
     The proxy asserts max_t ||phi_t||_inf <= 3 median_t ||phi_t||_inf, a
@@ -411,10 +396,7 @@ def linf_uniformity_report(states: list, t_values: list,
     if not states:
         raise DomainError("need at least one state")
     entropy = entropy_functional(f, p, volume) if f is not None else np.nan
-    sups = [float(np.abs(s.phi.data).max()) for s in states]
+    sups, med, passed = uniformity_proxy(states)
     rows = [(float(t), s, entropy) for t, s in zip(t_values, sups)]
-    max_sup = max(sups)
-    med = float(np.median(sups))
-    passed = bool(max_sup <= 3.0 * med + 1e-12)
-    return UniformityReport(rows=rows, max_sup=max_sup, median_sup=med,
+    return UniformityReport(rows=rows, max_sup=max(sups), median_sup=med,
                             passed=passed)

@@ -251,5 +251,15 @@ class TestConecheck:
         out = capsys.readouterr().out
         assert "worst_margin: 1.5" in out
 
+    @pytest.mark.parametrize("trim", [8, 3])
+    def test_truncated_field_is_config_error(self, tmp_path, capsys, trim):
+        from hessianlab import HermitianField, TorusGrid, write_field
+
+        path = tmp_path / "x.hlf1"
+        write_field(path, HermitianField.identity(TorusGrid(n=2, points_per_axis=4)))
+        path.write_bytes(path.read_bytes()[:-trim])
+        assert main(["conecheck", "--field", str(path), "--m", "2"]) == 1
+        assert "config error:" in capsys.readouterr().err
+
     def test_needs_input(self, capsys):
         assert main(["conecheck"]) == 1

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hessianlab import (
+    BackgroundData,
     DomainError,
     HermitianField,
     ScalarField,
@@ -23,6 +24,8 @@ from hessianlab import (
     tree_sum,
 )
 from hessianlab.grid import laplacian_with_metric
+
+from conftest import random_spd
 
 
 def cos_potential(grid, axis):
@@ -99,8 +102,7 @@ class TestComplexHessian:
     @pytest.mark.parametrize("metric", [None, [[1.5, 0.2], [0.2, 1.0]]])
     def test_integration_by_parts(self, rng, metric):
         grid = TorusGrid(n=2, points_per_axis=8)
-        omega = (HermitianField.identity(grid) if metric is None
-                 else HermitianField.constant(grid, np.array(metric, dtype=complex)))
+        omega = np.eye(2) if metric is None else np.array(metric, dtype=complex)
         u = ScalarField(grid, rng.standard_normal(grid.shape))
         v = ScalarField(grid, rng.standard_normal(grid.shape))
         left = integrate(ScalarField(grid, u.data * laplacian_with_metric(v, omega).data))
@@ -111,15 +113,13 @@ class TestComplexHessian:
 class TestEigenField:
     def test_identity(self, grid8):
         a = HermitianField.identity(grid8, 2.0)
-        lam = eigen_field(a, HermitianField.identity(grid8, 2.0))
+        lam = eigen_field(a, 2.0 * np.eye(2))
         assert np.allclose(lam, 1.0)
 
     def test_constant_matches_single_matrix(self, grid8, rng):
         mat = np.array([[2.0, 0.3 + 0.1j], [0.3 - 0.1j, 1.0]])
         gmat = np.array([[1.5, 0.2], [0.2, 1.0]], dtype=complex)
-        lam = eigen_field(
-            HermitianField.constant(grid8, mat), HermitianField.constant(grid8, gmat)
-        )
+        lam = eigen_field(HermitianField.constant(grid8, mat), gmat)
         single = generalized_eigenvalues(mat, gmat)
         assert np.allclose(lam.reshape(-1, 2), single)
 
@@ -128,8 +128,7 @@ class TestEigenField:
             grid8.shape + (2, 2)
         )
         a = HermitianField(grid8, data)
-        g = HermitianField.identity(grid8, 1.5)
-        lam = eigen_field(a, g)
+        lam = eigen_field(a, 1.5 * np.eye(2))
         flat_a = a.data.reshape(-1, 2, 2)
         flat_lam = lam.reshape(-1, 2)
         idx = rng.choice(flat_lam.shape[0], 100, replace=False)
@@ -137,18 +136,45 @@ class TestEigenField:
             want = generalized_eigenvalues(flat_a[i], 1.5 * np.eye(2))
             assert np.allclose(flat_lam[i], want, atol=1e-11)
 
-    def test_singular_metric_reports_point(self, grid8):
-        g = HermitianField.identity(grid8)
-        g.data[0, 1, 2, 3] = np.zeros((2, 2))
-        with pytest.raises(SingularMetricError) as err:
-            eigen_field(HermitianField.identity(grid8), g)
-        assert err.value.point == (0, 1, 2, 3)
+    def test_metric_must_be_one_matrix(self, grid8):
+        # omega is one constant matrix: a per-point field is rejected by shape,
+        # a singular matrix by the metric check
+        with pytest.raises(DomainError, match="omega must be one"):
+            eigen_field(HermitianField.identity(grid8), HermitianField.identity(grid8).data)
+        with pytest.raises(SingularMetricError):
+            eigen_field(HermitianField.identity(grid8), np.diag([1.0, 0.0]))
+
+
+class TestBackgroundOmega:
+    """omega is one constant (n, n) matrix, checked once when it is built."""
+
+    @pytest.mark.parametrize("omega, error, message", [
+        (np.eye(3), DomainError, "omega must be one"),
+        (np.ones((8, 8, 8, 8, 2, 2)), DomainError, "omega must be one"),
+        (np.array([[1.0, 0.5], [0.0, 1.0]]), DomainError, "not Hermitian"),
+        (np.diag([1.0, -1.0]), SingularMetricError, "not positive definite"),
+        (np.diag([1.0, 1e-12]), SingularMetricError, "not positive definite"),
+    ])
+    def test_rejects_bad_omega(self, grid8, omega, error, message):
+        zero = HermitianField.constant(grid8, np.zeros((2, 2)))
+        with pytest.raises(error, match=message):
+            BackgroundData(omega=omega, chi=zero, chi_tilde=zero)
+
+    def test_derived_quantities(self, grid8, rng):
+        omega = random_spd(rng, 2)
+        bg = BackgroundData.flat(grid8, kappa=0.5, omega_matrix=omega)
+        gis = bg.omega_inv_sqrt
+        assert gis.shape == (2, 2)
+        assert np.allclose(gis @ omega @ gis, np.eye(2), atol=1e-12)
+        assert bg.volume == pytest.approx(np.linalg.det(omega).real, rel=1e-12)
+        assert np.allclose(bg.chi_tilde.data, 0.5 * omega)
 
 
 class TestIntegration:
     def test_unit_normalization(self, grid12):
         one = ScalarField.constant(grid12, 1.0)
-        assert integrate(one, one) == pytest.approx(1.0, rel=1e-14)
+        assert integrate(one, 1.0) == pytest.approx(1.0, rel=1e-14)
+        assert integrate(one, 2.5) == pytest.approx(2.5, rel=1e-14)
 
     def test_periodic_sine_vanishes(self, grid12):
         x = grid12.axis_coords(0)
@@ -196,8 +222,7 @@ class TestNorms:
 class TestEntropy:
     def test_zero_density(self, grid12):
         f = ScalarField.constant(grid12, 0.0)
-        vol = ScalarField.constant(grid12, 1.0)
-        assert entropy_functional(f, 3.0, vol) == pytest.approx(1.0, rel=1e-13)
+        assert entropy_functional(f, 3.0, 1.0) == pytest.approx(1.0, rel=1e-13)
 
     def test_constant_density(self, grid12):
         c, p, n = -0.3, 4.0, 2

@@ -94,6 +94,46 @@ def test_rejects_garbage(tmp_path):
         read_field(bad)
 
 
+@pytest.mark.parametrize("trim", [8, 3])
+@pytest.mark.parametrize("kind", ["scalar", "hermitian"])
+def test_truncated_payload_names_byte_counts(grid, tmp_path, trim, kind):
+    field = (ScalarField.constant(grid, 1.0) if kind == "scalar"
+             else HermitianField.identity(grid))
+    path = tmp_path / "f.hlf1"
+    write_field(path, field)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-trim])
+    actual, expected = len(raw) - 32 - trim, len(raw) - 32
+    with pytest.raises(DomainError, match=f"{actual} bytes.*needs {expected}"):
+        read_field(path)
+
+
+def test_bad_header_kind(grid, tmp_path):
+    path = tmp_path / "f.hlf1"
+    write_field(path, ScalarField.constant(grid, 1.0))
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<I", raw, 24, 7)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DomainError, match="kind=7"):
+        read_field(path)
+
+
+@pytest.mark.parametrize("sidecar, message", [
+    ("{not json", "unreadable sidecar"),
+    (json.dumps({"n": 2, "points_per_axis": 6}), "unreadable sidecar"),
+    (json.dumps({"n": 2, "points_per_axis": 8, "period": 2.0}), "disagrees"),
+    (json.dumps({"n": 3, "points_per_axis": 6, "period": 2.0}), "disagrees"),
+    (json.dumps({"n": 2, "points_per_axis": 6, "period": float("nan")}), "period"),
+])
+def test_bad_sidecar_names_file(grid, tmp_path, sidecar, message):
+    path = tmp_path / "f.hlf1"
+    write_field(path, ScalarField.constant(grid, 1.0))
+    (tmp_path / "f.hlf1.json").write_text(sidecar)
+    with pytest.raises(DomainError, match=message) as err:
+        read_field(path)
+    assert "f.hlf1" in str(err.value)
+
+
 def test_csv_slice_2d(grid, tmp_path):
     data = np.zeros(grid.shape)
     data[3, 4, 0, 0] = 1.25

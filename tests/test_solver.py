@@ -217,12 +217,12 @@ class TestSolve:
         s1_mean = elem_sym_table(lam)[..., 1] / n
         assert np.all(f_op <= s1_mean + 1e-11)
 
-        vol = bg.volume()
+        vol = bg.volume
         lhs = float(
-            np.sum(analysis["sm"] * vol.data) * grid12.spacing ** (2 * grid12.n)
+            np.sum(analysis["sm"] * vol) * grid12.spacing ** (2 * grid12.n)
         )
         rhs = binom(n, m) * np.exp(m * state.b) * float(
-            np.sum(np.exp(m * f_star.data) * vol.data)
+            np.sum(np.exp(m * f_star.data) * vol)
             * grid12.spacing ** (2 * grid12.n)
         )
         assert abs(lhs - rhs) / abs(rhs) < 1e-9

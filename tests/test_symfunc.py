@@ -23,6 +23,7 @@ from hessianlab import (
     hessian_operator_F,
     restricted_esp,
 )
+from hessianlab.symfunc import frame_eigh, metric_inv_sqrt, pencil_eigh
 
 from conftest import (
     esp_enumeration,
@@ -272,6 +273,70 @@ class TestGeneralizedEigenvalues:
     def test_singular_metric(self):
         with pytest.raises(SingularMetricError):
             generalized_eigenvalues(np.eye(2), np.diag([1.0, 0.0]))
+
+    def test_batched_singular_metric_reports_point(self):
+        g = np.broadcast_to(np.eye(2), (3, 4, 2, 2)).copy()
+        g[1, 2] = np.diag([1.0, 0.0])
+        with pytest.raises(SingularMetricError) as err:
+            pencil_eigh(np.ones_like(g), g)
+        assert err.value.point == (1, 2)
+
+
+def anisotropic_spd(rng, n):
+    """An SPD metric with eigenvalues spread over more than a decade."""
+    d = np.diag(rng.uniform(0.3, 3.0, n))
+    return d @ random_spd(rng, n) @ d
+
+
+def random_unitary(rng, n):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q
+
+
+class TestFrameKernel:
+    """The shared pointwise kernel against the characteristic-polynomial oracle."""
+
+    def test_matches_roots_oracle(self, rng):
+        for _ in range(30):
+            n = int(rng.integers(2, 5))
+            omega = anisotropic_spd(rng, n)
+            batch = np.stack([random_hermitian(rng, n) for _ in range(8)])
+            lam, U = frame_eigh(batch, metric_inv_sqrt(omega))
+            for a, got in zip(batch, lam):
+                want = pencil_roots_oracle(a, omega)
+                assert np.allclose(got, want, atol=1e-9, rtol=1e-9)
+            # U diagonalizes the frame matrix with lam in descending order
+            gis = metric_inv_sqrt(omega)
+            frame = U @ (lam[..., None] * np.conj(np.swapaxes(U, -1, -2)))
+            assert np.allclose(frame, gis @ batch @ gis, atol=1e-10)
+            assert np.all(np.diff(lam, axis=-1) <= 0.0)
+
+    def test_near_cone_boundary(self, rng):
+        # lam + s (1, ..., 1) lies on the boundary of the degree-m cone when s
+        # is the largest root of s -> S_m(lam + s) = sum_j C(n-j, m-j) e_j s^(m-j);
+        # a shift of 1e-9 either way puts it just inside or just outside
+        for _ in range(40):
+            n = int(rng.integers(2, 5))
+            m = int(rng.integers(1, n + 1))
+            lam0 = rng.uniform(-1.0, 1.0, n)
+            e = elem_sym_table(lam0)
+            poly = [math.comb(n - j, m - j) * e[j] for j in range(m + 1)]
+            lam_true = lam0 + np.roots(poly).real.max() + rng.choice([-1e-9, 1e-9])
+            omega = anisotropic_spd(rng, n)
+            gis = metric_inv_sqrt(omega)
+            half = np.linalg.inv(gis)
+            q = random_unitary(rng, n)
+            a = half @ q @ np.diag(lam_true) @ q.conj().T @ half
+            lam, _ = frame_eigh(a[None], gis)
+            assert np.allclose(lam[0], np.sort(lam_true)[::-1], atol=1e-11)
+            assert np.allclose(lam[0], pencil_roots_oracle(a, omega), atol=1e-9)
+            got = cone_margins(lam, m)[0]
+            want = cone_margins(lam_true, m)
+            assert abs(want) < 1e-8
+            assert abs(got - want) < 1e-11
+            if abs(want) > 1e-10:
+                assert np.sign(got) == np.sign(want)
+            assert np.array_equal(lam, pencil_eigh(a[None], omega)[0])
 
 
 class TestOperatorF:
