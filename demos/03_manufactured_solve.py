@@ -22,7 +22,7 @@ from hessianlab import (
 # one continuum potential, normalized in curvature units so the solution
 # form stays deep inside the degree-2 cone on every grid below
 trig = TrigPolynomial.random(2, np.random.default_rng(11)).scaled_to_curvature(0.6)
-cfg = SolverConfig(m=2, t=0.5)
+cfg = SolverConfig(m=2)
 
 print("grid refinement against the continuum truth:")
 errors = {}

@@ -55,7 +55,7 @@ print(f"50 synthetic families each: worst bound gap {worst_gap:.2e}, "
 grid = TorusGrid(n=2, points_per_axis=12)
 bg = BackgroundData.flat(grid, kappa=1.0)
 f = TrigPolynomial.random(2, rng, amplitude=0.2).sample(grid)
-cfg = SolverConfig(m=2, t=0.25)
+cfg = SolverConfig(m=2)
 
 # --- stability exponent ----------------------------------------------------
 L = grid.period

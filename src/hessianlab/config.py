@@ -222,7 +222,7 @@ class ExperimentConfig:
 
     def build_solver_config(self) -> SolverConfig:
         return SolverConfig(
-            m=self.m, t=self.t, newton_tol=self.newton_tol,
+            m=self.m, newton_tol=self.newton_tol,
             max_newton=self.max_newton, cone_margin=self.cone_margin,
             damping=self.damping, krylov_rtol=self.krylov_rtol,
         )

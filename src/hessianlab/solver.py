@@ -42,7 +42,6 @@ class SolverConfig:
     """Knobs of one Newton solve."""
 
     m: int
-    t: float = 1.0
     newton_tol: float = 1e-9
     max_newton: int = 60
     cone_margin: float = 1e-8
@@ -53,8 +52,6 @@ class SolverConfig:
     def __post_init__(self):
         if self.m < 1:
             raise ConfigError("degree m must be >= 1")
-        if not 0.0 < self.t <= 1.0:
-            raise ConfigError("t must lie in (0, 1]")
         for name in ("newton_tol", "cone_margin", "damping", "krylov_rtol"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
@@ -180,18 +177,18 @@ def normalize_density(bg: BackgroundData, f: ScalarField, m: int):
     return ScalarField(f.grid, f.data + shift), float(shift)
 
 
-def degenerate_brackets(bg: BackgroundData, t: float, f: ScalarField, m: int):
+def degenerate_brackets(bg: BackgroundData, t: float, b_t: float, m: int):
     """Two-sided bound data for V_t / exp(n b_t) at one stage.
 
     Returns ``(lower, mid, upper)`` where mid = V_t / exp(n b_t) with
     V_t the total mass of (chi_tilde + t omega)^n and b_t the stage
-    compatibility constant; lower and upper are the bracketing integrals
-    built from chi_tilde^n, (chi + chi_tilde + omega)^m wedge omega^(n-m),
+    compatibility constant ``compatibility_constant(bg, t, f, m)``; lower
+    and upper are the bracketing integrals built from chi_tilde^n,
+    (chi + chi_tilde + omega)^m wedge omega^(n-m),
     (chi + chi_tilde)^m wedge omega^(n-m) and the omega volume.
     """
     n = bg.grid.n
     v_t = wedge_integral(bg, HermitianField(bg.grid, bg.chi_tilde.data + t * bg.omega), n)
-    b_t = compatibility_constant(bg, t, f, m)
     mid = v_t / np.exp(n * b_t)
     lower = wedge_integral(bg, bg.chi_tilde, n) / wedge_integral(
         bg, bg.base_form(1.0), m
@@ -231,10 +228,6 @@ class _NewtonDriver:
 
     # -- pointwise analysis ------------------------------------------------
 
-    def assemble_x(self, phi_data: np.ndarray) -> np.ndarray:
-        hess = complex_hessian(ScalarField(self.grid, phi_data))
-        return self.base + hess.data
-
     def eigen(self, x_data: np.ndarray):
         return frame_eigh(x_data, self.gis)
 
@@ -243,7 +236,7 @@ class _NewtonDriver:
 
     def analyze(self, phi_data: np.ndarray, b: float, require_margin: float = 0.0):
         """Eigen data, residual and linearization coefficients at an iterate."""
-        x = self.assemble_x(phi_data)
+        x = self.base + complex_hessian(ScalarField(self.grid, phi_data)).data
         lam, U = self.eigen(x)
         margins = self.margins(lam)
         worst = float(margins.min())
@@ -254,15 +247,26 @@ class _NewtonDriver:
                 f"(required > {require_margin:.1e})",
                 point=idx, margin=worst,
             )
+        return self._linearize(x, lam, U, worst, b)
+
+    def _linearize(self, x: np.ndarray, lam: np.ndarray, U: np.ndarray,
+                   worst: float, b: float) -> dict:
+        """Residual and linearization at X from its kernel output (lam, U)."""
         sm = elem_sym_table(lam)[..., self.m]
         resid = np.log(sm) - np.log(self.binom) - self.m * (self.f.data + b)
         grads = restricted_esp(lam, self.m - 1)
         nabla = np.einsum("...ik,...k,...jk->...ij", U, grads, np.conj(U))
         a_over_s = self.gis @ nabla @ self.gis / sm[..., None, None]
         return {
-            "x": x, "lam": lam, "sm": sm, "margins": margins, "worst": worst,
+            "x": x, "lam": lam, "sm": sm, "worst": worst,
             "residual": resid, "a_over_s": a_over_s,
         }
+
+    def _recenter(self, analysis: dict, b: float) -> float:
+        """Move the residual mean into the constant; returns the new b."""
+        mean = float(analysis["residual"].mean())
+        analysis["residual"] = analysis["residual"] - mean
+        return b + mean / self.m
 
     # -- linear solve --------------------------------------------------------
 
@@ -327,8 +331,8 @@ class _NewtonDriver:
         x_now = analysis["x"]
         while True:
             x_trial = x_now + step_size * hess_step
-            lam_trial, _ = self.eigen(x_trial)
-            worst = float(self.margins(lam_trial).min())
+            lam, U = self.eigen(x_trial)
+            worst = float(self.margins(lam).min())
             if worst >= cfg.cone_margin:
                 break
             step_size *= 0.5
@@ -343,11 +347,11 @@ class _NewtonDriver:
                 )
         phi_new = phi_data + step_size * dphi
         phi_new = phi_new - phi_new.max()
+        # X of phi_new is the accepted trial X (subtracting the max leaves the
+        # Hessian unchanged), so the trial's kernel output is reused as is
         b_trial = b + step_size * db
-        post = self.analyze(phi_new, b_trial)
-        shift = float(post["residual"].mean()) / self.m
-        b_new = b_trial + shift
-        post["residual"] = post["residual"] - post["residual"].mean()
+        post = self._linearize(x_trial, lam, U, worst, b_trial)
+        b_new = self._recenter(post, b_trial)
         info = {
             "step_size": step_size,
             "dphi_sup": float(np.abs(dphi).max()) * step_size,
@@ -357,9 +361,7 @@ class _NewtonDriver:
 
 
 def assemble_state(driver: _NewtonDriver, phi_data: np.ndarray, b: float,
-                   iters: int, analysis=None) -> SolverState:
-    if analysis is None:
-        analysis = driver.analyze(phi_data, b)
+                   iters: int, analysis: dict) -> SolverState:
     return SolverState(
         phi=ScalarField(driver.grid, phi_data),
         b=float(b),
@@ -381,8 +383,7 @@ def normalize_sup(phi: ScalarField) -> ScalarField:
 def residual(phi: ScalarField, b: float, bg: BackgroundData, t: float,
              f: ScalarField, m: int) -> ScalarField:
     """Pointwise log-residual log S_m(lam(X)) - log C(n, m) - m (f + b)."""
-    cfg = SolverConfig(m=m, t=min(max(t, 1e-12), 1.0))
-    driver = _NewtonDriver(bg, t, f, cfg)
+    driver = _NewtonDriver(bg, t, f, SolverConfig(m=m))
     analysis = driver.analyze(phi.data, b)
     return ScalarField(phi.grid, analysis["residual"])
 
@@ -391,8 +392,7 @@ def residual_linearization(phi: ScalarField, b: float, bg: BackgroundData,
                            t: float, f: ScalarField, m: int,
                            direction: ScalarField) -> ScalarField:
     """Directional derivative of the log-residual in a potential direction."""
-    cfg = SolverConfig(m=m, t=min(max(t, 1e-12), 1.0))
-    driver = _NewtonDriver(bg, t, f, cfg)
+    driver = _NewtonDriver(bg, t, f, SolverConfig(m=m))
     analysis = driver.analyze(phi.data, b)
     return ScalarField(
         phi.grid, driver.linear_apply(analysis["a_over_s"], direction.data)
@@ -429,9 +429,7 @@ def solve_nondegenerate(bg: BackgroundData, t: float, f: ScalarField,
             f"cone violation at initialization: {err}", point=err.point,
             margin=err.margin,
         ) from err
-    shift = float(analysis["residual"].mean()) / config.m
-    b += shift
-    analysis["residual"] = analysis["residual"] - analysis["residual"].mean()
+    b = driver._recenter(analysis, b)
 
     history = [float(np.abs(analysis["residual"]).max())]
     iters = 0
@@ -483,9 +481,10 @@ def continuation_degenerate(bg: BackgroundData, f: ScalarField,
                 smooth = mollify(density, sigma)
                 f_stage = ScalarField(f_norm.grid, np.log(smooth.data) / config.m)
         t_start = time.perf_counter()
+        b_t = compatibility_constant(bg, t, f_stage, config.m)
         try:
             state, stage_rep = solve_nondegenerate(bg, t, f_stage, config,
-                                                   warm_start=warm)
+                                                   warm_start=warm, b0=b_t)
         except NonConvergenceError as err:
             report.meta["aborted_stage"] = i
             report.meta["abort_reason"] = str(err)
@@ -496,7 +495,7 @@ def continuation_degenerate(bg: BackgroundData, f: ScalarField,
         record = stage_rep.stages[0]
         record.seconds = time.perf_counter() - t_start
         record.mollify_sigma = sigma
-        lower, mid, upper = degenerate_brackets(bg, t, f_stage, config.m)
+        lower, mid, upper = degenerate_brackets(bg, t, b_t, config.m)
         record.bracket_lower, record.bracket_mid, record.bracket_upper = lower, mid, upper
         report.stages.append(record)
         states.append(state)

@@ -128,7 +128,7 @@ def test_c02_inequality_suite(rng):
 def test_c03_manufactured_convergence():
     with criterion(3, "sup-error ratio N=12 vs N=24 in [3, 5], fast solves"):
         trig = TrigPolynomial.random(2, np.random.default_rng(11)).scaled_to_curvature(0.6)
-        cfg = SolverConfig(m=2, t=0.5)
+        cfg = SolverConfig(m=2)
         errs = {}
         for points in (12, 24):
             grid = TorusGrid(n=2, points_per_axis=points)
@@ -197,7 +197,7 @@ def test_c08_stability_exponent():
         )
         scales = [2.0**-k for k in range(3, 9)]
         result = stability_experiment(bg, 0.25, f, pert, scales, q=2.0,
-                                      q_prime=1.0, config=SolverConfig(m=2, t=0.25))
+                                      q_prime=1.0, config=SolverConfig(m=2))
         floor = stability_floor(2, 2.0, 1.0)
         assert floor == pytest.approx(2.0 / 11.0)
         assert not result.partial
@@ -212,7 +212,7 @@ def test_c09_uniqueness_twin_solves():
         bg = BackgroundData.flat(grid, kappa=1.0)
         rng = np.random.default_rng(4321)
         f = TrigPolynomial.random(2, rng, amplitude=0.25).sample(grid)
-        cfg = SolverConfig(m=2, t=0.25)
+        cfg = SolverConfig(m=2)
         energy, sup_diff, state_a, state_b = twin_solve_uniqueness(
             bg, 0.25, f, cfg, rng, noise_amplitude=0.01
         )

@@ -65,7 +65,8 @@ class TestCompatibilityConstant:
         f = TrigPolynomial.random(2, rng, amplitude=0.2).sample(grid12)
         f_norm, _ = normalize_density(bg, f, 2)
         for t in (1.0, 0.25, 2.0**-8):
-            lower, mid, upper = degenerate_brackets(bg, t, f_norm, 2)
+            b_t = compatibility_constant(bg, t, f_norm, 2)
+            lower, mid, upper = degenerate_brackets(bg, t, b_t, 2)
             assert lower - 1e-9 <= mid <= upper + 1e-9
 
 
@@ -118,7 +119,7 @@ class TestNewtonStep:
     def test_fixed_point(self, grid12):
         bg = BackgroundData.flat(grid12, kappa=1.0)
         phi_star, f_star, _ = make_manufactured(grid12, bg, 0.5, 2)
-        cfg = SolverConfig(m=2, t=0.5)
+        cfg = SolverConfig(m=2)
         state, _ = solve_nondegenerate(bg, 0.5, f_star, cfg)
         stepped = newton_step(state, bg, 0.5, f_star, cfg)
         assert np.abs(stepped.phi.data - state.phi.data).max() < 1e-12
@@ -128,7 +129,7 @@ class TestNewtonStep:
         grid = TorusGrid(n=2, points_per_axis=16)
         bg = BackgroundData.flat(grid, kappa=1.0)
         phi_star, f_star, _ = make_manufactured(grid, bg, 0.5, 2, curvature=0.8)
-        cfg = SolverConfig(m=2, t=0.5)
+        cfg = SolverConfig(m=2)
         _, report = solve_nondegenerate(bg, 0.5, f_star, cfg)
         hist = report.stages[0].residual_history
         tail = [(a, b) for a, b in zip(hist, hist[1:]) if a < 1e-2]
@@ -141,7 +142,7 @@ class TestNewtonStep:
         # must halve back and the accepted iterate keep its margin
         bg = BackgroundData.flat(grid12, kappa=1.0)
         phi_star, f_star, _ = make_manufactured(grid12, bg, 0.5, 2)
-        cfg = SolverConfig(m=2, t=0.5, cone_margin=1e-8, damping=64.0)
+        cfg = SolverConfig(m=2, cone_margin=1e-8, damping=64.0)
         driver = _NewtonDriver(bg, 0.5, f_star, cfg)
         phi_new, b_new, post, info = driver.step(np.zeros(grid12.shape), 0.0)
         assert info["step_size"] < 64.0
@@ -151,18 +152,74 @@ class TestNewtonStep:
     def test_damping_floor_raises(self, grid12):
         bg = BackgroundData.flat(grid12, kappa=1.0)
         phi_star, f_star, _ = make_manufactured(grid12, bg, 0.5, 2)
-        cfg = SolverConfig(m=2, t=0.5, cone_margin=1e9)  # unattainable safeguard
+        cfg = SolverConfig(m=2, cone_margin=1e9)  # unattainable safeguard
         driver = _NewtonDriver(bg, 0.5, f_star, cfg)
         with pytest.raises(NonConvergenceError) as err:
             driver.step(np.zeros(grid12.shape), 0.0)
         assert "residual_sup" in err.value.diagnostics
+
+    @pytest.mark.parametrize("damping, steps", [(1.0, 3), (64.0, 1)])
+    def test_step_analysis_matches_fresh_analyze(self, grid12, damping, steps):
+        # step builds the new iterate's analysis from the accepted line-search
+        # trial; it must agree with analyzing the new iterate from scratch
+        bg = BackgroundData.flat(grid12, kappa=1.0)
+        phi_star, f_star, _ = make_manufactured(grid12, bg, 0.5, 2)
+        cfg = SolverConfig(m=2, damping=damping)
+        driver = _NewtonDriver(bg, 0.5, f_star, cfg)
+        phi, b, analysis = np.zeros(grid12.shape), 0.0, None
+        for _ in range(steps):
+            phi, b, analysis, info = driver.step(phi, b, analysis)
+            fresh = driver.analyze(phi, b)
+            driver._recenter(fresh, b)
+            for key in ("x", "lam", "residual", "a_over_s"):
+                # relative, floored at 1: near convergence the log-residual
+                # is itself at roundoff, the scale newton_tol is set on
+                scale = max(np.abs(fresh[key]).max(), 1.0)
+                assert np.abs(analysis[key] - fresh[key]).max() <= 1e-10 * scale, key
+            assert analysis["worst"] == pytest.approx(fresh["worst"], rel=1e-10)
+        if damping > 1.0:
+            assert info["step_size"] < damping  # the line search backtracked
+
+    def test_solve_evaluates_each_iterate_once(self, grid12, monkeypatch):
+        # one analyze for the start; afterwards every kernel call is a
+        # line-search trial, and a step accepted at size s halved the
+        # damping factor log2(damping / s) times, so it made 1 + that trials
+        bg = BackgroundData.flat(grid12, kappa=1.0)
+        phi_star, f_star, _ = make_manufactured(grid12, bg, 0.5, 2)
+        cfg = SolverConfig(m=2)
+        calls = {"eigen": 0, "analyze": 0}
+        step_sizes = []
+        eigen, analyze, step = (_NewtonDriver.eigen, _NewtonDriver.analyze,
+                                _NewtonDriver.step)
+
+        def counting_eigen(self, x_data):
+            calls["eigen"] += 1
+            return eigen(self, x_data)
+
+        def counting_analyze(self, *args, **kwargs):
+            calls["analyze"] += 1
+            return analyze(self, *args, **kwargs)
+
+        def recording_step(self, *args, **kwargs):
+            out = step(self, *args, **kwargs)
+            step_sizes.append(out[3]["step_size"])
+            return out
+
+        monkeypatch.setattr(_NewtonDriver, "eigen", counting_eigen)
+        monkeypatch.setattr(_NewtonDriver, "analyze", counting_analyze)
+        monkeypatch.setattr(_NewtonDriver, "step", recording_step)
+        state, _ = solve_nondegenerate(bg, 0.5, f_star, cfg)
+        trials = sum(1 + round(np.log2(cfg.damping / s)) for s in step_sizes)
+        assert state.newton_iters == len(step_sizes) > 0
+        assert calls["analyze"] == 1
+        assert calls["eigen"] == 1 + trials
 
 
 class TestSolve:
     def test_constant_case(self, grid12):
         bg = BackgroundData.flat(grid12, kappa=1.0)
         f = constant_density(grid12, 0.0)
-        cfg = SolverConfig(m=2, t=0.5)
+        cfg = SolverConfig(m=2)
         state, _ = solve_nondegenerate(bg, 0.5, f, cfg)
         assert np.abs(state.phi.data).max() == 0.0
         assert state.b == pytest.approx(np.log(1.5), rel=1e-12)
@@ -171,7 +228,7 @@ class TestSolve:
     def test_manufactured_convergence_order(self):
         rng = np.random.default_rng(11)
         trig = TrigPolynomial.random(2, rng).scaled_to_curvature(0.6)
-        cfg = SolverConfig(m=2, t=0.5)
+        cfg = SolverConfig(m=2)
         errs = {}
         for points in (8, 16):
             grid = TorusGrid(n=2, points_per_axis=points)
@@ -194,7 +251,7 @@ class TestSolve:
     def test_nonconvergence_cap(self, grid12):
         bg = BackgroundData.flat(grid12, kappa=1.0)
         phi_star, f_star, _ = make_manufactured(grid12, bg, 0.5, 2)
-        cfg = SolverConfig(m=2, t=0.5, max_newton=1)
+        cfg = SolverConfig(m=2, max_newton=1)
         with pytest.raises(NonConvergenceError) as err:
             solve_nondegenerate(bg, 0.5, f_star, cfg)
         assert "residual_history" in err.value.diagnostics
@@ -204,7 +261,7 @@ class TestSolve:
         # the converged iterate
         bg = BackgroundData.flat(grid12, kappa=1.0)
         phi_star, f_star, _ = make_manufactured(grid12, bg, 0.5, 2)
-        cfg = SolverConfig(m=2, t=0.5)
+        cfg = SolverConfig(m=2)
         state, _ = solve_nondegenerate(bg, 0.5, f_star, cfg)
         driver = _NewtonDriver(bg, 0.5, f_star, cfg)
         analysis = driver.analyze(state.phi.data, state.b)
@@ -234,7 +291,7 @@ class TestSolve:
         omega = np.diag([1.0, 2.0])
         bg = BackgroundData.flat(grid, kappa=1.0, omega_matrix=omega)
         f = constant_density(grid, 0.0)
-        state, _ = solve_nondegenerate(bg, 0.5, f, SolverConfig(m=2, t=0.5))
+        state, _ = solve_nondegenerate(bg, 0.5, f, SolverConfig(m=2))
         assert np.abs(state.phi.data).max() == 0.0
         assert state.b == pytest.approx(np.log(1.5), rel=1e-12)
         # and a manufactured recovery through the same anisotropic pencil
@@ -242,7 +299,7 @@ class TestSolve:
         phi_star, f_star, _ = manufactured_solution(
             bg, 0.5, 2, trig.sample(grid), discrete=True
         )
-        state, _ = solve_nondegenerate(bg, 0.5, f_star, SolverConfig(m=2, t=0.5))
+        state, _ = solve_nondegenerate(bg, 0.5, f_star, SolverConfig(m=2))
         assert np.abs(state.phi.data - phi_star.data).max() < 1e-10
 
     def test_potential_generated_chi(self):
@@ -259,7 +316,7 @@ class TestSolve:
         phi_star, f_star, _ = manufactured_solution(
             bg, 0.5, 2, trig.sample(grid), discrete=True
         )
-        state, _ = solve_nondegenerate(bg, 0.5, f_star, SolverConfig(m=2, t=0.5))
+        state, _ = solve_nondegenerate(bg, 0.5, f_star, SolverConfig(m=2))
         assert np.abs(state.phi.data - phi_star.data).max() < 1e-10
 
     @pytest.mark.parametrize("m", [2, 3])
@@ -272,13 +329,13 @@ class TestSolve:
         phi_star, f_star, _ = manufactured_solution(
             bg, 0.5, m, trig.sample(grid), discrete=True
         )
-        state, _ = solve_nondegenerate(bg, 0.5, f_star, SolverConfig(m=m, t=0.5))
+        state, _ = solve_nondegenerate(bg, 0.5, f_star, SolverConfig(m=m))
         assert np.abs(state.phi.data - phi_star.data).max() < 1e-10
 
     def test_sup_normalized(self, grid12):
         bg = BackgroundData.flat(grid12, kappa=1.0)
         phi_star, f_star, _ = make_manufactured(grid12, bg, 0.5, 2)
-        state, _ = solve_nondegenerate(bg, 0.5, f_star, SolverConfig(m=2, t=0.5))
+        state, _ = solve_nondegenerate(bg, 0.5, f_star, SolverConfig(m=2))
         assert state.phi.data.max() == pytest.approx(0.0, abs=1e-14)
 
 
@@ -340,7 +397,7 @@ class TestContinuation:
         f = lq_spike(grid12, q=2.0, cap=50.0)
         _, shift = normalize_density(bg, f, 2)
         h = grid12.spacing
-        cfg = SolverConfig(m=2, t=0.5)
+        cfg = SolverConfig(m=2)
         solutions = []
         for sigma in (4 * h, 2 * h, h):
             density = ScalarField(grid12, np.exp(2 * (f.data + shift)))
@@ -358,7 +415,7 @@ class TestDecreasingSequence:
     def test_identical_states(self, grid12):
         bg = BackgroundData.flat(grid12, kappa=1.0)
         f = constant_density(grid12, 0.0)
-        state, _ = solve_nondegenerate(bg, 0.5, f, SolverConfig(m=2, t=0.5))
+        state, _ = solve_nondegenerate(bg, 0.5, f, SolverConfig(m=2))
         result = decreasing_sequence([state, state, state])
         assert not result.adjusted
         for a, b in zip(result.fields, result.fields[1:]):
@@ -367,7 +424,7 @@ class TestDecreasingSequence:
     def test_two_stage_minimal_constant(self, grid12):
         bg = BackgroundData.flat(grid12, kappa=1.0)
         f = constant_density(grid12, 0.0)
-        state, _ = solve_nondegenerate(bg, 0.5, f, SolverConfig(m=2, t=0.5))
+        state, _ = solve_nondegenerate(bg, 0.5, f, SolverConfig(m=2))
         import copy
 
         lifted = copy.deepcopy(state)
@@ -381,7 +438,7 @@ class TestDecreasingSequence:
     def test_explicit_caps_respected(self, grid12):
         bg = BackgroundData.flat(grid12, kappa=1.0)
         f = constant_density(grid12, 0.0)
-        state, _ = solve_nondegenerate(bg, 0.5, f, SolverConfig(m=2, t=0.5))
+        state, _ = solve_nondegenerate(bg, 0.5, f, SolverConfig(m=2))
         result = decreasing_sequence([state, state], caps=[1.0, 0.5])
         assert result.caps == [1.0, 0.5]
         assert not result.adjusted

@@ -48,7 +48,7 @@ class TestStability:
         bg = BackgroundData.flat(grid12, kappa=1.0)
         f = constant_density(grid12, 0.0)
         pert = ScalarField.constant(grid12, 0.0)
-        cfg = SolverConfig(m=2, t=0.25)
+        cfg = SolverConfig(m=2)
         result = stability_experiment(bg, 0.25, f, pert, [0.5, 0.25], 2.0, 1.0, cfg)
         assert result.fitted_exponent is None
         assert result.passed
@@ -59,7 +59,7 @@ class TestStability:
         bg = BackgroundData.flat(grid12, kappa=1.0)
         f = TrigPolynomial.random(2, rng, amplitude=0.2).sample(grid12)
         pert = dipole_bump(grid12, width=0.15)
-        cfg = SolverConfig(m=2, t=0.25)
+        cfg = SolverConfig(m=2)
         scales = [2.0**-k for k in range(3, 7)]
         result = stability_experiment(bg, 0.25, f, pert, scales, 2.0, 1.0, cfg)
         assert not result.partial
@@ -74,7 +74,7 @@ class TestStability:
         bg = BackgroundData.flat(grid12, kappa=1.0)
         f = TrigPolynomial.random(2, rng, amplitude=0.3).sample(grid12)
         pert = dipole_bump(grid12)
-        cfg = SolverConfig(m=2, t=0.25, max_newton=1)
+        cfg = SolverConfig(m=2, max_newton=1)
         result = stability_experiment(bg, 0.25, f, pert, [0.125], 2.0, 1.0, cfg)
         assert result.partial
         assert not result.passed
@@ -83,7 +83,7 @@ class TestStability:
         bg = BackgroundData.flat(grid8, kappa=1.0)
         f = TrigPolynomial.random(2, rng, amplitude=0.2).sample(grid8)
         pert = dipole_bump(grid8)
-        cfg = SolverConfig(m=2, t=0.25)
+        cfg = SolverConfig(m=2)
         scales = [0.125, 0.0625]
         serial = stability_experiment(bg, 0.25, f, pert, scales, 2.0, 1.0, cfg)
         threaded = stability_experiment(bg, 0.25, f, pert, scales, 2.0, 1.0, cfg,
@@ -164,7 +164,7 @@ class TestUniquenessEnergy:
     def test_twin_solves_agree(self, grid12, rng):
         bg = BackgroundData.flat(grid12, kappa=1.0)
         f = TrigPolynomial.random(2, rng, amplitude=0.25).sample(grid12)
-        cfg = SolverConfig(m=2, t=0.25)
+        cfg = SolverConfig(m=2)
         energy, sup_diff, state_a, state_b = twin_solve_uniqueness(
             bg, 0.25, f, cfg, rng, noise_amplitude=0.01
         )
@@ -179,7 +179,7 @@ class TestMonitor:
         # X = 1.5 omega pointwise: the trace w is exactly n * 1.5
         bg = BackgroundData.flat(grid12, kappa=1.0)
         f = constant_density(grid12, 0.0)
-        cfg = SolverConfig(m=2, t=0.5)
+        cfg = SolverConfig(m=2)
         state, _ = solve_nondegenerate(bg, 0.5, f, cfg)
         rep = laplacian_monitor(state, bg, 0.5, f, 2)
         assert not rep.skipped
@@ -191,7 +191,7 @@ class TestMonitor:
     def test_trace_consistency(self, grid12):
         bg = BackgroundData.flat(grid12, kappa=1.0)
         phi_star, f_star, _ = make_exact_problem(grid12, bg)
-        cfg = SolverConfig(m=2, t=0.25)
+        cfg = SolverConfig(m=2)
         state, _ = solve_nondegenerate(bg, 0.25, f_star, cfg)
         w = trace_field(state, bg, 0.25)
         from hessianlab import complex_hessian, eigen_field
@@ -204,7 +204,7 @@ class TestMonitor:
     def test_skipped_without_kappa(self, grid12):
         bg = BackgroundData.flat(grid12, kappa=0.0)
         f = constant_density(grid12, 0.0)
-        state, _ = solve_nondegenerate(bg, 0.5, f, SolverConfig(m=2, t=0.5))
+        state, _ = solve_nondegenerate(bg, 0.5, f, SolverConfig(m=2))
         rep = laplacian_monitor(state, bg, 0.5, f, 2)
         assert rep.skipped
 
@@ -224,7 +224,7 @@ class TestMonitor:
     def test_c2_norm_ordering(self, grid12, rng):
         # rougher data drives the trace monitor higher
         bg = BackgroundData.flat(grid12, kappa=1.0)
-        cfg = SolverConfig(m=2, t=0.25)
+        cfg = SolverConfig(m=2)
         sups = []
         for amp in (0.05, 0.6):
             f = TrigPolynomial.random(2, np.random.default_rng(12),
