@@ -51,6 +51,7 @@ from .solver import (
     SolveReport,
     SolverConfig,
     SolverState,
+    bracket_bounds,
     compatibility_constant,
     continuation_degenerate,
     decreasing_sequence,
@@ -76,6 +77,7 @@ from .symfunc import (
     grad_elem_sym,
     hess_elem_sym,
     hessian_operator_F,
+    hessian_kernel,
     restricted_esp,
 )
 from .verification import (

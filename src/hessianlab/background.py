@@ -25,9 +25,7 @@ from .grid import (
     complex_hessian,
     complex_hessian_spectral,
 )
-from .symfunc import (
-    binom, cone_margins, elem_sym_table, frame_eigh, hermitize, metric_inv_sqrt,
-)
+from .symfunc import binom, esp_margins, hermitize, hessian_kernel, metric_inv_sqrt
 
 OMEGA_MIN_MARGIN = 1e-8
 
@@ -37,14 +35,15 @@ class BackgroundData:
     """Fixed geometric data of one problem instance.
 
     ``omega`` is one constant Hermitian positive-definite (n, n) matrix;
-    ``omega_inv_sqrt`` and the scalar ``volume`` = det(omega) are derived
-    from it once, on construction.
+    ``omega_inv``, ``omega_inv_sqrt`` and the scalar ``volume`` = det(omega)
+    are derived from it once, on construction.
     """
 
     omega: np.ndarray
     chi: HermitianField
     chi_tilde: HermitianField
     kappa: float = 0.0
+    omega_inv: np.ndarray = field(init=False, repr=False)
     omega_inv_sqrt: np.ndarray = field(init=False, repr=False)
     volume: float = field(init=False)
 
@@ -56,6 +55,7 @@ class BackgroundData:
             )
         self.omega = hermitize(self.omega)
         self.omega_inv_sqrt = metric_inv_sqrt(self.omega, OMEGA_MIN_MARGIN)
+        self.omega_inv = hermitize(self.omega_inv_sqrt @ self.omega_inv_sqrt)
         self.volume = float(np.linalg.det(self.omega).real)
 
     @property
@@ -66,8 +66,8 @@ class BackgroundData:
         grid = self.grid
         if self.chi_tilde.grid != grid:
             raise DomainError("background fields live on different grids")
-        lam_chi, _ = frame_eigh(self.chi.data, self.omega_inv_sqrt)
-        worst = cone_margins(lam_chi, m)
+        S, _ = hessian_kernel(self.chi.data, self.omega_inv, m)
+        worst = esp_margins(S, grid.n)
         if worst.min() < -1e-10:
             idx = np.unravel_index(int(np.argmin(worst)), grid.shape)
             raise ConeViolationError(
@@ -234,8 +234,8 @@ def manufactured_solution(bg: BackgroundData, t: float, m: int,
     """
     grid = bg.grid
     hess = complex_hessian(potential) if discrete else complex_hessian_spectral(potential)
-    lam, _ = frame_eigh(bg.base_form(t).data + hess.data, bg.omega_inv_sqrt)
-    worst = cone_margins(lam, m)
+    S, _ = hessian_kernel(bg.base_form(t).data + hess.data, bg.omega_inv, m)
+    worst = esp_margins(S, grid.n)
     worst_min = float(worst.min())
     if worst_min < margin_floor:
         idx = np.unravel_index(int(np.argmin(worst)), grid.shape)
@@ -243,7 +243,6 @@ def manufactured_solution(bg: BackgroundData, t: float, m: int,
             f"manufactured potential margin {worst_min:.3e} below {margin_floor}",
             point=idx, margin=worst_min,
         )
-    sm = elem_sym_table(lam)[..., m]
-    f_star = ScalarField(grid, (np.log(sm) - np.log(binom(grid.n, m))) / m)
+    f_star = ScalarField(grid, (np.log(S[..., m]) - np.log(binom(grid.n, m))) / m)
     phi_star = ScalarField(grid, potential.data - potential.data.max())
     return phi_star, f_star, worst_min

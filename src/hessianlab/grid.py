@@ -135,31 +135,67 @@ def diff2(data: np.ndarray, axis: int, h: float) -> np.ndarray:
     return (np.roll(data, -1, axis) - 2.0 * data + np.roll(data, 1, axis)) / (h * h)
 
 
+def _hermitian_by_construction(grid: TorusGrid, data: np.ndarray) -> HermitianField:
+    """Wrap data that is exactly Hermitian already, skipping the symmetrization."""
+    out = HermitianField.__new__(HermitianField)
+    out.grid, out.data = grid, data
+    return out
+
+
+def _wrap_pad(data: np.ndarray) -> np.ndarray:
+    """``data`` with one periodic ghost layer at both ends of every axis."""
+    out = np.empty(tuple(s + 2 for s in data.shape))
+    out[(slice(1, -1),) * data.ndim] = data
+    for a in range(data.ndim):
+        lead = (slice(None),) * a
+        out[lead + (0,)] = out[lead + (-2,)]
+        out[lead + (-1,)] = out[lead + (1,)]
+    return out
+
+
 def complex_hessian(phi: ScalarField) -> HermitianField:
     """Discrete complex Hessian of a scalar potential.
 
     Entry (i, j) realizes
     (1/4)(d_{x_i x_j} + d_{y_i y_j}) + (i/4)(d_{x_i y_j} - d_{y_i x_j})
-    with centered periodic differences.  The i = j imaginary part vanishes
-    identically and entries below the diagonal are conjugated copies, so the
-    output is Hermitian by construction.
+    with centered periodic differences: ``diff2`` on the diagonal and
+    ``diff1`` composed with itself off it, every neighbour read as a slice
+    of one periodic wrap-pad of phi.  The i = j imaginary part is zero and
+    entries below the diagonal are conjugated copies, so the output is
+    exactly Hermitian.
     """
     grid = phi.grid
-    n, h = grid.n, grid.spacing
+    n, h, N = grid.n, grid.spacing, grid.points_per_axis
     f = phi.data
+    padded = _wrap_pad(f)
+    inner = [slice(1, N + 1)] * (2 * n)
+
+    def at(*steps):
+        """phi at the neighbour reached by the (axis, +-1) ``steps``."""
+        idx = list(inner)
+        for axis, step in steps:
+            idx[axis] = slice(1 + step, N + 1 + step)
+        return padded[tuple(idx)]
+
+    def mixed(a, b):
+        """4 h^2 times the centered mixed difference along axes a and b."""
+        return (at((a, 1), (b, 1)) - at((a, -1), (b, 1))
+                - at((a, 1), (b, -1)) + at((a, -1), (b, -1)))
+
     out = np.zeros(grid.shape + (n, n), dtype=complex)
+    four_f = 4.0 * f
     for i in range(n):
         xi, yi = 2 * i, 2 * i + 1
-        out[..., i, i] = 0.25 * (diff2(f, xi, h) + diff2(f, yi, h))
+        lap = at((xi, 1)) + at((xi, -1)) + at((yi, 1)) + at((yi, -1)) - four_f
+        out.real[..., i, i] = (0.25 / (h * h)) * lap
         for j in range(i + 1, n):
             xj, yj = 2 * j, 2 * j + 1
-            dxi = diff1(f, xi, h)
-            dyi = diff1(f, yi, h)
-            re = 0.25 * (diff1(dxi, xj, h) + diff1(dyi, yj, h))
-            im = 0.25 * (diff1(dxi, yj, h) - diff1(dyi, xj, h))
-            out[..., i, j] = re + 1j * im
-            out[..., j, i] = re - 1j * im
-    return HermitianField(grid, out)
+            re = (0.0625 / (h * h)) * (mixed(xi, xj) + mixed(yi, yj))
+            im = (0.0625 / (h * h)) * (mixed(xi, yj) - mixed(yi, xj))
+            out.real[..., i, j] = out.real[..., j, i] = re
+            out.imag[..., i, j] = im
+            out.imag[..., j, i] = -im
+    return _hermitian_by_construction(grid, out)
 
 
 def complex_gradient(phi: ScalarField) -> np.ndarray:

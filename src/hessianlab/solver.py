@@ -32,7 +32,7 @@ from .grid import (
     integrate,
     mollify,
 )
-from .symfunc import binom, cone_margins, elem_sym_table, frame_eigh, restricted_esp
+from .symfunc import binom, esp_margins, hessian_kernel
 
 DAMPING_FLOOR = 2.0 ** -20
 
@@ -142,11 +142,11 @@ def wedge_integral(bg: BackgroundData, form: HermitianField, k: int) -> float:
     """Integral of form^k wedge omega^(n-k) over the torus.
 
     Uses the eigenvalue identity: the integrand equals
-    S_k(lam(form)) / C(n, k) times the volume density of omega.
+    S_k(lam(form)) / C(n, k) times the volume density of omega, with S_k
+    taken from ``hessian_kernel``.
     """
-    lam, _ = frame_eigh(form.data, bg.omega_inv_sqrt)
-    sk = elem_sym_table(lam)[..., k] / binom(bg.grid.n, k)
-    return integrate(ScalarField(bg.grid, sk), bg.volume)
+    S, _ = hessian_kernel(form.data, bg.omega_inv, k)
+    return integrate(ScalarField(bg.grid, S[..., k] / binom(bg.grid.n, k)), bg.volume)
 
 
 def compatibility_constant(bg: BackgroundData, t: float, f: ScalarField, m: int) -> float:
@@ -177,19 +177,14 @@ def normalize_density(bg: BackgroundData, f: ScalarField, m: int):
     return ScalarField(f.grid, f.data + shift), float(shift)
 
 
-def degenerate_brackets(bg: BackgroundData, t: float, b_t: float, m: int):
-    """Two-sided bound data for V_t / exp(n b_t) at one stage.
+def bracket_bounds(bg: BackgroundData, m: int):
+    """The t-independent ends ``(lower, upper)`` of ``degenerate_brackets``.
 
-    Returns ``(lower, mid, upper)`` where mid = V_t / exp(n b_t) with
-    V_t the total mass of (chi_tilde + t omega)^n and b_t the stage
-    compatibility constant ``compatibility_constant(bg, t, f, m)``; lower
-    and upper are the bracketing integrals built from chi_tilde^n,
+    lower and upper are the bracketing integrals built from chi_tilde^n,
     (chi + chi_tilde + omega)^m wedge omega^(n-m),
     (chi + chi_tilde)^m wedge omega^(n-m) and the omega volume.
     """
     n = bg.grid.n
-    v_t = wedge_integral(bg, HermitianField(bg.grid, bg.chi_tilde.data + t * bg.omega), n)
-    mid = v_t / np.exp(n * b_t)
     lower = wedge_integral(bg, bg.chi_tilde, n) / wedge_integral(
         bg, bg.base_form(1.0), m
     ) ** (n / m)
@@ -197,7 +192,24 @@ def degenerate_brackets(bg: BackgroundData, t: float, b_t: float, m: int):
     upper = wedge_integral(bg, bg.base_form(0.0), m) ** (n / m) / vol_total ** (
         (n - m) / m
     )
-    return float(lower), float(mid), float(upper)
+    return float(lower), float(upper)
+
+
+def degenerate_brackets(bg: BackgroundData, t: float, b_t: float, m: int,
+                        bounds: tuple | None = None):
+    """Two-sided bound data for V_t / exp(n b_t) at one stage.
+
+    Returns ``(lower, mid, upper)`` where mid = V_t / exp(n b_t) with
+    V_t the total mass of (chi_tilde + t omega)^n and b_t the stage
+    compatibility constant ``compatibility_constant(bg, t, f, m)``; lower
+    and upper are ``bracket_bounds(bg, m)``, computed here unless passed
+    as ``bounds``, which a continuation does once for all its stages.
+    """
+    n = bg.grid.n
+    v_t = wedge_integral(bg, HermitianField(bg.grid, bg.chi_tilde.data + t * bg.omega), n)
+    mid = v_t / np.exp(n * b_t)
+    lower, upper = bracket_bounds(bg, m) if bounds is None else bounds
+    return lower, float(mid), upper
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +231,7 @@ class _NewtonDriver:
         self.n = grid.n
         self.binom = binom(grid.n, config.m)
         self.base = bg.base_form(self.t).data
-        self.gis = bg.omega_inv_sqrt
+        self.omega_inv = bg.omega_inv
         sym = fd_laplacian_symbol(grid)
         with np.errstate(divide="ignore"):
             inv = np.where(sym != 0.0, 1.0 / np.where(sym != 0.0, sym, 1.0), 0.0)
@@ -229,37 +241,34 @@ class _NewtonDriver:
     # -- pointwise analysis ------------------------------------------------
 
     def eigen(self, x_data: np.ndarray):
-        return frame_eigh(x_data, self.gis)
+        """Kernel output (S_0..S_m, Newton tensor) of X, see ``hessian_kernel``."""
+        return hessian_kernel(x_data, self.omega_inv, self.m)
 
-    def margins(self, lam: np.ndarray) -> np.ndarray:
-        return cone_margins(lam, self.m)
+    def margins(self, S: np.ndarray) -> np.ndarray:
+        return esp_margins(S, self.n)
 
-    def analyze(self, phi_data: np.ndarray, b: float, require_margin: float = 0.0):
-        """Eigen data, residual and linearization coefficients at an iterate."""
+    def analyze(self, phi_data: np.ndarray, b: float):
+        """Kernel data, residual and linearization coefficients at an iterate."""
         x = self.base + complex_hessian(ScalarField(self.grid, phi_data)).data
-        lam, U = self.eigen(x)
-        margins = self.margins(lam)
+        S, T = self.eigen(x)
+        margins = self.margins(S)
         worst = float(margins.min())
-        if not worst > require_margin:
+        if not worst > 0.0:
             idx = np.unravel_index(int(np.argmin(margins)), self.grid.shape)
             raise ConeViolationError(
-                f"cone margin {worst:.3e} at grid point {idx} "
-                f"(required > {require_margin:.1e})",
+                f"cone margin {worst:.3e} at grid point {idx}",
                 point=idx, margin=worst,
             )
-        return self._linearize(x, lam, U, worst, b)
+        return self._linearize(x, S, T, worst, b)
 
-    def _linearize(self, x: np.ndarray, lam: np.ndarray, U: np.ndarray,
+    def _linearize(self, x: np.ndarray, S: np.ndarray, T: np.ndarray,
                    worst: float, b: float) -> dict:
-        """Residual and linearization at X from its kernel output (lam, U)."""
-        sm = elem_sym_table(lam)[..., self.m]
+        """Residual and linearization at X from its kernel output (S, T)."""
+        sm = S[..., self.m]
         resid = np.log(sm) - np.log(self.binom) - self.m * (self.f.data + b)
-        grads = restricted_esp(lam, self.m - 1)
-        nabla = np.einsum("...ik,...k,...jk->...ij", U, grads, np.conj(U))
-        a_over_s = self.gis @ nabla @ self.gis / sm[..., None, None]
         return {
-            "x": x, "lam": lam, "sm": sm, "worst": worst,
-            "residual": resid, "a_over_s": a_over_s,
+            "x": x, "S": S, "sm": sm, "worst": worst,
+            "residual": resid, "a_over_s": T / sm[..., None, None],
         }
 
     def _recenter(self, analysis: dict, b: float) -> float:
@@ -331,8 +340,8 @@ class _NewtonDriver:
         x_now = analysis["x"]
         while True:
             x_trial = x_now + step_size * hess_step
-            lam, U = self.eigen(x_trial)
-            worst = float(self.margins(lam).min())
+            S, T = self.eigen(x_trial)
+            worst = float(self.margins(S).min())
             if worst >= cfg.cone_margin:
                 break
             step_size *= 0.5
@@ -350,7 +359,7 @@ class _NewtonDriver:
         # X of phi_new is the accepted trial X (subtracting the max leaves the
         # Hessian unchanged), so the trial's kernel output is reused as is
         b_trial = b + step_size * db
-        post = self._linearize(x_trial, lam, U, worst, b_trial)
+        post = self._linearize(x_trial, S, T, worst, b_trial)
         b_new = self._recenter(post, b_trial)
         info = {
             "step_size": step_size,
@@ -412,9 +421,11 @@ def solve_nondegenerate(bg: BackgroundData, t: float, f: ScalarField,
                         b0: float | None = None):
     """Newton iteration to the stage-t solution; returns (state, report).
 
-    Starts from zero (or a warm start), keeps every accepted iterate inside
-    the cone with margin >= config.cone_margin, and stops when the sup-norm
-    of the log-residual drops below config.newton_tol.
+    Starts from zero (or a warm start), which must lie strictly inside the
+    cone (worst margin > 0; ConeViolationError otherwise).  config.cone_margin
+    guards the accepted steps: the line search keeps every later iterate's
+    margin >= config.cone_margin.  Stops when the sup-norm of the
+    log-residual drops below config.newton_tol.
     """
     t0 = time.perf_counter()
     driver = _NewtonDriver(bg, t, f, config)
@@ -468,6 +479,7 @@ def continuation_degenerate(bg: BackgroundData, f: ScalarField,
     """
     bg.validate(config.m)
     f_norm, shift = normalize_density(bg, f, config.m)
+    bounds = bracket_bounds(bg, config.m)
     report = SolveReport(meta={"mass_shift": shift})
     states = []
     warm = None
@@ -495,7 +507,7 @@ def continuation_degenerate(bg: BackgroundData, f: ScalarField,
         record = stage_rep.stages[0]
         record.seconds = time.perf_counter() - t_start
         record.mollify_sigma = sigma
-        lower, mid, upper = degenerate_brackets(bg, t, b_t, config.m)
+        lower, mid, upper = degenerate_brackets(bg, t, b_t, config.m, bounds)
         record.bracket_lower, record.bracket_mid, record.bracket_upper = lower, mid, upper
         report.stages.append(record)
         states.append(state)

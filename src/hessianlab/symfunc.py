@@ -3,7 +3,9 @@
 Everything here is dimension-generic and pure: tuples of generalized
 eigenvalues go in, scalars or small arrays come out.  The solver and the
 field calculus build on the batched variants, which accept arrays of shape
-``(..., n)`` and evaluate pointwise.
+``(..., n)`` and evaluate pointwise, and on ``hessian_kernel``, which takes
+the elementary symmetric polynomials and the Newton tensor of a Hermitian
+field straight from its matrix entries, with no eigendecomposition.
 """
 
 from __future__ import annotations
@@ -115,15 +117,25 @@ def elem_sym_minors(matrix, k: int) -> float:
     return float(total)
 
 
+def esp_margins(S: np.ndarray, n: int) -> np.ndarray:
+    """Worst normalized margin min_k S_k / C(n,k) over k = 1..m, batched.
+
+    ``S`` holds S_0..S_m of an n-tuple in its last axis, as returned by
+    ``elem_sym_table`` (truncated) or ``hessian_kernel``.
+    """
+    worst = S[..., 1] / binom(n, 1)
+    for k in range(2, S.shape[-1]):
+        worst = np.minimum(worst, S[..., k] / binom(n, k))
+    return worst
+
+
 def cone_margins(values: np.ndarray, m: int) -> np.ndarray:
     """Worst normalized margin min_k S_k / C(n,k) over k = 1..m, batched."""
     vals = np.asarray(values, dtype=float)
     n = vals.shape[-1]
     if not 1 <= m <= n:
         raise DomainError(f"m={m} outside 1..{n}")
-    e = elem_sym_table(vals)
-    scale = np.array([binom(n, k) for k in range(1, m + 1)], dtype=float)
-    return np.min(e[..., 1 : m + 1] / scale, axis=-1)
+    return esp_margins(elem_sym_table(vals)[..., : m + 1], n)
 
 
 def cone_membership(values, spec) -> tuple[bool, float]:
@@ -249,13 +261,71 @@ def metric_inv_sqrt(G: np.ndarray, min_eig: float = METRIC_MIN_EIG) -> np.ndarra
     return np.einsum("...ik,...k,...jk->...ij", Vg, 1.0 / np.sqrt(wg), np.conj(Vg))
 
 
+def _plane_dot(row, col):
+    """sum_l row[l] * col[l] over lists of entry planes (or scalars)."""
+    total = row[0] * col[0]
+    for a, b in zip(row[1:], col[1:]):
+        total = total + a * b
+    return total
+
+
+def hessian_kernel(x: np.ndarray, omega_inv: np.ndarray, m: int):
+    """S_0..S_m and the Newton tensor of a Hermitian field relative to a metric.
+
+    Pointwise over the leading axes of ``x`` with W = omega^(-1) x, returns
+    ``(S, T)``: ``S[..., k]`` is S_k of the eigenvalues of W (those of x
+    relative to omega) for k = 0..m, and ``T`` is the Hermitian matrix
+    T_{m-1}(W) omega^(-1), where T_k(W) = sum_j (-1)^j S_{k-j} W^j is the
+    Newton tensor.  Since d S_m = tr(T dx), T / S_m linearizes log S_m.
+
+    No eigendecomposition: the Faddeev-LeVerrier recursion
+    S_k = tr(W T_{k-1}) / k, T_k = S_k I - W T_{k-1} runs on the (i, j)
+    entry planes of x.  It carries B_k = T_k omega^(-1), which is Hermitian,
+    so only its upper triangle is computed and B_{m-1} is T itself.
+    """
+    x = np.asarray(x, dtype=complex)
+    n = x.shape[-1]
+    if not 1 <= m <= n:
+        raise DomainError(f"m={m} outside 1..{n}")
+    oi = np.asarray(omega_inv, dtype=complex)
+    ix = range(n)
+    xp = [[x[..., i, j] for j in ix] for i in ix]
+    w = [[_plane_dot(oi[i], [xp[l][j] for l in ix]) for j in ix] for i in ix]
+    S = np.empty(x.shape[:-2] + (m + 1,))
+    S[..., 0] = 1.0
+    b = oi
+    for k in range(1, m + 1):
+        # S_k = tr(W T_{k-1}) / k = tr(x B_{k-1}) / k
+        s_k = _plane_dot([xp[i][j] for i in ix for j in ix],
+                         [b[j][i] for i in ix for j in ix]).real / k
+        S[..., k] = s_k
+        if k == m:
+            break
+        # B_k = S_k omega^(-1) - W B_{k-1}, upper triangle then conjugates
+        nxt = [[None] * n for _ in ix]
+        for i in ix:
+            for j in range(i, n):
+                entry = s_k * oi[i, j] - _plane_dot(w[i], [b[l][j] for l in ix])
+                if i == j:
+                    nxt[i][i] = entry.real
+                else:
+                    nxt[i][j], nxt[j][i] = entry, np.conj(entry)
+        b = nxt
+    T = np.empty(x.shape, dtype=complex)
+    for i in ix:
+        for j in ix:
+            T[..., i, j] = b[i][j]
+    return S, T
+
+
 def frame_eigh(x: np.ndarray, g_inv_sqrt: np.ndarray):
     """Pointwise eigen-decomposition of x in the frame of a metric.
 
     ``g_inv_sqrt`` is the inverse square root of the metric (one matrix or
     one per point).  Returns ``(lam, U)``: the eigenvalues of
     g_inv_sqrt x g_inv_sqrt in descending order and the matching unitary
-    eigenvectors, batched over the leading axes of ``x``.
+    eigenvectors, batched over the leading axes of ``x``.  Backs the tuple
+    API (``pencil_eigh``) and serves as the oracle for ``hessian_kernel``.
     """
     mat = g_inv_sqrt @ x @ g_inv_sqrt
     mat = 0.5 * (mat + np.conj(np.swapaxes(mat, -1, -2)))

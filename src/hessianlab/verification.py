@@ -28,7 +28,7 @@ from .grid import (
     trace_with_metric,
 )
 from .solver import SolverConfig, SolverState, solve_nondegenerate, uniformity_proxy
-from .symfunc import binom, cone_margins, elem_sym_table, frame_eigh
+from .symfunc import binom, esp_margins, hessian_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -225,21 +225,21 @@ def viscosity_check(phi: ScalarField, b: float, bg: BackgroundData, t: float,
     rhs = np.exp(b + f.data).reshape(total)[flat_idx]
     eye = np.eye(n)
 
-    def operator_f(lam):
-        sm = elem_sym_table(lam)[..., m]
+    def operator_f(S):
+        sm = S[..., m]
         return np.where(sm > 0, sm, 0.0) ** (1.0 / m) / binom(n, m) ** (1.0 / m)
 
     sub_bad = np.zeros(flat_idx.size, dtype=bool)
     super_bad = np.zeros(flat_idx.size, dtype=bool)
     skipped = 0
     for eta in etas:
-        lam_up, _ = frame_eigh(x_flat + eta * eye, bg.omega_inv_sqrt)
-        sub_bad |= operator_f(lam_up) < rhs - tol
+        S_up, _ = hessian_kernel(x_flat + eta * eye, bg.omega_inv, m)
+        sub_bad |= operator_f(S_up) < rhs - tol
 
-        lam_dn, _ = frame_eigh(x_flat - eta * eye, bg.omega_inv_sqrt)
-        in_cone = cone_margins(lam_dn, m) >= 0.0
+        S_dn, _ = hessian_kernel(x_flat - eta * eye, bg.omega_inv, m)
+        in_cone = esp_margins(S_dn, n) >= 0.0
         skipped += int(np.sum(~in_cone))
-        super_bad |= in_cone & (operator_f(lam_dn) > rhs + tol)
+        super_bad |= in_cone & (operator_f(S_dn) > rhs + tol)
 
     bad_flat = flat_idx[sub_bad | super_bad]
     points = [np.unravel_index(int(i), grid.shape) for i in bad_flat[:64]]

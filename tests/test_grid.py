@@ -23,7 +23,7 @@ from hessianlab import (
     mollify,
     tree_sum,
 )
-from hessianlab.grid import laplacian_with_metric
+from hessianlab.grid import diff1, diff2, laplacian_with_metric
 
 from conftest import random_spd
 
@@ -98,6 +98,29 @@ class TestComplexHessian:
         assert np.abs(hess.data - adj).max() == 0.0
         means = hess.data.reshape(-1, 2, 2).mean(axis=0)
         assert np.abs(means).max() < 1e-10
+
+    @pytest.mark.parametrize("n, N", [(1, 8), (2, 6), (3, 4)])
+    def test_matches_roll_composition(self, n, N):
+        # the wrap-pad stencils against the diff1/diff2 composition built
+        # from np.roll, on rough random fields
+        grid = TorusGrid(n=n, points_per_axis=N)
+        h = grid.spacing
+        for seed in range(3):
+            f = np.random.default_rng(seed).standard_normal(grid.shape)
+            hess = complex_hessian(ScalarField(grid, f)).data
+            assert np.array_equal(hess, np.conj(np.swapaxes(hess, -1, -2)))
+            want = np.zeros_like(hess)
+            for i in range(n):
+                xi, yi = 2 * i, 2 * i + 1
+                want[..., i, i] = 0.25 * (diff2(f, xi, h) + diff2(f, yi, h))
+                for j in range(i + 1, n):
+                    xj, yj = 2 * j, 2 * j + 1
+                    dxi, dyi = diff1(f, xi, h), diff1(f, yi, h)
+                    re = 0.25 * (diff1(dxi, xj, h) + diff1(dyi, yj, h))
+                    im = 0.25 * (diff1(dxi, yj, h) - diff1(dyi, xj, h))
+                    want[..., i, j] = re + 1j * im
+                    want[..., j, i] = re - 1j * im
+            assert np.abs(hess - want).max() <= 1e-13 * np.abs(want).max()
 
     @pytest.mark.parametrize("metric", [None, [[1.5, 0.2], [0.2, 1.0]]])
     def test_integration_by_parts(self, rng, metric):

@@ -27,7 +27,7 @@ from hessianlab import (
     solve_nondegenerate,
 )
 from hessianlab.solver import _NewtonDriver
-from hessianlab.symfunc import binom, elem_sym_table
+from hessianlab.symfunc import binom
 
 
 def make_manufactured(grid, bg, t, m, curvature=0.6, seed=7, discrete=True):
@@ -171,7 +171,7 @@ class TestNewtonStep:
             phi, b, analysis, info = driver.step(phi, b, analysis)
             fresh = driver.analyze(phi, b)
             driver._recenter(fresh, b)
-            for key in ("x", "lam", "residual", "a_over_s"):
+            for key in ("x", "S", "residual", "a_over_s"):
                 # relative, floored at 1: near convergence the log-residual
                 # is itself at roundoff, the scale newton_tol is set on
                 scale = max(np.abs(fresh[key]).max(), 1.0)
@@ -268,10 +268,10 @@ class TestSolve:
         coeff_eigs = np.linalg.eigvalsh(analysis["a_over_s"])
         assert coeff_eigs[..., 0].min() > 0.0
 
-        lam = analysis["lam"]
+        S = analysis["S"]
         n, m = 2, 2
-        f_op = (elem_sym_table(lam)[..., m] / binom(n, m)) ** (1.0 / m)
-        s1_mean = elem_sym_table(lam)[..., 1] / n
+        f_op = (S[..., m] / binom(n, m)) ** (1.0 / m)
+        s1_mean = S[..., 1] / n
         assert np.all(f_op <= s1_mean + 1e-11)
 
         vol = bg.volume
@@ -365,6 +365,28 @@ class TestContinuation:
             assert rec.margin_min >= 1e-8
         b_vals = report.meta["b_values"]
         assert all(b2 < b1 for b1, b2 in zip(b_vals, b_vals[1:]))
+
+    def test_brackets_match_per_stage_computation(self, grid12, rng, monkeypatch):
+        # the t-independent bracket ends are computed once per continuation;
+        # every stage must still carry exactly what a per-stage computation gives
+        import hessianlab.solver as solver
+
+        bg = BackgroundData.flat(grid12, chi_matrix=np.diag([0.4, 0.0]), kappa=1.0)
+        f = TrigPolynomial.random(2, rng, amplitude=0.3).sample(grid12)
+        sched = ContinuationSchedule.default(num_stages=3)
+        calls = []
+        wedge = solver.wedge_integral
+        monkeypatch.setattr(solver, "wedge_integral",
+                            lambda *args: calls.append(args) or wedge(*args))
+        _, report = continuation_degenerate(bg, f, sched, SolverConfig(m=2))
+        # normalize_density, three bracket ends, then b_t and V_t per stage
+        assert len(calls) == 4 + 2 * len(sched.t_values)
+        monkeypatch.undo()
+        f_norm, _ = normalize_density(bg, f, 2)
+        for t, rec in zip(sched.t_values, report.stages):
+            b_t = compatibility_constant(bg, t, f_norm, 2)
+            fresh = degenerate_brackets(bg, t, b_t, 2)
+            assert (rec.bracket_lower, rec.bracket_mid, rec.bracket_upper) == fresh
 
     def test_schedule_validation(self):
         with pytest.raises(ConfigError):

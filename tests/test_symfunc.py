@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hessianlab import (
     ConeSpec,
@@ -20,10 +21,17 @@ from hessianlab import (
     generalized_eigenvalues,
     grad_elem_sym,
     hess_elem_sym,
+    hessian_kernel,
     hessian_operator_F,
     restricted_esp,
 )
-from hessianlab.symfunc import frame_eigh, metric_inv_sqrt, pencil_eigh
+from hessianlab.symfunc import (
+    esp_margins,
+    frame_eigh,
+    hermitize,
+    metric_inv_sqrt,
+    pencil_eigh,
+)
 
 from conftest import (
     esp_enumeration,
@@ -337,6 +345,85 @@ class TestFrameKernel:
             if abs(want) > 1e-10:
                 assert np.sign(got) == np.sign(want)
             assert np.array_equal(lam, pencil_eigh(a[None], omega)[0])
+
+
+def boundary_tuple(rng, n, m, offset):
+    """A tuple ``offset`` from the boundary of the degree-m cone.
+
+    lam + s (1, ..., 1) lies on the boundary when s is the largest root of
+    s -> S_m(lam + s) = sum_j C(n-j, m-j) e_j s^(m-j); the offset moves it
+    just inside (> 0) or just outside (< 0).
+    """
+    lam0 = rng.uniform(-1.0, 1.0, n)
+    e = elem_sym_table(lam0)
+    poly = [math.comb(n - j, m - j) * e[j] for j in range(m + 1)]
+    return lam0 + np.roots(poly).real.max() + offset
+
+
+# seeds drawn by hypothesis, derandomized so tier-1 stays reproducible
+KERNEL_CASES = settings(max_examples=25, deadline=None, derandomize=True,
+                        database=None)
+DEGREES = [(n, m) for n in (1, 2, 3) for m in range(1, n + 1)]
+
+
+class TestHessianKernel:
+    """The eigen-free kernel against the enumeration, roots and eigh oracles."""
+
+    @pytest.mark.parametrize("n, m", DEGREES)
+    @KERNEL_CASES
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_S_matches_roots_oracle(self, n, m, seed):
+        rng = np.random.default_rng(seed)
+        omega = anisotropic_spd(rng, n)
+        batch = np.stack([random_hermitian(rng, n) for _ in range(4)])
+        S, _ = hessian_kernel(batch, hermitize(np.linalg.inv(omega)), m)
+        assert S.shape == (4, m + 1)
+        for a, got in zip(batch, S):
+            roots = pencil_roots_oracle(a, omega)
+            scale = max(1.0, np.abs(roots).max())
+            for k in range(m + 1):
+                want = esp_enumeration(roots, k)
+                assert abs(got[k] - want) <= 1e-10 * scale**k
+
+    @pytest.mark.parametrize("n, m", DEGREES)
+    @KERNEL_CASES
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_T_matches_eigh_route(self, n, m, seed):
+        # T = gis U diag(S_{m-1;i}(lam)) U* gis with (lam, U) from the frame eigh
+        rng = np.random.default_rng(seed)
+        omega = anisotropic_spd(rng, n)
+        batch = np.stack([random_hermitian(rng, n) for _ in range(4)])
+        gis = metric_inv_sqrt(omega)
+        _, T = hessian_kernel(batch, hermitize(np.linalg.inv(omega)), m)
+        assert np.array_equal(T, np.conj(np.swapaxes(T, -1, -2)))
+        lam, U = frame_eigh(batch, gis)
+        grads = restricted_esp(lam, m - 1)
+        want = gis @ np.einsum("...ik,...k,...jk->...ij", U, grads, np.conj(U)) @ gis
+        scale = max(1.0, np.abs(lam).max()) ** (m - 1) * np.abs(gis @ gis).max()
+        assert np.abs(T - want).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n, m", DEGREES)
+    @KERNEL_CASES
+    @given(seed=st.integers(0, 2**32 - 1), inside=st.booleans())
+    def test_near_cone_boundary_keeps_margin_sign(self, n, m, seed, inside):
+        rng = np.random.default_rng(seed)
+        lam_true = boundary_tuple(rng, n, m, 1e-9 if inside else -1e-9)
+        omega = anisotropic_spd(rng, n)
+        half = np.linalg.inv(metric_inv_sqrt(omega))
+        q = random_unitary(rng, n)
+        a = half @ q @ np.diag(lam_true) @ q.conj().T @ half
+        S, _ = hessian_kernel(a[None], hermitize(np.linalg.inv(omega)), m)
+        got = esp_margins(S, n)[0]
+        want = cone_margins(lam_true, m)
+        assert abs(want) < 1e-8
+        assert abs(got - want) < 1e-11
+        if abs(want) > 1e-10:
+            assert np.sign(got) == np.sign(want)
+
+    def test_rejects_degree_outside_range(self):
+        for m in (0, 3):
+            with pytest.raises(DomainError):
+                hessian_kernel(np.eye(2), np.eye(2), m)
 
 
 class TestOperatorF:
