@@ -1,8 +1,8 @@
 """Background geometry on the torus and built-in data generators.
 
 The metric ``omega`` is one constant positive-definite (n, n) matrix,
-checked when the background is built, with its inverse square root and its
-volume density det(omega) computed once.  ``chi`` is a closed form whose
+checked when the background is built, with its inverse and its volume
+density det(omega) computed once.  ``chi`` is a closed form whose
 eigenvalues relative to omega stay in the closed degree-m cone, and
 ``chi_tilde`` is positive semidefinite.  On the flat torus "semipositive
 and big" is realized as kappa * omega with kappa > 0 (or identically zero
@@ -35,8 +35,8 @@ class BackgroundData:
     """Fixed geometric data of one problem instance.
 
     ``omega`` is one constant Hermitian positive-definite (n, n) matrix;
-    ``omega_inv``, ``omega_inv_sqrt`` and the scalar ``volume`` = det(omega)
-    are derived from it once, on construction.
+    ``omega_inv`` and the scalar ``volume`` = det(omega) are derived from it
+    once, on construction.
     """
 
     omega: np.ndarray
@@ -44,7 +44,6 @@ class BackgroundData:
     chi_tilde: HermitianField
     kappa: float = 0.0
     omega_inv: np.ndarray = field(init=False, repr=False)
-    omega_inv_sqrt: np.ndarray = field(init=False, repr=False)
     volume: float = field(init=False)
 
     def __post_init__(self):
@@ -54,8 +53,8 @@ class BackgroundData:
                 f"omega must be one ({n}, {n}) matrix, got shape {np.shape(self.omega)}"
             )
         self.omega = hermitize(self.omega)
-        self.omega_inv_sqrt = metric_inv_sqrt(self.omega, OMEGA_MIN_MARGIN)
-        self.omega_inv = hermitize(self.omega_inv_sqrt @ self.omega_inv_sqrt)
+        gis = metric_inv_sqrt(self.omega, OMEGA_MIN_MARGIN)
+        self.omega_inv = hermitize(gis @ gis)
         self.volume = float(np.linalg.det(self.omega).real)
 
     @property

@@ -18,7 +18,7 @@ import numpy as np
 from .background import manufactured_solution
 from .config import ExperimentConfig, load_config
 from .errors import ConeViolationError, ConfigError, DomainError, NonConvergenceError
-from .grid import ScalarField
+from .grid import HermitianField, ScalarField
 from .hlf import read_field, write_field
 from .iteration import (
     assert_degiorgi_family,
@@ -27,7 +27,14 @@ from .iteration import (
     synthetic_kolodziej_family,
 )
 from .solver import continuation_degenerate, decreasing_sequence, solve_nondegenerate
-from .symfunc import check_garding, check_maclaurin, cone_membership, ConeSpec
+from .symfunc import (
+    check_garding,
+    check_maclaurin,
+    cone_membership,
+    ConeSpec,
+    esp_margins,
+    hessian_kernel,
+)
 from .verification import (
     linf_uniformity_report,
     stability_experiment,
@@ -268,9 +275,9 @@ def _parse_tuple(text: str) -> np.ndarray:
 
 
 def cmd_conecheck(args) -> int:
+    m = 2 if args.m is None else args.m
     if args.tuple:
         lam = _parse_tuple(args.tuple)
-        m = args.m or 2
         spec = ConeSpec(n=lam.size, m=m, margin=args.margin)
         member, worst = cone_membership(lam, spec)
         print(f"tuple: {lam.tolist()}  m={m}")
@@ -282,13 +289,10 @@ def cmd_conecheck(args) -> int:
         return EXIT_OK
     if args.field:
         field = read_field(args.field)
-        from .grid import HermitianField, eigen_field
-        from .symfunc import cone_margins
-
         if not isinstance(field, HermitianField):
             raise ConfigError("conecheck --field expects a Hermitian field file")
-        m = args.m or 2
-        margins = cone_margins(eigen_field(field, np.eye(field.grid.n)), m)
+        S, _ = hessian_kernel(field.data, np.eye(field.grid.n), m)
+        margins = esp_margins(S, field.grid.n)
         hist, edges = np.histogram(margins, bins=10)
         print(f"points: {margins.size}  worst_margin: {margins.min():.6g}")
         for count, lo, hi in zip(hist, edges[:-1], edges[1:]):

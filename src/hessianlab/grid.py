@@ -367,13 +367,3 @@ def mollify(g: ScalarField, sigma: float) -> ScalarField:
     if np.all(g.data >= 0.0):
         out = np.maximum(out, 0.0)
     return ScalarField(grid, out)
-
-
-def trace_with_metric(x: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """Pointwise trace of omega^{-1} x for one constant (n, n) metric omega."""
-    return np.einsum("ij,...ji->...", np.linalg.inv(omega), x).real
-
-
-def laplacian_with_metric(v: ScalarField, omega: np.ndarray) -> ScalarField:
-    """Trace of omega^{-1} times the complex Hessian of v."""
-    return ScalarField(v.grid, trace_with_metric(complex_hessian(v).data, omega))

@@ -80,6 +80,8 @@ def _read_raw(path):
             f"(n={n}, N={N}, kind={kind}) needs {expected}"
         )
     payload = np.frombuffer(raw, dtype="<f8", offset=32)
+    if not np.all(np.isfinite(payload)):
+        raise DomainError(f"{path}: payload holds non-finite values")
     return n, N, kind, payload
 
 

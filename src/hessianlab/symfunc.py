@@ -318,21 +318,6 @@ def hessian_kernel(x: np.ndarray, omega_inv: np.ndarray, m: int):
     return S, T
 
 
-def frame_eigh(x: np.ndarray, g_inv_sqrt: np.ndarray):
-    """Pointwise eigen-decomposition of x in the frame of a metric.
-
-    ``g_inv_sqrt`` is the inverse square root of the metric (one matrix or
-    one per point).  Returns ``(lam, U)``: the eigenvalues of
-    g_inv_sqrt x g_inv_sqrt in descending order and the matching unitary
-    eigenvectors, batched over the leading axes of ``x``.  Backs the tuple
-    API (``pencil_eigh``) and serves as the oracle for ``hessian_kernel``.
-    """
-    mat = g_inv_sqrt @ x @ g_inv_sqrt
-    mat = 0.5 * (mat + np.conj(np.swapaxes(mat, -1, -2)))
-    w, U = np.linalg.eigh(mat)
-    return w[..., ::-1], U[..., ::-1]
-
-
 def pencil_eigh(A: np.ndarray, G: np.ndarray, min_eig: float = METRIC_MIN_EIG):
     """Eigen-decomposition of a Hermitian pencil, batched.
 
@@ -340,11 +325,14 @@ def pencil_eigh(A: np.ndarray, G: np.ndarray, min_eig: float = METRIC_MIN_EIG):
     G^(-1/2) A G^(-1/2) in descending order, ``U`` the matching unitary
     eigenvectors, and ``g_inv_sqrt`` the inverse square root of G.  Raises
     SingularMetricError when G is not positive definite, reporting the index
-    of the failing point for batched input.
+    of the failing point for batched input.  Backs the tuple API and serves
+    as the oracle for ``hessian_kernel``.
     """
     gis = metric_inv_sqrt(G, min_eig)
-    lam, U = frame_eigh(np.asarray(A, dtype=complex), gis)
-    return lam, U, gis
+    mat = gis @ np.asarray(A, dtype=complex) @ gis
+    mat = 0.5 * (mat + np.conj(np.swapaxes(mat, -1, -2)))
+    w, U = np.linalg.eigh(mat)
+    return w[..., ::-1], U[..., ::-1], gis
 
 
 def generalized_eigenvalues(A, G) -> np.ndarray:

@@ -22,10 +22,8 @@ from .grid import (
     complex_gradient,
     complex_hessian,
     integrate,
-    laplacian_with_metric,
     lp_norm,
     entropy_functional,
-    trace_with_metric,
 )
 from .solver import SolverConfig, SolverState, solve_nondegenerate, uniformity_proxy
 from .symfunc import binom, esp_margins, hessian_kernel
@@ -260,10 +258,10 @@ def uniqueness_energy(phi1: ScalarField, phi2: ScalarField, bg: BackgroundData,
     """Discrete gradient energy whose vanishing certifies uniqueness.
 
     E[u] = integral of T^{ij} d_i u d_jbar u against the omega volume with
-    u = phi1 - phi2 and T = tr(alpha) I - alpha in omega-orthonormal frames,
-    alpha being the stage form chi + chi_tilde + t omega (t = 0 recovers the
-    base form).  T is positive semidefinite for alpha in the closed degree-2
-    cone, so E >= 0 and E[c u] = c^2 E[u].
+    u = phi1 - phi2 and T = (S_1 I - W) omega^(-1) the Newton tensor of
+    W = omega^(-1) alpha, alpha being the stage form chi + chi_tilde + t omega
+    (t = 0 recovers the base form).  T is positive semidefinite for alpha in
+    the closed degree-2 cone, so E >= 0 and E[c u] = c^2 E[u].
     """
     if bg.grid.n < 2:
         raise DomainError("uniqueness energy requires complex dimension >= 2")
@@ -272,15 +270,8 @@ def uniqueness_energy(phi1: ScalarField, phi2: ScalarField, bg: BackgroundData,
     u = ScalarField(bg.grid, phi1.data - phi2.data)
     grad = complex_gradient(u)
 
-    alpha = bg.base_form(t).data
-    gis = bg.omega_inv_sqrt
-    alpha_frame = gis @ alpha @ gis
-    trace = np.einsum("...ii->...", alpha_frame).real
-    n = bg.grid.n
-    tensor = trace[..., None, None] * np.eye(n) - alpha_frame
-    grad_frame = np.einsum("ji,...j->...i", gis, grad)
-    density = np.einsum("...ij,...i,...j->...", tensor, grad_frame,
-                        np.conj(grad_frame)).real
+    _, T = hessian_kernel(bg.base_form(t).data, bg.omega_inv, 2)
+    density = np.einsum("...ij,...i,...j->...", T, grad, np.conj(grad)).real
     return float(integrate(ScalarField(bg.grid, density), bg.volume))
 
 
@@ -353,7 +344,8 @@ def laplacian_monitor(state: SolverState, bg: BackgroundData, t: float,
 
     a_mult = 1.0 / bg.kappa
     ef = ScalarField(bg.grid, np.exp(f.data))
-    lap_ef = laplacian_with_metric(ef, bg.omega).data
+    S_ef, _ = hessian_kernel(complex_hessian(ef).data, bg.omega_inv, 1)
+    lap_ef = S_ef[..., 1]
     core = (
         2.0 ** (m - 2) * n * np.exp(m * state.b) * np.exp(f.data)
         * (np.abs(lap_ef) ** (m - 1)
@@ -364,9 +356,10 @@ def laplacian_monitor(state: SolverState, bg: BackgroundData, t: float,
 
 
 def trace_field(state: SolverState, bg: BackgroundData, t: float) -> ScalarField:
-    """w = trace of omega^{-1} X at a state."""
+    """w = S_1(lam(X)), the trace of omega^{-1} X, at a state."""
     x_data = bg.base_form(t).data + complex_hessian(state.phi).data
-    return ScalarField(bg.grid, trace_with_metric(x_data, bg.omega))
+    S, _ = hessian_kernel(x_data, bg.omega_inv, 1)
+    return ScalarField(bg.grid, S[..., 1])
 
 
 @dataclass

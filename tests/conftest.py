@@ -42,6 +42,12 @@ def random_spd(rng, n, jitter=0.5):
     return a @ a.conj().T + (1.0 + jitter) * np.eye(n)
 
 
+def anisotropic_spd(rng, n):
+    """A complex SPD metric, stretched unevenly along the coordinate axes."""
+    d = np.diag(rng.uniform(0.3, 3.0, n))
+    return d @ random_spd(rng, n) @ d
+
+
 def sample_cone_tuples(rng, n, m, count, lo=-0.6, hi=2.5, batch=4096):
     """Rejection-sample ``count`` tuples from the open degree-m cone."""
     from hessianlab import cone_margins

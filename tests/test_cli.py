@@ -261,5 +261,29 @@ class TestConecheck:
         assert main(["conecheck", "--field", str(path), "--m", "2"]) == 1
         assert "config error:" in capsys.readouterr().err
 
+    def test_non_finite_field_is_config_error(self, tmp_path, capsys):
+        from hessianlab import HermitianField, TorusGrid, write_field
+
+        field = HermitianField.identity(TorusGrid(n=2, points_per_axis=4))
+        field.data[1, 2, 3, 0, 0, 0] = np.nan
+        write_field(tmp_path / "x.hlf1", field)
+        assert main(["conecheck", "--field", str(tmp_path / "x.hlf1"),
+                     "--m", "2"]) == 1
+        err = capsys.readouterr().err
+        assert "config error:" in err and "non-finite" in err
+
+    @pytest.mark.parametrize("source", ["tuple", "field"])
+    def test_degree_zero_is_config_error(self, tmp_path, capsys, source):
+        from hessianlab import HermitianField, TorusGrid, write_field
+
+        if source == "tuple":
+            args = ["--tuple", "1,1,1"]
+        else:
+            write_field(tmp_path / "x.hlf1",
+                        HermitianField.identity(TorusGrid(n=2, points_per_axis=4)))
+            args = ["--field", str(tmp_path / "x.hlf1")]
+        assert main(["conecheck", *args, "--m", "0"]) == 1
+        assert "config error:" in capsys.readouterr().err
+
     def test_needs_input(self, capsys):
         assert main(["conecheck"]) == 1

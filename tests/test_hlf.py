@@ -108,6 +108,21 @@ def test_truncated_payload_names_byte_counts(grid, tmp_path, trim, kind):
         read_field(path)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("kind", ["scalar", "hermitian"])
+def test_non_finite_payload_names_file(grid, tmp_path, kind, value):
+    field = (ScalarField.constant(grid, 1.0) if kind == "scalar"
+             else HermitianField.identity(grid))
+    path = tmp_path / "f.hlf1"
+    write_field(path, field)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<d", raw, 32 + 8 * 5, value)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DomainError, match="non-finite") as err:
+        read_field(path)
+    assert "f.hlf1" in str(err.value)
+
+
 def test_bad_header_kind(grid, tmp_path):
     path = tmp_path / "f.hlf1"
     write_field(path, ScalarField.constant(grid, 1.0))

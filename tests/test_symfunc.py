@@ -27,13 +27,13 @@ from hessianlab import (
 )
 from hessianlab.symfunc import (
     esp_margins,
-    frame_eigh,
     hermitize,
     metric_inv_sqrt,
     pencil_eigh,
 )
 
 from conftest import (
+    anisotropic_spd,
     esp_enumeration,
     pencil_roots_oracle,
     random_hermitian,
@@ -290,31 +290,24 @@ class TestGeneralizedEigenvalues:
         assert err.value.point == (1, 2)
 
 
-def anisotropic_spd(rng, n):
-    """An SPD metric with eigenvalues spread over more than a decade."""
-    d = np.diag(rng.uniform(0.3, 3.0, n))
-    return d @ random_spd(rng, n) @ d
-
-
 def random_unitary(rng, n):
     q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     return q
 
 
 class TestFrameKernel:
-    """The shared pointwise kernel against the characteristic-polynomial oracle."""
+    """The pencil eigen route against the characteristic-polynomial oracle."""
 
     def test_matches_roots_oracle(self, rng):
         for _ in range(30):
             n = int(rng.integers(2, 5))
             omega = anisotropic_spd(rng, n)
             batch = np.stack([random_hermitian(rng, n) for _ in range(8)])
-            lam, U = frame_eigh(batch, metric_inv_sqrt(omega))
+            lam, U, gis = pencil_eigh(batch, omega)
             for a, got in zip(batch, lam):
                 want = pencil_roots_oracle(a, omega)
                 assert np.allclose(got, want, atol=1e-9, rtol=1e-9)
             # U diagonalizes the frame matrix with lam in descending order
-            gis = metric_inv_sqrt(omega)
             frame = U @ (lam[..., None] * np.conj(np.swapaxes(U, -1, -2)))
             assert np.allclose(frame, gis @ batch @ gis, atol=1e-10)
             assert np.all(np.diff(lam, axis=-1) <= 0.0)
@@ -331,11 +324,10 @@ class TestFrameKernel:
             poly = [math.comb(n - j, m - j) * e[j] for j in range(m + 1)]
             lam_true = lam0 + np.roots(poly).real.max() + rng.choice([-1e-9, 1e-9])
             omega = anisotropic_spd(rng, n)
-            gis = metric_inv_sqrt(omega)
-            half = np.linalg.inv(gis)
+            half = np.linalg.inv(metric_inv_sqrt(omega))
             q = random_unitary(rng, n)
             a = half @ q @ np.diag(lam_true) @ q.conj().T @ half
-            lam, _ = frame_eigh(a[None], gis)
+            lam, _, _ = pencil_eigh(a[None], omega)
             assert np.allclose(lam[0], np.sort(lam_true)[::-1], atol=1e-11)
             assert np.allclose(lam[0], pencil_roots_oracle(a, omega), atol=1e-9)
             got = cone_margins(lam, m)[0]
@@ -344,7 +336,6 @@ class TestFrameKernel:
             assert abs(got - want) < 1e-11
             if abs(want) > 1e-10:
                 assert np.sign(got) == np.sign(want)
-            assert np.array_equal(lam, pencil_eigh(a[None], omega)[0])
 
 
 def boundary_tuple(rng, n, m, offset):
@@ -393,10 +384,9 @@ class TestHessianKernel:
         rng = np.random.default_rng(seed)
         omega = anisotropic_spd(rng, n)
         batch = np.stack([random_hermitian(rng, n) for _ in range(4)])
-        gis = metric_inv_sqrt(omega)
         _, T = hessian_kernel(batch, hermitize(np.linalg.inv(omega)), m)
         assert np.array_equal(T, np.conj(np.swapaxes(T, -1, -2)))
-        lam, U = frame_eigh(batch, gis)
+        lam, U, gis = pencil_eigh(batch, omega)
         grads = restricted_esp(lam, m - 1)
         want = gis @ np.einsum("...ik,...k,...jk->...ij", U, grads, np.conj(U)) @ gis
         scale = max(1.0, np.abs(lam).max()) ** (m - 1) * np.abs(gis @ gis).max()

@@ -9,10 +9,15 @@ from hessianlab import (
     HermitianField,
     ScalarField,
     SolverConfig,
+    SolverState,
     TorusGrid,
     TrigPolynomial,
+    complex_gradient,
+    complex_hessian,
     constant_density,
+    eigen_field,
     gaussian_bump,
+    integrate,
     laplacian_monitor,
     linf_uniformity_report,
     manufactured_solution,
@@ -23,13 +28,49 @@ from hessianlab import (
     uniqueness_energy,
     viscosity_check,
 )
+from hessianlab.symfunc import metric_inv_sqrt
 from hessianlab.verification import trace_field
+
+from conftest import anisotropic_spd
 
 
 def make_exact_problem(grid, bg, t=0.25, m=2, curvature=0.5, seed=3):
     rng = np.random.default_rng(seed)
     trig = TrigPolynomial.random(grid.n, rng).scaled_to_curvature(curvature, grid.period)
     return manufactured_solution(bg, t, m, trig.sample(grid), discrete=True)
+
+
+def anisotropic_background(n, seed):
+    """A background on a random complex anisotropic omega with varying chi.
+
+    chi = 2 omega plus a random Hermitian field small enough that the stage
+    forms stay inside the degree-2 cone.
+    """
+    rng = np.random.default_rng(seed)
+    grid = TorusGrid(n=n, points_per_axis=6 if n == 2 else 4)
+    omega = anisotropic_spd(rng, n)
+    noise = rng.standard_normal(grid.shape + (n, n)) + 1j * rng.standard_normal(
+        grid.shape + (n, n))
+    chi = HermitianField(grid, 2.0 * omega + 0.05 * np.abs(omega).min() * noise)
+    bg = BackgroundData(omega=omega, chi=chi,
+                        chi_tilde=HermitianField.constant(grid, 0.5 * omega), kappa=0.5)
+    return bg, rng
+
+
+def frame_energy(phi1, phi2, bg, t):
+    """Oracle: the uniqueness energy in omega-orthonormal frames.
+
+    With gis = omega^(-1/2) and A = gis alpha gis, the density is
+    (tr(A) I - A) contracted with the frame gradients gis^T du.
+    """
+    gis = metric_inv_sqrt(bg.omega)
+    grad = complex_gradient(ScalarField(bg.grid, phi1.data - phi2.data))
+    a = gis @ bg.base_form(t).data @ gis
+    tensor = np.einsum("...ii->...", a).real[..., None, None] * np.eye(bg.grid.n) - a
+    grad_frame = np.einsum("ji,...j->...i", gis, grad)
+    density = np.einsum("...ij,...i,...j->...", tensor, grad_frame,
+                        np.conj(grad_frame)).real
+    return integrate(ScalarField(bg.grid, density), bg.volume)
 
 
 def dipole_bump(grid, width=0.15):
@@ -161,6 +202,17 @@ class TestUniquenessEnergy:
             e2 = uniqueness_energy(u2, zero, flat_bg)
             assert e2 == pytest.approx(9.0 * e1, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("t", [0.0, 0.3])
+    def test_matches_frame_formula(self, n, t):
+        bg, rng = anisotropic_background(n, seed=10 * n)
+        for _ in range(3):
+            phi1 = ScalarField(bg.grid, rng.standard_normal(bg.grid.shape))
+            phi2 = ScalarField(bg.grid, rng.standard_normal(bg.grid.shape))
+            want = frame_energy(phi1, phi2, bg, t)
+            assert want > 0.0
+            assert uniqueness_energy(phi1, phi2, bg, t) == pytest.approx(want, rel=1e-12)
+
     def test_twin_solves_agree(self, grid12, rng):
         bg = BackgroundData.flat(grid12, kappa=1.0)
         f = TrigPolynomial.random(2, rng, amplitude=0.25).sample(grid12)
@@ -194,12 +246,21 @@ class TestMonitor:
         cfg = SolverConfig(m=2)
         state, _ = solve_nondegenerate(bg, 0.25, f_star, cfg)
         w = trace_field(state, bg, 0.25)
-        from hessianlab import complex_hessian, eigen_field
-
         x = HermitianField(grid12, bg.base_form(0.25).data + complex_hessian(state.phi).data)
         s1 = eigen_field(x, bg.omega).sum(axis=-1)
         rel = np.abs(w.data - s1).max() / np.abs(s1).max()
         assert rel < 1e-11
+        # a random complex anisotropic omega, against the eigh route
+        for n in (2, 3):
+            bg, rng = anisotropic_background(n, seed=n)
+            phi = ScalarField(bg.grid, 1e-3 * rng.standard_normal(bg.grid.shape))
+            state = SolverState(phi=phi, b=0.0, residual_sup=0.0,
+                                cone_margin_min=0.0, newton_iters=0)
+            for t in (0.0, 0.3):
+                w = trace_field(state, bg, t)
+                x = HermitianField(bg.grid, bg.base_form(t).data + complex_hessian(phi).data)
+                s1 = eigen_field(x, bg.omega).sum(axis=-1)
+                assert np.abs(w.data - s1).max() <= 1e-12 * np.abs(s1).max()
 
     def test_skipped_without_kappa(self, grid12):
         bg = BackgroundData.flat(grid12, kappa=0.0)
