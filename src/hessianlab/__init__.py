@@ -32,7 +32,6 @@ from .grid import (
     complex_hessian_spectral,
     eigen_field,
     entropy_functional,
-    grid_mean,
     integrate,
     lp_norm,
     mollify,
@@ -56,11 +55,8 @@ from .solver import (
     continuation_degenerate,
     decreasing_sequence,
     degenerate_brackets,
-    newton_step,
     normalize_density,
-    normalize_sup,
     residual,
-    residual_linearization,
     solve_nondegenerate,
     wedge_integral,
 )
@@ -75,7 +71,6 @@ from .symfunc import (
     elem_sym_table,
     generalized_eigenvalues,
     grad_elem_sym,
-    hess_elem_sym,
     hessian_operator_F,
     hessian_kernel,
     restricted_esp,

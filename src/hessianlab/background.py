@@ -179,9 +179,8 @@ def constant_density(grid: TorusGrid, value: float = 0.0) -> ScalarField:
     return ScalarField.constant(grid, value)
 
 
-def gaussian_bump(grid: TorusGrid, amplitude: float = 1.0, width: float = 0.1,
-                  center=None) -> ScalarField:
-    """Smooth periodic bump exp(-r^2 / (2 width^2)) scaled by amplitude."""
+def _periodic_r2(grid: TorusGrid, center=None) -> np.ndarray:
+    """Squared periodic distance to ``center`` (default: the torus midpoint)."""
     if center is None:
         center = [grid.period / 2.0] * (2 * grid.n)
     r2 = np.zeros(grid.shape)
@@ -189,6 +188,13 @@ def gaussian_bump(grid: TorusGrid, amplitude: float = 1.0, width: float = 0.1,
         d = np.abs(grid.axis_coords(a) - center[a])
         d = np.minimum(d, grid.period - d)
         r2 = r2 + d * d
+    return r2
+
+
+def gaussian_bump(grid: TorusGrid, amplitude: float = 1.0, width: float = 0.1,
+                  center=None) -> ScalarField:
+    """Smooth periodic bump exp(-r^2 / (2 width^2)) scaled by amplitude."""
+    r2 = _periodic_r2(grid, center)
     return ScalarField(grid, amplitude * np.exp(-0.5 * r2 / (width * width)))
 
 
@@ -202,13 +208,7 @@ def lq_spike(grid: TorusGrid, q: float, cap: float = 1e4, center=None,
     if q <= 1:
         raise DomainError("q must exceed 1")
     n = grid.n
-    if center is None:
-        center = [grid.period / 2.0] * (2 * n)
-    r2 = np.zeros(grid.shape)
-    for a in range(2 * n):
-        d = np.abs(grid.axis_coords(a) - center[a])
-        d = np.minimum(d, grid.period - d)
-        r2 = r2 + d * d
+    r2 = _periodic_r2(grid, center)
     a_exp = sharpness * (2.0 * n) / q
     with np.errstate(divide="ignore"):
         density = np.minimum(cap, np.power(np.sqrt(r2), -a_exp, where=r2 > 0,

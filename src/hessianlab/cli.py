@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -88,7 +89,7 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
         bg = cfg.build_background(grid)
         f, extras = cfg.build_density(grid, bg)
         state, rep = solve_nondegenerate(bg, cfg.t, f, solver_cfg)
-        report["stage"] = rep.stages[0].to_dict()
+        report["stage"] = asdict(rep.stages[0])
         if "phi_star" in extras:
             report["sup_error"] = float(
                 np.abs(state.phi.data - extras["phi_star"].data).max()
@@ -123,15 +124,14 @@ def cmd_continuation(cfg: ExperimentConfig) -> int:
 
     lines = [",".join(_STAGE_COLUMNS)]
     for rec in report.stages:
-        row = rec.to_dict()
-        lines.append(",".join(repr(row[c]) for c in _STAGE_COLUMNS))
+        lines.append(",".join(repr(getattr(rec, c)) for c in _STAGE_COLUMNS))
     (out / "stages.csv").write_text("\n".join(lines) + "\n")
 
     for i, state in enumerate(states):
         write_field(out / f"phi_stage_{i:02d}.hlf1", state.phi)
     write_field(out / "phi.hlf1", states[-1].phi)
 
-    payload = report.to_dict()
+    payload = asdict(report)
     payload["command"] = "continuation"
     payload["seed"] = cfg.seed
     payload["certificate"] = {
@@ -140,7 +140,7 @@ def cmd_continuation(cfg: ExperimentConfig) -> int:
         "adjustment": cert.adjustment,
         "violation": cert.violation,
     }
-    payload["uniformity"] = uniformity.to_dict()
+    payload["uniformity"] = asdict(uniformity)
     _write_json(out / "report.json", payload)
     return EXIT_OK
 
@@ -168,11 +168,10 @@ def cmd_stability(cfg: ExperimentConfig) -> int:
               "sym_lq_gap", "predicted_exponent", "converged"]
     lines = [",".join(header)]
     for rec in result.records:
-        row = rec.to_dict()
-        lines.append(",".join(repr(row[c]) for c in header))
+        lines.append(",".join(repr(getattr(rec, c)) for c in header))
     (out / "records.csv").write_text("\n".join(lines) + "\n")
 
-    payload = result.to_dict()
+    payload = asdict(result)
     payload["command"] = "stability"
     payload["seed"] = cfg.seed
     _write_json(out / "report.json", payload)
@@ -250,7 +249,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     properties["viscosity"] = {
         "pass": visc.total_violations == 0,
         "injected_spike": cfg.inject_spike,
-        **visc.to_dict(),
+        **asdict(visc),
     }
 
     all_pass = all(p["pass"] for p in properties.values())

@@ -10,6 +10,7 @@ same config drives every command; command-specific options live under
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, field as dataclass_field
 
@@ -142,6 +143,10 @@ class ExperimentConfig:
                 raise ConfigError(f"solver.{key} must be positive")
         if self.max_newton < 1:
             raise ConfigError("solver.max_newton must be >= 1")
+        if self.lemma_families < 1:
+            raise ConfigError("experiment.lemma_families must be >= 1")
+        if self.viscosity_samples < 0:
+            raise ConfigError("experiment.viscosity_samples must be nonnegative")
         if self.seed < 0:
             raise ConfigError("run.seed must be nonnegative")
         if self.threads < 0:
@@ -255,13 +260,23 @@ def _parse_value(section: str, key: str, raw: str):
             if lowered in ("false", "no", "0", "off"):
                 return False
             raise ValueError(raw)
-        return kind(raw)
+        value = kind(raw)
     except ValueError as err:
         raise ConfigError(f"[{section}] {key} = {raw!r}: expected {kind.__name__}") from err
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key} = {raw!r}: must be finite")
+    return value
 
 
-def _parse_list(raw: str, kind):
-    return [kind(tok) for tok in raw.replace(",", " ").split()]
+def _parse_list(section: str, key: str, raw: str):
+    kind = _LIST_KEYS[(section, key)]
+    try:
+        values = [kind(tok) for tok in raw.replace(",", " ").split()]
+    except ValueError as err:
+        raise ConfigError(f"[{section}] {key} = {raw!r}: expected a number list") from err
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"[{section}] {key} = {raw!r}: must be finite")
+    return values
 
 
 _LIST_KEYS = {
@@ -287,12 +302,7 @@ def load_config(path) -> ExperimentConfig:
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown config key [{section}] {key}")
             if (section, key) in _LIST_KEYS:
-                try:
-                    value = _parse_list(raw, _LIST_KEYS[(section, key)])
-                except ValueError as err:
-                    raise ConfigError(
-                        f"[{section}] {key} = {raw!r}: expected a number list"
-                    ) from err
+                value = _parse_list(section, key, raw)
             else:
                 value = _parse_value(section, key, raw)
             attr = "directory" if (section, key) == ("output", "directory") else key

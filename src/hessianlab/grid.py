@@ -131,10 +131,6 @@ def diff1(data: np.ndarray, axis: int, h: float) -> np.ndarray:
     return (np.roll(data, -1, axis) - np.roll(data, 1, axis)) / (2.0 * h)
 
 
-def diff2(data: np.ndarray, axis: int, h: float) -> np.ndarray:
-    return (np.roll(data, -1, axis) - 2.0 * data + np.roll(data, 1, axis)) / (h * h)
-
-
 def _hermitian_by_construction(grid: TorusGrid, data: np.ndarray) -> HermitianField:
     """Wrap data that is exactly Hermitian already, skipping the symmetrization."""
     out = HermitianField.__new__(HermitianField)
@@ -158,11 +154,11 @@ def complex_hessian(phi: ScalarField) -> HermitianField:
 
     Entry (i, j) realizes
     (1/4)(d_{x_i x_j} + d_{y_i y_j}) + (i/4)(d_{x_i y_j} - d_{y_i x_j})
-    with centered periodic differences: ``diff2`` on the diagonal and
-    ``diff1`` composed with itself off it, every neighbour read as a slice
-    of one periodic wrap-pad of phi.  The i = j imaginary part is zero and
-    entries below the diagonal are conjugated copies, so the output is
-    exactly Hermitian.
+    with centered periodic differences: the three-point second difference
+    on the diagonal and ``diff1`` composed with itself off it, every
+    neighbour read as a slice of one periodic wrap-pad of phi.  The i = j
+    imaginary part is zero and entries below the diagonal are conjugated
+    copies, so the output is exactly Hermitian.
     """
     grid = phi.grid
     n, h, N = grid.n, grid.spacing, grid.points_per_axis
@@ -308,10 +304,6 @@ def tree_sum(values: np.ndarray) -> float:
 def integrate(g: ScalarField, volume: float = 1.0) -> float:
     """Integral of g against a constant volume density, h^(2n) * sum in tree order."""
     return volume * g.grid.spacing ** (2 * g.grid.n) * tree_sum(g.data)
-
-
-def grid_mean(g: ScalarField) -> float:
-    return tree_sum(g.data) / g.grid.num_points
 
 
 def lp_norm(g: ScalarField, p: float, volume: float = 1.0) -> float:

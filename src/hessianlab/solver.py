@@ -53,8 +53,8 @@ class SolverConfig:
         if self.m < 1:
             raise ConfigError("degree m must be >= 1")
         for name in ("newton_tol", "cone_margin", "damping", "krylov_rtol"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be positive and finite")
 
 
 @dataclass
@@ -108,30 +108,11 @@ class StageRecord:
     bracket_upper: float | None = None
     mollify_sigma: float = 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "b": self.b,
-            "residual_history": list(self.residual_history),
-            "sup_phi": self.sup_phi,
-            "inf_phi": self.inf_phi,
-            "margin_min": self.margin_min,
-            "iters": self.iters,
-            "seconds": self.seconds,
-            "bracket_lower": self.bracket_lower,
-            "bracket_mid": self.bracket_mid,
-            "bracket_upper": self.bracket_upper,
-            "mollify_sigma": self.mollify_sigma,
-        }
-
 
 @dataclass
 class SolveReport:
     stages: list = dataclass_field(default_factory=list)
     meta: dict = dataclass_field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"stages": [s.to_dict() for s in self.stages], "meta": dict(self.meta)}
 
 
 # ---------------------------------------------------------------------------
@@ -369,24 +350,8 @@ class _NewtonDriver:
         return phi_new, b_new, post, info
 
 
-def assemble_state(driver: _NewtonDriver, phi_data: np.ndarray, b: float,
-                   iters: int, analysis: dict) -> SolverState:
-    return SolverState(
-        phi=ScalarField(driver.grid, phi_data),
-        b=float(b),
-        residual_sup=float(np.abs(analysis["residual"]).max()),
-        cone_margin_min=analysis["worst"],
-        newton_iters=iters,
-    )
-
-
 # ---------------------------------------------------------------------------
 # public operations
-
-
-def normalize_sup(phi: ScalarField) -> ScalarField:
-    """Subtract the grid maximum so the field tops out at exactly zero."""
-    return ScalarField(phi.grid, phi.data - phi.data.max())
 
 
 def residual(phi: ScalarField, b: float, bg: BackgroundData, t: float,
@@ -395,25 +360,6 @@ def residual(phi: ScalarField, b: float, bg: BackgroundData, t: float,
     driver = _NewtonDriver(bg, t, f, SolverConfig(m=m))
     analysis = driver.analyze(phi.data, b)
     return ScalarField(phi.grid, analysis["residual"])
-
-
-def residual_linearization(phi: ScalarField, b: float, bg: BackgroundData,
-                           t: float, f: ScalarField, m: int,
-                           direction: ScalarField) -> ScalarField:
-    """Directional derivative of the log-residual in a potential direction."""
-    driver = _NewtonDriver(bg, t, f, SolverConfig(m=m))
-    analysis = driver.analyze(phi.data, b)
-    return ScalarField(
-        phi.grid, driver.linear_apply(analysis["a_over_s"], direction.data)
-    )
-
-
-def newton_step(state: SolverState, bg: BackgroundData, t: float,
-                f: ScalarField, config: SolverConfig) -> SolverState:
-    """Advance one damped Newton step from an admissible state."""
-    driver = _NewtonDriver(bg, t, f, config)
-    phi_new, b_new, post, _ = driver.step(state.phi.data, state.b)
-    return assemble_state(driver, phi_new, b_new, state.newton_iters + 1, post)
 
 
 def solve_nondegenerate(bg: BackgroundData, t: float, f: ScalarField,
@@ -455,10 +401,13 @@ def solve_nondegenerate(bg: BackgroundData, t: float, f: ScalarField,
         iters += 1
         history.append(float(np.abs(analysis["residual"]).max()))
 
-    state = assemble_state(driver, phi, b, iters, analysis)
+    state = SolverState(
+        phi=ScalarField(bg.grid, phi), b=float(b), residual_sup=history[-1],
+        cone_margin_min=analysis["worst"], newton_iters=iters,
+    )
     record = StageRecord(
         t=float(t), b=state.b, residual_history=history,
-        sup_phi=float(state.phi.data.max()), inf_phi=float(state.phi.data.min()),
+        sup_phi=float(phi.max()), inf_phi=float(phi.min()),
         margin_min=state.cone_margin_min, iters=iters,
         seconds=time.perf_counter() - t0,
     )

@@ -36,8 +36,8 @@ class ConeSpec:
     def __post_init__(self):
         if not 1 <= self.m <= self.n:
             raise DomainError(f"cone degree m={self.m} outside 1..{self.n}")
-        if self.margin < 0:
-            raise DomainError("cone margin must be nonnegative")
+        if not 0 <= self.margin < np.inf:
+            raise DomainError("cone margin must be finite and nonnegative")
 
 
 def as_eigentuple(values) -> np.ndarray:
@@ -186,20 +186,6 @@ def grad_elem_sym(values, m: int) -> np.ndarray:
     if not 1 <= m <= lam.size:
         raise DomainError(f"m={m} outside 1..{lam.size}")
     return restricted_esp(lam, m - 1)
-
-
-def hess_elem_sym(values, m: int) -> np.ndarray:
-    """Eigenvalue-space Hessian of S_m: entries S_{m-2;ij} for i != j, zero diagonal."""
-    lam = as_eigentuple(values)
-    n = lam.size
-    if not 2 <= m <= n:
-        raise DomainError(f"m={m} outside 2..{n}")
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            rest = np.delete(lam, [i, j])
-            out[i, j] = out[j, i] = float(elem_sym_table(rest)[m - 2])
-    return out
 
 
 def check_maclaurin(values, m: int) -> float:

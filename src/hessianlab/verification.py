@@ -53,9 +53,6 @@ class StabilityRecord:
     predicted_exponent: float
     converged: bool = True
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 @dataclass
 class StabilityResult:
@@ -65,16 +62,6 @@ class StabilityResult:
     passed: bool
     required_constant: float | None
     partial: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "records": [r.to_dict() for r in self.records],
-            "floor": self.floor,
-            "fitted_exponent": self.fitted_exponent,
-            "passed": self.passed,
-            "required_constant": self.required_constant,
-            "partial": self.partial,
-        }
 
 
 def stability_floor(n: int, q: float, q_prime: float, epsilon: float = 0.5) -> float:
@@ -180,17 +167,6 @@ class ViscosityReport:
     def total_violations(self) -> int:
         return self.sub_violations + self.super_violations
 
-    def to_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "tol": self.tol,
-            "etas": list(self.etas),
-            "sub_violations": self.sub_violations,
-            "super_violations": self.super_violations,
-            "skipped_super": self.skipped_super,
-            "violation_points": [list(map(int, p)) for p in self.violation_points],
-        }
-
 
 def viscosity_check(phi: ScalarField, b: float, bg: BackgroundData, t: float,
                     f: ScalarField, m: int, samples: int,
@@ -240,7 +216,8 @@ def viscosity_check(phi: ScalarField, b: float, bg: BackgroundData, t: float,
         super_bad |= in_cone & (operator_f(S_dn) > rhs + tol)
 
     bad_flat = flat_idx[sub_bad | super_bad]
-    points = [np.unravel_index(int(i), grid.shape) for i in bad_flat[:64]]
+    points = [tuple(map(int, np.unravel_index(int(i), grid.shape)))
+              for i in bad_flat[:64]]
     return ViscosityReport(
         samples=int(flat_idx.size), tol=float(tol), etas=etas,
         sub_violations=int(np.sum(sub_bad)),
@@ -281,8 +258,10 @@ def twin_solve_uniqueness(bg: BackgroundData, t: float, f: ScalarField,
     """Solve twice (zero start and cone-safe noisy start) and compare.
 
     Returns ``(energy_normalized, sup_difference, state_a, state_b)``.  The
-    energy is normalized by the largest trace of the stage form times the
-    gradient energy of the first solution (zero when that vanishes).
+    energy is normalized by sup S_1 of the stage form relative to omega
+    times the omega-gradient energy of the first solution, the integral of
+    conj(du) omega^(-1) du (zero when that vanishes), so it does not depend
+    on how omega is scaled.
     """
     from .background import TrigPolynomial
 
@@ -296,12 +275,12 @@ def twin_solve_uniqueness(bg: BackgroundData, t: float, f: ScalarField,
 
     grad = complex_gradient(state_a.phi)
     grad_sq = integrate(
-        ScalarField(bg.grid, np.einsum("...i,...i->...", grad, np.conj(grad)).real),
+        ScalarField(bg.grid, np.einsum("...i,ij,...j->...", np.conj(grad),
+                                       bg.omega_inv, grad).real),
         bg.volume,
     )
-    alpha = bg.base_form(t).data
-    trace_max = float(np.einsum("...ii->...", alpha).real.max())
-    denom = trace_max * grad_sq
+    S, _ = hessian_kernel(bg.base_form(t).data, bg.omega_inv, 1)
+    denom = float(S[..., 1].max()) * grad_sq
     normalized = energy / denom if denom > 1e-30 else 0.0
     return float(normalized), sup_diff, state_a, state_b
 
@@ -318,10 +297,6 @@ class MonitorReport:
     kappa: float
     skipped: bool = False
     notice: str = ""
-
-    def to_dict(self) -> dict:
-        return dict(sup_w=self.sup_w, bound_rhs=self.bound_rhs, A=self.A,
-                    kappa=self.kappa, skipped=self.skipped, notice=self.notice)
 
 
 def laplacian_monitor(state: SolverState, bg: BackgroundData, t: float,
@@ -368,14 +343,6 @@ class UniformityReport:
     max_sup: float
     median_sup: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": [list(r) for r in self.rows],
-            "max_sup": self.max_sup,
-            "median_sup": self.median_sup,
-            "passed": self.passed,
-        }
 
 
 def linf_uniformity_report(states: list, t_values: list,

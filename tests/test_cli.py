@@ -5,8 +5,12 @@ import numpy as np
 import pytest
 
 from hessianlab.cli import main
-from hessianlab.config import load_config
+from hessianlab.config import _LIST_KEYS, _SCHEMA, load_config
 from hessianlab.errors import ConfigError
+
+FLOAT_KEYS = [(section, key) for section, keys in _SCHEMA.items()
+              for key, kind in keys.items() if kind is float]
+FLOAT_KEYS += [key for key, kind in _LIST_KEYS.items() if kind is float]
 
 
 def write_config(tmp_path, name="cfg.ini", **overrides):
@@ -50,6 +54,20 @@ class TestConfig:
     def test_type_error_names_key(self, tmp_path):
         path = write_config(tmp_path, **{"problem.grid_points": "twelve"})
         with pytest.raises(ConfigError, match="grid_points"):
+            load_config(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("section, key", FLOAT_KEYS)
+    def test_non_finite_float_named(self, tmp_path, section, key, value):
+        path = write_config(tmp_path, **{f"{section}.{key}": value})
+        with pytest.raises(ConfigError, match=f"{key} = '{value}': must be finite"):
+            load_config(path)
+
+    @pytest.mark.parametrize("key, value", [("lemma_families", 0),
+                                            ("viscosity_samples", -1)])
+    def test_experiment_counts_checked(self, tmp_path, key, value):
+        path = write_config(tmp_path, **{f"experiment.{key}": value})
+        with pytest.raises(ConfigError, match=f"experiment.{key}"):
             load_config(path)
 
     def test_defaults_roundtrip(self, tmp_path):
@@ -283,6 +301,11 @@ class TestConecheck:
                         HermitianField.identity(TorusGrid(n=2, points_per_axis=4)))
             args = ["--field", str(tmp_path / "x.hlf1")]
         assert main(["conecheck", *args, "--m", "0"]) == 1
+        assert "config error:" in capsys.readouterr().err
+
+    def test_non_finite_margin_is_config_error(self, capsys):
+        assert main(["conecheck", "--tuple", "1,1", "--m", "1",
+                     "--margin", "nan"]) == 1
         assert "config error:" in capsys.readouterr().err
 
     def test_needs_input(self, capsys):

@@ -19,11 +19,8 @@ from hessianlab import (
     decreasing_sequence,
     degenerate_brackets,
     manufactured_solution,
-    newton_step,
     normalize_density,
-    normalize_sup,
     residual,
-    residual_linearization,
     solve_nondegenerate,
 )
 from hessianlab.solver import _NewtonDriver
@@ -97,7 +94,9 @@ class TestResidual:
         bg = BackgroundData.flat(grid12, kappa=1.0)
         phi_star, f_star, _ = make_manufactured(grid12, bg, 0.5, 2)
         direction = TrigPolynomial.random(2, rng, amplitude=1.0).sample(grid12)
-        lin = residual_linearization(phi_star, 0.0, bg, 0.5, f_star, 2, direction)
+        driver = _NewtonDriver(bg, 0.5, f_star, SolverConfig(m=2))
+        analysis = driver.analyze(phi_star.data, 0.0)
+        lin = driver.linear_apply(analysis["a_over_s"], direction.data)
         errs = []
         eps_list = [2e-3, 1e-3, 5e-4]
         for eps in eps_list:
@@ -107,7 +106,7 @@ class TestResidual:
                 residual(up, 0.0, bg, 0.5, f_star, 2).data
                 - residual(dn, 0.0, bg, 0.5, f_star, 2).data
             ) / (2 * eps)
-            errs.append(np.abs(quotient - lin.data).max())
+            errs.append(np.abs(quotient - lin).max())
         orders = [
             np.log(errs[i] / errs[i + 1]) / np.log(eps_list[i] / eps_list[i + 1])
             for i in range(2)
@@ -121,9 +120,10 @@ class TestNewtonStep:
         phi_star, f_star, _ = make_manufactured(grid12, bg, 0.5, 2)
         cfg = SolverConfig(m=2)
         state, _ = solve_nondegenerate(bg, 0.5, f_star, cfg)
-        stepped = newton_step(state, bg, 0.5, f_star, cfg)
-        assert np.abs(stepped.phi.data - state.phi.data).max() < 1e-12
-        assert abs(stepped.b - state.b) < 1e-12
+        driver = _NewtonDriver(bg, 0.5, f_star, cfg)
+        phi, b, _, _ = driver.step(state.phi.data, state.b)
+        assert np.abs(phi - state.phi.data).max() < 1e-12
+        assert abs(b - state.b) < 1e-12
 
     def test_quadratic_tail(self):
         grid = TorusGrid(n=2, points_per_axis=16)
@@ -388,6 +388,13 @@ class TestContinuation:
             fresh = degenerate_brackets(bg, t, b_t, 2)
             assert (rec.bracket_lower, rec.bracket_mid, rec.bracket_upper) == fresh
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["newton_tol", "cone_margin", "damping",
+                                      "krylov_rtol"])
+    def test_non_finite_solver_config_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            SolverConfig(m=2, **{name: value})
+
     def test_schedule_validation(self):
         with pytest.raises(ConfigError):
             ContinuationSchedule([])
@@ -464,16 +471,3 @@ class TestDecreasingSequence:
         result = decreasing_sequence([state, state], caps=[1.0, 0.5])
         assert result.caps == [1.0, 0.5]
         assert not result.adjusted
-
-
-class TestNormalizeSup:
-    def test_constant(self, grid12):
-        out = normalize_sup(ScalarField.constant(grid12, 5.0))
-        assert np.all(out.data == 0.0)
-
-    def test_idempotent(self, grid12, rng):
-        phi = ScalarField(grid12, rng.standard_normal(grid12.shape))
-        once = normalize_sup(phi)
-        twice = normalize_sup(once)
-        assert np.array_equal(once.data, twice.data)
-        assert once.data.max() == 0.0

@@ -20,7 +20,6 @@ from hessianlab import (
     elem_sym_table,
     generalized_eigenvalues,
     grad_elem_sym,
-    hess_elem_sym,
     hessian_kernel,
     hessian_operator_F,
     restricted_esp,
@@ -165,37 +164,6 @@ class TestDerivatives:
                     assert got[row, i] == pytest.approx(
                         esp_enumeration(rest, k), rel=1e-10, abs=1e-10
                     )
-
-    def test_hessian_entries(self):
-        h2 = hess_elem_sym([1, 2, 3], 2)
-        assert h2[0, 1] == pytest.approx(1.0)  # S_0
-        assert np.all(np.diag(h2) == 0.0)
-        h3 = hess_elem_sym([1, 2, 3], 3)
-        assert h3[0, 1] == pytest.approx(3.0)  # S_1 of remaining entry
-
-    def test_hessian_matches_finite_differences(self, rng):
-        step = 1e-4
-        for _ in range(10):
-            n = int(rng.integers(3, 6))
-            m = int(rng.integers(2, n + 1))
-            lam = rng.uniform(-1.0, 1.5, n)
-            hess = hess_elem_sym(lam, m)
-            for i in range(n):
-                for j in range(n):
-                    pp, pm, mp, mm = (lam.copy() for _ in range(4))
-                    pp[i] += step
-                    pp[j] += step
-                    pm[i] += step
-                    pm[j] -= step
-                    mp[i] -= step
-                    mp[j] += step
-                    mm[i] -= step
-                    mm[j] -= step
-                    fd = (
-                        elem_sym(pp, m) - elem_sym(pm, m)
-                        - elem_sym(mp, m) + elem_sym(mm, m)
-                    ) / (4 * step * step)
-                    assert hess[i, j] == pytest.approx(fd, abs=1e-5)
 
 
 class TestInequalities:

@@ -179,7 +179,7 @@ class TestViscosity:
         rep2 = viscosity_check(phi_star, 0.0, bg, 0.25, f_star, 2, samples=100,
                                rng=np.random.default_rng(5))
         assert rep1.samples == rep2.samples == 100
-        assert rep1.to_dict() == rep2.to_dict()
+        assert rep1 == rep2
 
 
 class TestUniquenessEnergy:
@@ -224,6 +224,36 @@ class TestUniquenessEnergy:
         assert sup_diff < 10.0 * cfg.newton_tol
         assert state_a.residual_sup < cfg.newton_tol
         assert state_b.residual_sup < cfg.newton_tol
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_twin_energy_independent_of_metric_scale(self, n, monkeypatch):
+        # omega, chi, chi_tilde -> c (...) maps solutions phi -> c phi, so the
+        # normalized energy of the same pair of potentials must not move
+        grid = TorusGrid(n=n, points_per_axis=6)
+        rng = np.random.default_rng(n)
+        u1, u2 = (0.01 * rng.standard_normal(grid.shape) for _ in range(2))
+        chi0 = np.diag(np.linspace(0.4, 0.1, n))
+
+        def normalized_energy(c):
+            def fake_solve(bg, t, f, config, warm_start=None, b0=None):
+                u = u1 if warm_start is None else u2
+                return SolverState(phi=ScalarField(bg.grid, c * u), b=0.0,
+                                   residual_sup=0.0, cone_margin_min=1.0,
+                                   newton_iters=0), None
+
+            monkeypatch.setattr("hessianlab.verification.solve_nondegenerate",
+                                fake_solve)
+            bg = BackgroundData.flat(grid, chi_matrix=c * chi0, kappa=1.0,
+                                     omega_matrix=c * np.eye(n))
+            energy, _, _, _ = twin_solve_uniqueness(
+                bg, 0.25, constant_density(grid, 0.0), SolverConfig(m=2),
+                np.random.default_rng(0),
+            )
+            return energy
+
+        base = normalized_energy(1.0)
+        assert base > 0.0
+        assert normalized_energy(4.0) == pytest.approx(base, rel=1e-12)
 
 
 class TestMonitor:
