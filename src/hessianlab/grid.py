@@ -149,49 +149,110 @@ def _wrap_pad(data: np.ndarray) -> np.ndarray:
     return out
 
 
-def complex_hessian(phi: ScalarField) -> HermitianField:
-    """Discrete complex Hessian of a scalar potential.
+def hessian_planes(data: np.ndarray, n: int) -> np.ndarray:
+    """Unscaled difference planes of the discrete complex Hessian.
 
-    Entry (i, j) realizes
-    (1/4)(d_{x_i x_j} + d_{y_i y_j}) + (i/4)(d_{x_i y_j} - d_{y_i x_j})
-    with centered periodic differences: the three-point second difference
-    on the diagonal and ``diff1`` composed with itself off it, every
-    neighbour read as a slice of one periodic wrap-pad of phi.  The i = j
-    imaginary part is zero and entries below the diagonal are conjugated
-    copies, so the output is exactly Hermitian.
+    Shape (n, n) + data.shape.  Plane (i, i) is the five-point stencil in
+    the (x_i, y_i) plane, 4 h^2 times the discrete Laplacian there.  For
+    i < j, plane (i, j) is mixed(x_i, x_j) + mixed(y_i, y_j) and plane
+    (j, i) is mixed(x_i, y_j) - mixed(y_i, x_j), where mixed(a, b) is 4 h^2
+    times the centered mixed difference along axes a and b.  Every
+    neighbour is read as a slice of one periodic wrap-pad of ``data``.
+    This is the one discretization: ``complex_hessian`` scales these planes
+    into matrix entries, and the solver's Krylov matvec contracts them with
+    the coefficients of its linearization.
     """
-    grid = phi.grid
-    n, h, N = grid.n, grid.spacing, grid.points_per_axis
-    f = phi.data
-    padded = _wrap_pad(f)
+    N = data.shape[0]
+    padded = _wrap_pad(data)
     inner = [slice(1, N + 1)] * (2 * n)
 
     def at(*steps):
-        """phi at the neighbour reached by the (axis, +-1) ``steps``."""
+        """data at the neighbour reached by the (axis, +-1) ``steps``."""
         idx = list(inner)
         for axis, step in steps:
             idx[axis] = slice(1 + step, N + 1 + step)
         return padded[tuple(idx)]
 
     def mixed(a, b):
-        """4 h^2 times the centered mixed difference along axes a and b."""
         return (at((a, 1), (b, 1)) - at((a, -1), (b, 1))
                 - at((a, 1), (b, -1)) + at((a, -1), (b, -1)))
 
-    out = np.zeros(grid.shape + (n, n), dtype=complex)
-    four_f = 4.0 * f
+    out = np.empty((n, n) + data.shape)
+    four_f = 4.0 * data
     for i in range(n):
         xi, yi = 2 * i, 2 * i + 1
-        lap = at((xi, 1)) + at((xi, -1)) + at((yi, 1)) + at((yi, -1)) - four_f
-        out.real[..., i, i] = (0.25 / (h * h)) * lap
+        out[i, i] = at((xi, 1)) + at((xi, -1)) + at((yi, 1)) + at((yi, -1)) - four_f
         for j in range(i + 1, n):
             xj, yj = 2 * j, 2 * j + 1
-            re = (0.0625 / (h * h)) * (mixed(xi, xj) + mixed(yi, yj))
-            im = (0.0625 / (h * h)) * (mixed(xi, yj) - mixed(yi, xj))
+            out[i, j] = mixed(xi, xj) + mixed(yi, yj)
+            out[j, i] = mixed(xi, yj) - mixed(yi, xj)
+    return out
+
+
+def complex_hessian(phi: ScalarField) -> HermitianField:
+    """Discrete complex Hessian of a scalar potential.
+
+    Entry (i, j) realizes
+    (1/4)(d_{x_i x_j} + d_{y_i y_j}) + (i/4)(d_{x_i y_j} - d_{y_i x_j})
+    with centered periodic differences: the three-point second difference
+    on the diagonal and ``diff1`` composed with itself off it, read from
+    ``hessian_planes``.  The i = j imaginary part is zero and entries below
+    the diagonal are conjugated copies, so the output is exactly Hermitian.
+    """
+    grid = phi.grid
+    n, h = grid.n, grid.spacing
+    planes = hessian_planes(phi.data, n)
+    out = np.zeros(grid.shape + (n, n), dtype=complex)
+    for i in range(n):
+        out.real[..., i, i] = (0.25 / (h * h)) * planes[i, i]
+        for j in range(i + 1, n):
+            re = (0.0625 / (h * h)) * planes[i, j]
+            im = (0.0625 / (h * h)) * planes[j, i]
             out.real[..., i, j] = out.real[..., j, i] = re
             out.imag[..., i, j] = im
             out.imag[..., j, i] = -im
     return _hermitian_by_construction(grid, out)
+
+
+def fd_laplacian_inverse(grid: TorusGrid):
+    """The inverse of the centered 2n-dimensional difference Laplacian.
+
+    Returns a function mapping a field r to the mean-zero u with
+    Laplacian_h u = r - mean(r).  It works in the real orthonormal
+    eigenbasis Q of the periodic 1-D second difference, with columns
+    1/sqrt(N), sqrt(2/N) cos(2 pi k j / N), (-1)^j / sqrt(N) and
+    sqrt(2/N) sin(2 pi k j / N) and eigenvalues (2 cos(2 pi k / N) - 2) / h^2:
+    each transform is 2n reshape-matmuls, ``x.reshape(N, -1).T @ Q``, one
+    per axis, and the zero mode is projected out between them.
+    """
+    N, h = grid.points_per_axis, grid.spacing
+    half = N // 2
+    k = np.concatenate([np.arange(half + 1), np.arange(1, half)])
+    angle = (2.0 * np.pi / N) * np.outer(np.arange(N), k)
+    Q = np.sqrt(2.0 / N) * np.concatenate(
+        [np.cos(angle[:, :half + 1]), np.sin(angle[:, half + 1:])], axis=1
+    )
+    Q[:, [0, half]] /= np.sqrt(2.0)
+    one_axis = (2.0 * np.cos(2.0 * np.pi * k / N) - 2.0) / (h * h)
+    eig = np.zeros(grid.shape)
+    for a in range(2 * grid.n):
+        shape = [1] * (2 * grid.n)
+        shape[a] = N
+        eig = eig + one_axis.reshape(shape)
+    eig.flat[0] = 1.0
+    inv_eig = 1.0 / eig
+    inv_eig.flat[0] = 0.0
+
+    def solve(data: np.ndarray) -> np.ndarray:
+        x = data
+        for _ in range(2 * grid.n):
+            x = x.reshape(N, -1).T @ Q
+        x = x.reshape(grid.shape) * inv_eig
+        for _ in range(2 * grid.n):
+            x = x.reshape(N, -1).T @ Q.T
+        return x.reshape(grid.shape)
+
+    return solve
 
 
 def complex_gradient(phi: ScalarField) -> np.ndarray:
@@ -248,18 +309,6 @@ def complex_hessian_spectral(phi: ScalarField) -> HermitianField:
             out[..., i, j] = re + 1j * im
             out[..., j, i] = re - 1j * im
     return HermitianField(grid, out)
-
-
-def fd_laplacian_symbol(grid: TorusGrid) -> np.ndarray:
-    """Fourier symbol of the centered 2n-dimensional finite-difference Laplacian."""
-    N, h = grid.points_per_axis, grid.spacing
-    one_axis = (2.0 * np.cos(2.0 * np.pi * np.arange(N) / N) - 2.0) / (h * h)
-    sym = np.zeros(grid.shape)
-    for a in range(2 * grid.n):
-        shape = [1] * (2 * grid.n)
-        shape[a] = N
-        sym = sym + one_axis.reshape(shape)
-    return sym
 
 
 # ---------------------------------------------------------------------------

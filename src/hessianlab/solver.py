@@ -7,11 +7,14 @@ The stage-t equation on the torus reads, in log-residual form,
 
 with the compatibility constant b solved jointly with a mean-zero update of
 phi.  Each Newton step linearizes the log of the operator, solves the
-bordered linear system with a Krylov method preconditioned by the exact
-inverse of a constant-coefficient model operator (spectral solve), and
-guards the positivity-cone margin with a damped line search.  The degenerate
-problem is approached along a decreasing schedule of t with warm starts;
-the weak-solution certificate is the decreasing sequence phi_t + C / 2^i.
+bordered linear system with a Krylov method, and guards the positivity-cone
+margin with a damped line search.  The Krylov matvec contracts real
+coefficient planes, fixed for the step, with the difference planes of the
+Krylov vector; the preconditioner divides the residual pointwise by
+c = tr(a_over_s) / (4n) and applies the inverse difference Laplacian in
+its real tensor-product eigenbasis.  The degenerate problem is approached
+along a decreasing schedule of t with warm starts; the weak-solution
+certificate is the decreasing sequence phi_t + C / 2^i.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ from .grid import (
     HermitianField,
     ScalarField,
     complex_hessian,
-    fd_laplacian_symbol,
+    fd_laplacian_inverse,
+    hessian_planes,
     integrate,
     mollify,
 )
@@ -55,6 +59,9 @@ class SolverConfig:
         for name in ("newton_tol", "cone_margin", "damping", "krylov_rtol"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ConfigError(f"{name} must be positive and finite")
+        for name in ("max_newton", "krylov_maxiter"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
 
 
 @dataclass
@@ -79,13 +86,16 @@ class ContinuationSchedule:
         ts = list(self.t_values)
         if not ts:
             raise ConfigError("schedule must be nonempty")
-        if any(t <= 0 for t in ts):
-            raise ConfigError("schedule values must be positive")
+        if not all(0 < t < np.inf for t in ts):
+            raise ConfigError("t_values must be positive and finite")
         if any(b >= a for a, b in zip(ts, ts[1:])):
             raise ConfigError("schedule must be strictly decreasing")
         if self.mollification_sigmas is not None:
-            if len(self.mollification_sigmas) != len(ts):
+            sigmas = list(self.mollification_sigmas)
+            if len(sigmas) != len(ts):
                 raise ConfigError("mollification_sigmas length must match t_values")
+            if not all(0 <= s < np.inf for s in sigmas):
+                raise ConfigError("mollification_sigmas must be nonnegative and finite")
 
     @classmethod
     def default(cls, num_stages: int = 12, ratio: float = 0.5,
@@ -213,10 +223,7 @@ class _NewtonDriver:
         self.binom = binom(grid.n, config.m)
         self.base = bg.base_form(self.t).data
         self.omega_inv = bg.omega_inv
-        sym = fd_laplacian_symbol(grid)
-        with np.errstate(divide="ignore"):
-            inv = np.where(sym != 0.0, 1.0 / np.where(sym != 0.0, sym, 1.0), 0.0)
-        self.inv_symbol = inv
+        self.laplacian_inverse = fd_laplacian_inverse(grid)
         self.num_points = grid.num_points
 
     # -- pointwise analysis ------------------------------------------------
@@ -260,44 +267,71 @@ class _NewtonDriver:
 
     # -- linear solve --------------------------------------------------------
 
-    def linear_apply(self, a_over_s: np.ndarray, v_data: np.ndarray) -> np.ndarray:
-        hess = complex_hessian(ScalarField(self.grid, v_data))
-        return np.einsum("...ij,...ji->...", a_over_s, hess.data).real
+    def stencil_coefficients(self, a_over_s: np.ndarray) -> np.ndarray:
+        """Real planes C with tr(a_over_s H(v)) = sum C * hessian_planes(v).
+
+        C[i, i] = a_ii / (4 h^2) and, for i < j, C[i, j] = Re a_ji / (8 h^2)
+        and C[j, i] = -Im a_ji / (8 h^2), so the Krylov matvec builds no
+        complex Hessian.  Shape (n * n, num_points).
+        """
+        n, h2 = self.n, self.grid.spacing ** 2
+        coeff = np.empty((n, n) + self.grid.shape)
+        for i in range(n):
+            coeff[i, i] = a_over_s[..., i, i].real / (4.0 * h2)
+            for j in range(i + 1, n):
+                coeff[i, j] = a_over_s[..., j, i].real / (8.0 * h2)
+                coeff[j, i] = -a_over_s[..., j, i].imag / (8.0 * h2)
+        return coeff.reshape(n * n, self.num_points)
+
+    def apply_stencil(self, coeff: np.ndarray, v_data: np.ndarray) -> np.ndarray:
+        """tr(a_over_s H(v)), flattened, from ``stencil_coefficients`` planes."""
+        planes = hessian_planes(v_data, self.n)
+        return np.einsum("kp,kp->p", coeff, planes.reshape(coeff.shape))
+
+    def krylov_operators(self, a_over_s: np.ndarray):
+        """The bordered matvec and its preconditioner at one Newton step.
+
+        Both act on (delta phi, delta b) flattened to num_points + 1 entries.
+        The matvec contracts ``stencil_coefficients`` with the difference
+        planes of the Krylov vector and appends its mean.  The
+        preconditioner inverts the model operator c(x) Laplacian_h with
+        c = tr(a_over_s) / (4n) pointwise, which is exact for a_over_s = c I.
+        """
+        P = self.num_points
+        m, shape = self.m, self.grid.shape
+        coeff = self.stencil_coefficients(a_over_s)
+
+        def matvec(v):
+            phi_v = v[:P].reshape(shape)
+            out = np.empty(P + 1)
+            out[:P] = self.apply_stencil(coeff, phi_v) - m * v[P]
+            out[P] = phi_v.mean()
+            return out
+
+        trace = np.einsum("...ii->...", a_over_s).real
+        inv_c = (4.0 * self.n) / np.maximum(trace, 1e-30)
+
+        def precondition(v):
+            r = v[:P].reshape(shape)
+            r_mean = r.mean()
+            out = np.empty(P + 1)
+            out[:P] = (self.laplacian_inverse((r - r_mean) * inv_c) + v[P]).ravel()
+            out[P] = -r_mean / m
+            return out
+
+        return matvec, precondition
 
     def solve_linear(self, a_over_s: np.ndarray, rhs_field: np.ndarray,
                      rtol: float):
         """Bordered Krylov solve for (delta phi, delta b) with mean(delta phi)=0."""
         P = self.num_points
-        m = self.m
         shape = self.grid.shape
-
-        def matvec(v):
-            phi_v = v[:P].reshape(shape)
-            beta = v[P]
-            out = np.empty(P + 1)
-            out[:P] = (self.linear_apply(a_over_s, phi_v) - m * beta).ravel()
-            out[P] = phi_v.mean()
-            return out
-
-        coeff = float(np.einsum("...ii->...", a_over_s).real.mean()) / self.n
-        scale = max(coeff, 1e-30) / 4.0
-
-        def precondition(v):
-            r = v[:P].reshape(shape)
-            rho = v[P]
-            r_mean = r.mean()
-            centered = r - r_mean
-            lap_inv = np.fft.ifftn(np.fft.fftn(centered) * self.inv_symbol).real
-            out = np.empty(P + 1)
-            out[:P] = (lap_inv / scale + rho).ravel()
-            out[P] = -r_mean / m
-            return out
-
-        op = spla.LinearOperator((P + 1, P + 1), matvec=matvec, dtype=float)
-        mop = spla.LinearOperator((P + 1, P + 1), matvec=precondition, dtype=float)
         rhs = np.concatenate([rhs_field.ravel(), [0.0]])
         if not np.any(rhs):
-            return np.zeros(self.grid.shape), 0.0
+            return np.zeros(shape), 0.0
+        matvec, precondition = self.krylov_operators(a_over_s)
+        op = spla.LinearOperator((P + 1, P + 1), matvec=matvec, dtype=float)
+        mop = spla.LinearOperator((P + 1, P + 1), matvec=precondition, dtype=float)
         sol, _ = spla.lgmres(op, rhs, M=mop, rtol=rtol, atol=0.0,
                              maxiter=self.config.krylov_maxiter)
         dphi = sol[:P].reshape(shape)
@@ -367,12 +401,15 @@ def solve_nondegenerate(bg: BackgroundData, t: float, f: ScalarField,
                         b0: float | None = None):
     """Newton iteration to the stage-t solution; returns (state, report).
 
-    Starts from zero (or a warm start), which must lie strictly inside the
-    cone (worst margin > 0; ConeViolationError otherwise).  config.cone_margin
-    guards the accepted steps: the line search keeps every later iterate's
-    margin >= config.cone_margin.  Stops when the sup-norm of the
-    log-residual drops below config.newton_tol.
+    t must be positive and finite (ConfigError otherwise).  Starts from zero
+    (or a warm start), which must lie strictly inside the cone (worst
+    margin > 0; ConeViolationError otherwise).  config.cone_margin guards
+    the accepted steps: the line search keeps every later iterate's margin
+    >= config.cone_margin.  Stops when the sup-norm of the log-residual
+    drops below config.newton_tol.
     """
+    if not 0 < t < np.inf:
+        raise ConfigError(f"t must be positive and finite (got {t})")
     t0 = time.perf_counter()
     driver = _NewtonDriver(bg, t, f, config)
     phi = np.zeros(bg.grid.shape) if warm_start is None else warm_start.data.copy()

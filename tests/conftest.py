@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library's evaluation routes:
 elementary symmetric polynomials by subset enumeration, pencil eigenvalues
-by characteristic-polynomial roots, integrals by plain summation.
+by characteristic-polynomial roots, integrals by plain summation, the
+inverse difference Laplacian by its FFT symbol.
 """
 
 from itertools import combinations
@@ -30,6 +31,25 @@ def pencil_roots_oracle(A, G):
     coeffs = np.polyfit(nodes, vals, n)
     roots = np.roots(coeffs)
     return np.sort(roots.real)[::-1]
+
+
+def fd_laplacian_symbol(grid):
+    """Fourier symbol of the centered 2n-dimensional finite-difference Laplacian."""
+    N, h = grid.points_per_axis, grid.spacing
+    one_axis = (2.0 * np.cos(2.0 * np.pi * np.arange(N) / N) - 2.0) / (h * h)
+    sym = np.zeros(grid.shape)
+    for a in range(2 * grid.n):
+        shape = [1] * (2 * grid.n)
+        shape[a] = N
+        sym = sym + one_axis.reshape(shape)
+    return sym
+
+
+def fd_laplacian_inverse_fft(grid, data):
+    """FFT oracle for the mean-zero solution u of Laplacian_h u = data - mean(data)."""
+    sym = fd_laplacian_symbol(grid)
+    inv = np.where(sym != 0.0, 1.0 / np.where(sym != 0.0, sym, 1.0), 0.0)
+    return np.fft.ifftn(np.fft.fftn(data - data.mean()) * inv).real
 
 
 def random_hermitian(rng, n, scale=1.0):

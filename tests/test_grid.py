@@ -23,9 +23,9 @@ from hessianlab import (
     mollify,
     tree_sum,
 )
-from hessianlab.grid import diff1
+from hessianlab.grid import diff1, fd_laplacian_inverse
 
-from conftest import random_spd
+from conftest import fd_laplacian_inverse_fft, random_spd
 
 
 def diff2(data, axis, h):
@@ -146,6 +146,18 @@ class TestComplexHessian:
         left = integrate(ScalarField(grid, u.data * laplacian(v)))
         right = integrate(ScalarField(grid, v.data * laplacian(u)))
         assert left == pytest.approx(right, rel=1e-9, abs=1e-12)
+
+
+class TestLaplacianInverse:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("N", [4, 6, 8])
+    def test_matches_fft_symbol(self, n, N):
+        # the real tensor-product eigenbasis against the complex FFT route
+        grid = TorusGrid(n=n, points_per_axis=N)
+        r = np.random.default_rng(10 * n + N).standard_normal(grid.shape)
+        got = fd_laplacian_inverse(grid)(r)
+        want = fd_laplacian_inverse_fft(grid, r)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestEigenField:

@@ -14,10 +14,12 @@ from hessianlab import (
     TorusGrid,
     TrigPolynomial,
     compatibility_constant,
+    complex_hessian,
     constant_density,
     continuation_degenerate,
     decreasing_sequence,
     degenerate_brackets,
+    lq_spike,
     manufactured_solution,
     normalize_density,
     residual,
@@ -25,6 +27,8 @@ from hessianlab import (
 )
 from hessianlab.solver import _NewtonDriver
 from hessianlab.symfunc import binom
+
+from conftest import random_hermitian
 
 
 def make_manufactured(grid, bg, t, m, curvature=0.6, seed=7, discrete=True):
@@ -96,7 +100,8 @@ class TestResidual:
         direction = TrigPolynomial.random(2, rng, amplitude=1.0).sample(grid12)
         driver = _NewtonDriver(bg, 0.5, f_star, SolverConfig(m=2))
         analysis = driver.analyze(phi_star.data, 0.0)
-        lin = driver.linear_apply(analysis["a_over_s"], direction.data)
+        coeff = driver.stencil_coefficients(analysis["a_over_s"])
+        lin = driver.apply_stencil(coeff, direction.data).reshape(grid12.shape)
         errs = []
         eps_list = [2e-3, 1e-3, 5e-4]
         for eps in eps_list:
@@ -112,6 +117,54 @@ class TestResidual:
             for i in range(2)
         ]
         assert min(orders) >= 1.9
+
+
+class TestKrylovOperators:
+    @pytest.mark.parametrize("n, N", [(2, 6), (3, 4)])
+    def test_stencil_matches_complex_hessian_trace(self, rng, n, N):
+        grid = TorusGrid(n=n, points_per_axis=N)
+        bg = BackgroundData.flat(grid, kappa=1.0)
+        driver = _NewtonDriver(bg, 0.5, constant_density(grid, 0.0), SolverConfig(m=2))
+        a = np.stack([random_hermitian(rng, n) for _ in range(grid.num_points)])
+        a = a.reshape(grid.shape + (n, n))
+        v = rng.standard_normal(grid.shape)
+        want = np.einsum("...ij,...ji->...", a,
+                         complex_hessian(ScalarField(grid, v)).data).real
+        got = driver.apply_stencil(driver.stencil_coefficients(a), v)
+        assert np.abs(got.reshape(grid.shape) - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n, N", [(2, 6), (3, 4)])
+    def test_preconditioner_inverts_constant_coefficients(self, rng, n, N):
+        # with a_over_s = c I the model operator is the operator itself
+        grid = TorusGrid(n=n, points_per_axis=N)
+        bg = BackgroundData.flat(grid, kappa=1.0)
+        driver = _NewtonDriver(bg, 0.5, constant_density(grid, 0.0), SolverConfig(m=2))
+        a = np.broadcast_to(0.7 * np.eye(n, dtype=complex), grid.shape + (n, n))
+        matvec, precondition = driver.krylov_operators(a)
+        v = rng.standard_normal(grid.num_points)
+        v -= v.mean()
+        beta = 0.3
+        out = precondition(matvec(np.append(v, beta)))
+        assert np.abs(out[:-1] - v).max() <= 1e-12 * np.abs(v).max()
+        assert out[-1] == pytest.approx(beta, rel=1e-12)
+
+    def test_spike_work_counts(self, monkeypatch):
+        # the rough spike density of the verify benchmark at N = 8: Newton
+        # steps as with the mean-scaled FFT preconditioner (8), matvecs at
+        # most half the 230 bound on that benchmark's two solves (it took 156)
+        grid = TorusGrid(n=2, points_per_axis=8)
+        bg = BackgroundData.flat(grid, kappa=1.0)
+        matvecs = []
+        apply_stencil = _NewtonDriver.apply_stencil
+
+        def counting(self, coeff, v_data):
+            matvecs.append(1)
+            return apply_stencil(self, coeff, v_data)
+
+        monkeypatch.setattr(_NewtonDriver, "apply_stencil", counting)
+        state, _ = solve_nondegenerate(bg, 0.25, lq_spike(grid, q=2.0), SolverConfig(m=2))
+        assert state.newton_iters == 8
+        assert len(matvecs) <= 115
 
 
 class TestNewtonStep:
@@ -404,6 +457,28 @@ class TestContinuation:
             ContinuationSchedule([1.0, -0.5])
         with pytest.raises(ConfigError):
             ContinuationSchedule([1.0, 0.5], mollification_sigmas=[0.1])
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"t_values": [1.0, np.nan, 0.25]}, "t_values"),
+        ({"t_values": [np.inf, 0.5]}, "t_values"),
+        ({"t_values": [1.0, 0.5], "mollification_sigmas": [0.1, np.nan]},
+         "mollification_sigmas"),
+        ({"t_values": [1.0, 0.5], "mollification_sigmas": [0.1, -0.1]},
+         "mollification_sigmas"),
+    ])
+    def test_schedule_names_bad_value(self, kwargs, name):
+        with pytest.raises(ConfigError, match=name):
+            ContinuationSchedule(**kwargs)
+
+    @pytest.mark.parametrize("name, value", [("krylov_maxiter", 0), ("max_newton", -1)])
+    def test_iteration_caps_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            SolverConfig(m=2, **{name: value})
+
+    def test_nan_stage_parameter_rejected(self, grid8):
+        bg = BackgroundData.flat(grid8, kappa=1.0)
+        with pytest.raises(ConfigError, match="t must be positive"):
+            solve_nondegenerate(bg, np.nan, constant_density(grid8, 0.0), SolverConfig(m=2))
 
     def test_mollified_stages_run(self, grid12, rng):
         from hessianlab import lq_spike
