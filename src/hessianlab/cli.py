@@ -105,8 +105,26 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
 
 _STAGE_COLUMNS = [
     "t", "b", "sup_phi", "inf_phi", "margin_min", "iters", "seconds",
-    "bracket_lower", "bracket_mid", "bracket_upper", "mollify_sigma",
+    "bracket_lower", "bracket_mid", "bracket_upper", "mollify_sigma", "start",
 ]
+
+
+def _write_continuation(out: Path, cfg: ExperimentConfig, report, states: list,
+                        **extra) -> None:
+    """stages.csv, phi_stage_NN.hlf1 per state and report.json of a continuation."""
+    lines = [",".join(_STAGE_COLUMNS)]
+    for rec in report.stages:
+        lines.append(",".join(repr(getattr(rec, c)) for c in _STAGE_COLUMNS))
+    (out / "stages.csv").write_text("\n".join(lines) + "\n")
+
+    for i, state in enumerate(states):
+        write_field(out / f"phi_stage_{i:02d}.hlf1", state.phi)
+
+    payload = asdict(report)
+    payload["command"] = "continuation"
+    payload["seed"] = cfg.seed
+    payload.update(extra)
+    _write_json(out / "report.json", payload)
 
 
 def cmd_continuation(cfg: ExperimentConfig) -> int:
@@ -117,31 +135,23 @@ def cmd_continuation(cfg: ExperimentConfig) -> int:
     schedule = cfg.build_schedule()
     solver_cfg = cfg.build_solver_config()
 
-    states, report = continuation_degenerate(bg, f, schedule, solver_cfg)
+    try:
+        states, report = continuation_degenerate(bg, f, schedule, solver_cfg)
+    except NonConvergenceError as err:
+        # keep what the completed stages produced; main maps the error to its exit code
+        _write_continuation(out, cfg, err.diagnostics["partial_report"],
+                            err.diagnostics["states"])
+        raise
     cert = decreasing_sequence(states)
     uniformity = linf_uniformity_report(states, schedule.t_values, f=f,
                                         p=cfg.entropy_p, volume=bg.volume)
-
-    lines = [",".join(_STAGE_COLUMNS)]
-    for rec in report.stages:
-        lines.append(",".join(repr(getattr(rec, c)) for c in _STAGE_COLUMNS))
-    (out / "stages.csv").write_text("\n".join(lines) + "\n")
-
-    for i, state in enumerate(states):
-        write_field(out / f"phi_stage_{i:02d}.hlf1", state.phi)
     write_field(out / "phi.hlf1", states[-1].phi)
-
-    payload = asdict(report)
-    payload["command"] = "continuation"
-    payload["seed"] = cfg.seed
-    payload["certificate"] = {
+    _write_continuation(out, cfg, report, states, certificate={
         "cap_constant": cert.cap_constant,
         "adjusted": cert.adjusted,
         "adjustment": cert.adjustment,
         "violation": cert.violation,
-    }
-    payload["uniformity"] = asdict(uniformity)
-    _write_json(out / "report.json", payload)
+    }, uniformity=asdict(uniformity))
     return EXIT_OK
 
 

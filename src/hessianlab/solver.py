@@ -13,8 +13,13 @@ coefficient planes, fixed for the step, with the difference planes of the
 Krylov vector; the preconditioner divides the residual pointwise by
 c = tr(a_over_s) / (4n) and applies the inverse difference Laplacian in
 its real tensor-product eigenbasis.  The degenerate problem is approached
-along a decreasing schedule of t with warm starts; the weak-solution
-certificate is the decreasing sequence phi_t + C / 2^i.
+along a fixed decreasing schedule of t.  Each stage tries up to three
+starts and keeps the first inside the cone: from stage 2 on the secant
+prediction through the two previous solutions, then the previous solution
+as is, then zero, whose X is the base form and so strictly inside the cone
+once ``bg.validate`` passes; ``StageRecord.start`` names the one used
+(``"secant"``, ``"warm"`` or ``"zero"``).  The weak-solution certificate is
+the decreasing sequence phi_t + C / 2^i.
 """
 
 from __future__ import annotations
@@ -117,6 +122,7 @@ class StageRecord:
     bracket_mid: float | None = None
     bracket_upper: float | None = None
     mollify_sigma: float = 0.0
+    start: str = "zero"
 
 
 @dataclass
@@ -447,13 +453,39 @@ def solve_nondegenerate(bg: BackgroundData, t: float, f: ScalarField,
         sup_phi=float(phi.max()), inf_phi=float(phi.min()),
         margin_min=state.cone_margin_min, iters=iters,
         seconds=time.perf_counter() - t0,
+        start="zero" if warm_start is None else "warm",
     )
     return state, SolveReport(stages=[record])
 
 
+def _stage_starts(states: list, ts: list, i: int) -> list:
+    """The starts of stage i in the order tried, as ``(name, phi or None)``.
+
+    From stage 2 on the secant prediction
+    phi_{i-1} + (t_i - t_{i-1}) / (t_{i-1} - t_{i-2}) (phi_{i-1} - phi_{i-2})
+    comes first, then the previous solution phi_{i-1}, then zero.
+    """
+    starts = []
+    if i >= 2:
+        prev, older = states[-1].phi.data, states[-2].phi.data
+        ratio = (ts[i] - ts[i - 1]) / (ts[i - 1] - ts[i - 2])
+        secant = prev + ratio * (prev - older)
+        starts.append(("secant", ScalarField(states[-1].phi.grid, secant)))
+    if i >= 1:
+        starts.append(("warm", states[-1].phi))
+    starts.append(("zero", None))
+    return starts
+
+
 def continuation_degenerate(bg: BackgroundData, f: ScalarField,
                             schedule: ContinuationSchedule, config: SolverConfig):
-    """Solve the decreasing-t family with warm starts; returns (states, report).
+    """Solve the decreasing-t family; returns (states, report).
+
+    Stage i starts from the first of ``_stage_starts`` whose X lies inside
+    the cone: the secant prediction (stage 2 on), the previous phi, then
+    zero.  ``solve_nondegenerate`` raises ConeViolationError only at
+    initialization, so a start that raises it is skipped and the next one
+    tried; ``StageRecord.start`` names the start each stage used.
 
     The density is shifted once so its mass matches the degenerate-limit
     compatibility identity; per stage the report records the constant b_t,
@@ -468,7 +500,6 @@ def continuation_degenerate(bg: BackgroundData, f: ScalarField,
     bounds = bracket_bounds(bg, config.m)
     report = SolveReport(meta={"mass_shift": shift})
     states = []
-    warm = None
     for i, t in enumerate(schedule.t_values):
         sigma = 0.0
         f_stage = f_norm
@@ -481,8 +512,16 @@ def continuation_degenerate(bg: BackgroundData, f: ScalarField,
         t_start = time.perf_counter()
         b_t = compatibility_constant(bg, t, f_stage, config.m)
         try:
-            state, stage_rep = solve_nondegenerate(bg, t, f_stage, config,
-                                                   warm_start=warm, b0=b_t)
+            for start, phi0 in _stage_starts(states, schedule.t_values, i):
+                try:
+                    state, stage_rep = solve_nondegenerate(
+                        bg, t, f_stage, config, warm_start=phi0, b0=b_t)
+                    break
+                except ConeViolationError:
+                    # only the initialization can raise it; the zero start,
+                    # tried last, is inside the cone once bg.validate passes
+                    if start == "zero":
+                        raise
         except NonConvergenceError as err:
             report.meta["aborted_stage"] = i
             report.meta["abort_reason"] = str(err)
@@ -493,11 +532,11 @@ def continuation_degenerate(bg: BackgroundData, f: ScalarField,
         record = stage_rep.stages[0]
         record.seconds = time.perf_counter() - t_start
         record.mollify_sigma = sigma
+        record.start = start
         lower, mid, upper = degenerate_brackets(bg, t, b_t, config.m, bounds)
         record.bracket_lower, record.bracket_mid, record.bracket_upper = lower, mid, upper
         report.stages.append(record)
         states.append(state)
-        warm = state.phi
 
     sups, _, passed = uniformity_proxy(states)
     report.meta["sup_norms"] = sups

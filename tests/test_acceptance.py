@@ -65,6 +65,31 @@ def continuation_run():
     return schedule, states, report
 
 
+def test_secant_starts_match_warm_starts(continuation_run, monkeypatch):
+    # the secant predictor cuts Newton steps (31 with plain warm starts)
+    # and leaves the stage constants, the brackets and phi where they were
+    import hessianlab.solver as solver
+
+    schedule, states, report = continuation_run
+    grid = states[0].phi.grid
+    bg = BackgroundData.flat(grid, chi_matrix=np.diag([0.4, 0.0]), kappa=1.0)
+    f = TrigPolynomial.random(2, np.random.default_rng(2024), amplitude=0.3).sample(grid)
+    stage_starts = solver._stage_starts
+    monkeypatch.setattr(solver, "_stage_starts", lambda *args: [
+        s for s in stage_starts(*args) if s[0] != "secant"])
+    warm_states, warm_report = continuation_degenerate(bg, f, schedule, SolverConfig(m=2))
+
+    secant_iters = sum(rec.iters for rec in report.stages)
+    assert secant_iters <= 22
+    assert secant_iters < sum(rec.iters for rec in warm_report.stages)
+    assert {rec.start for rec in warm_report.stages} == {"zero", "warm"}
+    for rec, warm in zip(report.stages, warm_report.stages):
+        assert rec.b == pytest.approx(warm.b, abs=1e-10)
+        assert (rec.bracket_lower, rec.bracket_mid, rec.bracket_upper) == (
+            warm.bracket_lower, warm.bracket_mid, warm.bracket_upper)
+    assert np.abs(states[-1].phi.data - warm_states[-1].phi.data).max() <= 1e-10
+
+
 def test_c01_algebra_kernel(rng):
     with criterion(1, "three S_k routes agree on 1e3 Hermitian matrices, < 10 s"):
         start = time.perf_counter()

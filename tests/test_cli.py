@@ -4,9 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from hessianlab.cli import main
+from hessianlab.cli import _STAGE_COLUMNS, main
 from hessianlab.config import _LIST_KEYS, _SCHEMA, load_config
 from hessianlab.errors import ConfigError
+from hessianlab.hlf import read_field
 
 FLOAT_KEYS = [(section, key) for section, keys in _SCHEMA.items()
               for key, kind in keys.items() if kind is float]
@@ -183,6 +184,31 @@ class TestContinuationCommand:
         for stage in ra["stages"] + rb["stages"]:
             stage.pop("seconds")
         assert ra == rb
+
+    def test_partial_results_written(self, tmp_path):
+        # the continuation benchmark problem with one jump to t = 1e-5: stage 0
+        # converges in four Newton steps, stage 1 needs more than four
+        path = write_config(
+            tmp_path,
+            **{"problem.grid_points": 6, "problem.chi": "diag",
+               "problem.chi_diag": "0.4, 0.0", "problem.f": "trig",
+               "problem.f_amplitude": 0.3, "run.seed": 7,
+               "solver.max_newton": 4, "schedule.t_values": "2.0, 0.00001"},
+        )
+        assert main(["continuation", "--config", str(path)]) == 3
+        out = tmp_path / "out"
+        lines = (out / "stages.csv").read_text().strip().split("\n")
+        assert lines[0] == ",".join(_STAGE_COLUMNS)
+        assert len(lines) == 2
+        assert float(lines[1].split(",")[0]) == 2.0
+        assert read_field(out / "phi_stage_00.hlf1").grid.points_per_axis == 6
+        assert not (out / "phi_stage_01.hlf1").exists()
+        assert not (out / "phi.hlf1").exists()
+        report = json.loads((out / "report.json").read_text())
+        assert report["meta"]["aborted_stage"] == 1
+        assert "no convergence in 4 Newton steps" in report["meta"]["abort_reason"]
+        assert len(report["stages"]) == 1
+        assert "certificate" not in report
 
 
 class TestStabilityCommand:

@@ -441,6 +441,37 @@ class TestContinuation:
             fresh = degenerate_brackets(bg, t, b_t, 2)
             assert (rec.bracket_lower, rec.bracket_mid, rec.bracket_upper) == fresh
 
+    def test_spike_density_survives(self, grid8):
+        # rough data: the previous stage's phi lies outside the stage-1 cone
+        # (margin about -3.75), so stage 1 falls back to the zero start
+        bg = BackgroundData.flat(grid8, chi_matrix=np.diag([0.4, 0.0]), kappa=1.0)
+        f = lq_spike(grid8, q=2.0)
+        sched = ContinuationSchedule.default()
+        cfg = SolverConfig(m=2)
+        states, report = continuation_degenerate(bg, f, sched, cfg)
+        assert len(states) == len(sched.t_values)
+        for rec in report.stages:
+            assert rec.residual_history[-1] < cfg.newton_tol
+            assert rec.bracket_lower <= rec.bracket_mid <= rec.bracket_upper
+        assert decreasing_sequence(states).violation <= 0
+        assert [rec.start for rec in report.stages] == ["zero", "zero"] + ["secant"] * 10
+        with pytest.raises(ConeViolationError):
+            solve_nondegenerate(bg, sched.t_values[1], f, cfg, warm_start=states[0].phi)
+
+    def test_large_first_step_schedule(self):
+        # the N = 6 continuation benchmark problem (seed 7) with one big step
+        # in t: phi_4 is outside the t = 0.01 cone, so that stage starts at zero
+        grid = TorusGrid(n=2, points_per_axis=6)
+        bg = BackgroundData.flat(grid, chi_matrix=np.diag([0.4, 0.0]), kappa=1.0)
+        f = TrigPolynomial.random(2, np.random.default_rng(9), amplitude=0.3).sample(grid)
+        sched = ContinuationSchedule([4.0, 0.01])
+        cfg = SolverConfig(m=2)
+        states, report = continuation_degenerate(bg, f, sched, cfg)
+        assert [rec.start for rec in report.stages] == ["zero", "zero"]
+        assert all(rec.residual_history[-1] < cfg.newton_tol for rec in report.stages)
+        with pytest.raises(ConeViolationError):
+            solve_nondegenerate(bg, 0.01, f, cfg, warm_start=states[0].phi)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("name", ["newton_tol", "cone_margin", "damping",
                                       "krylov_rtol"])
