@@ -3,8 +3,10 @@
 Two level-set bootstrapping lemmas are realized as closed-form evaluations:
 a Kolodziej-type lower bound for a monotone increasing level function, and a
 De Giorgi vanishing threshold for a nonincreasing one.  The certification
-helper finds, by exhaustive search over sampled pairs, the minimal constant
-for which the lemma hypothesis holds on the data; the synthetic generators
+helper finds the minimal constant for which the lemma hypothesis holds on
+the sampled pairs as a factored max: every pair ratio divides by a power of
+one sample's phi, so the numerators are maximized per sample in one in-place
+buffer and only those k maxima are divided; the synthetic generators
 produce power-law families whose extremal pairs land exactly on the sample
 grid, so the lemma conclusions can be asserted with zero tolerance slack.
 
@@ -16,6 +18,7 @@ samples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,19 +29,23 @@ KOLODZIEJ = "kolodziej"
 DEGIORGI = "degiorgi"
 
 
+def _require_positive(**values) -> None:
+    for name, value in values.items():
+        if value is None or not 0.0 < value < math.inf:
+            raise DomainError(f"{name} must be positive and finite, got {value!r}")
+
+
 def kolodziej_bound(C0: float, delta0: float, s0: float) -> float:
     """Lower bound (s0 (1 - 2^-delta0) / (2 C0))^(1/delta0) for phi(s0)."""
-    if min(C0, delta0, s0) <= 0:
-        raise DomainError("C0, delta0, s0 must be positive")
+    _require_positive(C0=C0, delta0=delta0, s0=s0)
     return (s0 * (1.0 - 2.0 ** -delta0) / (2.0 * C0)) ** (1.0 / delta0)
 
 
 def degiorgi_threshold(C: float, alpha: float, delta: float, phi_s0: float) -> float:
     """Vanishing threshold d = C^(1/alpha) phi(s0)^(delta/alpha) 2^((1+delta)/delta)."""
-    if min(C, alpha, delta) <= 0:
-        raise DomainError("C, alpha, delta must be positive")
-    if phi_s0 < 0:
-        raise DomainError("phi(s0) must be nonnegative")
+    _require_positive(C=C, alpha=alpha, delta=delta)
+    if not 0.0 <= phi_s0 < math.inf:
+        raise DomainError(f"phi(s0) must be nonnegative and finite, got {phi_s0!r}")
     return C ** (1.0 / alpha) * phi_s0 ** (delta / alpha) * 2.0 ** ((1.0 + delta) / delta)
 
 
@@ -56,43 +63,52 @@ def certify_iteration_hypothesis(s_values, phi_values, form: str, *,
       where s0 is the largest sample.
     * ``degiorgi``: phi nonnegative and nonincreasing on [s0, inf); pairs
       are (s')^alpha phi(s + s') <= C phi(s)^(1 + delta).
+
+    Each pair ratio divides by a power of one sample's phi, so the
+    numerators are maximized per sample first and only those maxima are
+    divided.  Division by a positive number preserves order under
+    round-to-nearest, so ``C_min`` equals the max of the full ratio matrix
+    bit for bit.
     """
     s = np.asarray(s_values, dtype=float)
     phi = np.asarray(phi_values, dtype=float)
     if s.size != phi.size or s.size < 3:
         raise DomainError("need at least 3 matching samples")
+    if not (np.all(np.isfinite(s)) and np.all(np.isfinite(phi))):
+        raise DomainError("s and phi samples must be finite")
     order = np.argsort(s)
     s, phi = s[order], phi[order]
 
     if form == KOLODZIEJ:
-        if delta0 is None or delta0 <= 0:
-            raise DomainError("kolodziej form needs delta0 > 0")
+        _require_positive(delta0=delta0)
+        inner = s < s[-1]
+        if not np.any(inner):
+            raise DomainError("kolodziej form needs a sample below s0 = max(s)")
         if np.any(np.diff(phi) < -1e-14) or np.any(phi <= 0):
             return 0.0, False
-        inner = s < s.max()
         si, pi = s[inner], phi[inner]
-        # pair (i, j), i < j: t = s_j - s_i, phi(s - t) = phi_i, so the
-        # hypothesis ratio is (s_j - s_i) phi_i / phi_j^(1+delta0)
-        tt = np.maximum(si[None, :] - si[:, None], 0.0)
-        ratio = tt * pi[:, None] / pi[None, :] ** (1.0 + delta0)
-        c_min = float(ratio.max())
-        return c_min, True
+        # row j holds t phi(s - t) = (s_j - s_i) phi_i over i, the numerators
+        # over phi_j^(1+delta0); clamping after the product is exact as phi > 0
+        num = np.subtract.outer(si, si)
+        num *= pi
+        np.maximum(num, 0.0, out=num)
+        return float((num.max(axis=1) / pi ** (1.0 + delta0)).max()), True
 
     if form == DEGIORGI:
-        if alpha is None or alpha <= 0 or delta is None or delta <= 0:
-            raise DomainError("degiorgi form needs alpha > 0 and delta > 0")
+        _require_positive(alpha=alpha, delta=delta)
         if np.any(np.diff(phi) > 1e-14) or np.any(phi < 0):
             return 0.0, False
-        gap = np.maximum(s[None, :] - s[:, None], 0.0)
+        rows = phi > 0
+        if not np.any(rows):
+            return 0.0, True
+        # row i holds (s_j - s_i)_+^alpha phi_j over j, the numerators over
+        # phi_i^(1+delta); rows with phi_i = 0 carry no hypothesis
+        num = s - s[rows, None]
+        np.maximum(num, 0.0, out=num)
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(
-                (gap > 0) & (phi[:, None] > 0),
-                gap**alpha * phi[None, :] / np.where(phi[:, None] > 0,
-                                                     phi[:, None], 1.0) ** (1.0 + delta),
-                0.0,
-            )
-        c_min = float(ratio.max())
-        return c_min, True
+            num **= alpha
+            num *= phi
+            return float((num.max(axis=1) / phi[rows] ** (1.0 + delta)).max()), True
 
     raise DomainError(f"unknown hypothesis form {form!r}")
 

@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the library's evaluation routes:
 elementary symmetric polynomials by subset enumeration, pencil eigenvalues
 by characteristic-polynomial roots, integrals by plain summation, the
-inverse difference Laplacian by its FFT symbol.
+inverse difference Laplacian by its FFT symbol, the iteration-lemma
+certificate as the max of the full pair-ratio matrix.
 """
 
 from itertools import combinations
@@ -50,6 +51,36 @@ def fd_laplacian_inverse_fft(grid, data):
     sym = fd_laplacian_symbol(grid)
     inv = np.where(sym != 0.0, 1.0 / np.where(sym != 0.0, sym, 1.0), 0.0)
     return np.fft.ifftn(np.fft.fftn(data - data.mean()) * inv).real
+
+
+def certify_oracle(s_values, phi_values, form, *, delta0=None, alpha=None, delta=None):
+    """Iteration-lemma certificate as the max over the full k x k ratio matrix.
+
+    Same contract as ``certify_iteration_hypothesis`` on valid input.
+    """
+    s = np.asarray(s_values, dtype=float)
+    phi = np.asarray(phi_values, dtype=float)
+    order = np.argsort(s)
+    s, phi = s[order], phi[order]
+    if form == "kolodziej":
+        if np.any(np.diff(phi) < -1e-14) or np.any(phi <= 0):
+            return 0.0, False
+        inner = s < s.max()
+        si, pi = s[inner], phi[inner]
+        tt = np.maximum(si[None, :] - si[:, None], 0.0)
+        ratio = tt * pi[:, None] / pi[None, :] ** (1.0 + delta0)
+        return float(ratio.max()), True
+    if np.any(np.diff(phi) > 1e-14) or np.any(phi < 0):
+        return 0.0, False
+    gap = np.maximum(s[None, :] - s[:, None], 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(
+            (gap > 0) & (phi[:, None] > 0),
+            gap**alpha * phi[None, :] / np.where(phi[:, None] > 0,
+                                                 phi[:, None], 1.0) ** (1.0 + delta),
+            0.0,
+        )
+    return float(ratio.max()), True
 
 
 def random_hermitian(rng, n, scale=1.0):

@@ -1,7 +1,10 @@
 """Iteration-lemma formulas, hypothesis certification, synthetic assertions."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hessianlab import DomainError, degiorgi_threshold, kolodziej_bound
 from hessianlab.iteration import (
@@ -13,6 +16,10 @@ from hessianlab.iteration import (
     synthetic_degiorgi_family,
     synthetic_kolodziej_family,
 )
+
+from conftest import certify_oracle
+
+NONFINITE = (math.nan, math.inf, -math.inf)
 
 
 class TestKolodziejBound:
@@ -29,6 +36,14 @@ class TestKolodziejBound:
         with pytest.raises(DomainError):
             kolodziej_bound(0.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("bad", NONFINITE)
+    @pytest.mark.parametrize("slot", range(3))
+    def test_rejects_nonfinite(self, slot, bad):
+        args = [1.0, 1.0, 1.0]
+        args[slot] = bad
+        with pytest.raises(DomainError):
+            kolodziej_bound(*args)
+
 
 class TestDeGiorgiThreshold:
     def test_direct_substitution(self):
@@ -42,6 +57,14 @@ class TestDeGiorgiThreshold:
             degiorgi_threshold(1.0, -1.0, 1.0, 1.0)
         with pytest.raises(DomainError):
             degiorgi_threshold(1.0, 1.0, 1.0, -0.5)
+
+    @pytest.mark.parametrize("bad", NONFINITE)
+    @pytest.mark.parametrize("slot", range(4))
+    def test_rejects_nonfinite(self, slot, bad):
+        args = [1.0, 1.0, 1.0, 1.0]
+        args[slot] = bad
+        with pytest.raises(DomainError):
+            degiorgi_threshold(*args)
 
 
 class TestCertify:
@@ -78,6 +101,110 @@ class TestCertify:
             certify_iteration_hypothesis(s, s, KOLODZIEJ)
         with pytest.raises(DomainError):
             certify_iteration_hypothesis(s, s, "unknown-form", delta0=1.0)
+
+    @pytest.mark.parametrize("bad", NONFINITE)
+    def test_rejects_nonfinite_samples(self, bad):
+        s = np.linspace(0.1, 1.0, 10)
+        for form, params in ((KOLODZIEJ, {"delta0": 1.0}),
+                             (DEGIORGI, {"alpha": 1.0, "delta": 1.0})):
+            s_bad, phi_bad = s.copy(), s.copy()
+            s_bad[4] = bad
+            phi_bad[4] = bad
+            with pytest.raises(DomainError):
+                certify_iteration_hypothesis(s_bad, s, form, **params)
+            with pytest.raises(DomainError):
+                certify_iteration_hypothesis(s, phi_bad, form, **params)
+
+    @pytest.mark.parametrize("bad", NONFINITE)
+    def test_rejects_nonfinite_parameters(self, bad):
+        s = np.linspace(0.1, 1.0, 10)
+        with pytest.raises(DomainError):
+            certify_iteration_hypothesis(s, s, KOLODZIEJ, delta0=bad)
+        with pytest.raises(DomainError):
+            certify_iteration_hypothesis(s, s[::-1], DEGIORGI, alpha=bad, delta=1.0)
+        with pytest.raises(DomainError):
+            certify_iteration_hypothesis(s, s[::-1], DEGIORGI, alpha=1.0, delta=bad)
+
+    def test_kolodziej_needs_sample_below_s0(self):
+        s = np.full(5, 0.7)
+        with pytest.raises(DomainError, match="below s0"):
+            certify_iteration_hypothesis(s, np.ones(5), KOLODZIEJ, delta0=1.0)
+
+
+EXPONENTS = st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.1, 4.0)
+# small pools make ties in s and repeated phi values common
+S_POOL = st.sampled_from([0.125 * i for i in range(1, 17)]) | st.floats(0.01, 3.0)
+PHI_POOL = st.sampled_from([0.25, 0.5, 1.0, 1.5, 3.0]) | st.floats(1e-2, 10.0)
+
+
+@st.composite
+def level_samples(draw, zeros):
+    """Unsorted (s, phi), phi nondecreasing or nonincreasing along sorted s.
+
+    Half the draws shuffle phi afterwards, so they are infeasible for both
+    forms.  ``zeros`` lets phi take the value 0, including the all-zero and
+    single-positive cases.
+    """
+    k = draw(st.integers(3, 30))
+    s = np.array(draw(st.lists(S_POOL, min_size=k, max_size=k)))
+    pool = PHI_POOL | st.just(0.0) if zeros else PHI_POOL
+    phi = np.sort(draw(st.lists(pool, min_size=k, max_size=k)))
+    if zeros and draw(st.booleans()):
+        # a single positive value, or none at all
+        phi[:-1] = 0.0
+        if draw(st.booleans()):
+            phi[-1] = 0.0
+    direction = draw(st.sampled_from([1, -1]))
+    by_s = np.empty(k)
+    by_s[np.argsort(s)] = phi if direction > 0 else phi[::-1]
+    if draw(st.booleans()):
+        by_s = draw(st.permutations(list(by_s)))
+    return s, np.asarray(by_s)
+
+
+class TestCertifyOracle:
+    """The factored max equals the full ratio-matrix max to the bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(level_samples(zeros=False), EXPONENTS)
+    def test_kolodziej_matches_oracle(self, samples, delta0):
+        s, phi = samples
+        if np.all(s == s.max()):
+            with pytest.raises(DomainError):
+                certify_iteration_hypothesis(s, phi, KOLODZIEJ, delta0=delta0)
+            return
+        got = certify_iteration_hypothesis(s, phi, KOLODZIEJ, delta0=delta0)
+        assert got == certify_oracle(s, phi, KOLODZIEJ, delta0=delta0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(level_samples(zeros=True), EXPONENTS, EXPONENTS)
+    def test_degiorgi_matches_oracle(self, samples, alpha, delta):
+        s, phi = samples
+        got = certify_iteration_hypothesis(s, phi, DEGIORGI, alpha=alpha, delta=delta)
+        assert got == certify_oracle(s, phi, DEGIORGI, alpha=alpha, delta=delta)
+
+    @pytest.mark.parametrize("s, phi", [
+        ([0.3, 0.1, 0.2], [2.0, 1.0, 1.5]),
+        ([0.2, 0.2, 0.1], [1.0, 1.0, 0.5]),
+        ([0.1, 0.3, 0.2], [1.0, 0.0, 0.5]),
+        ([0.1, 0.2, 0.3], [0.0, 0.0, 0.0]),
+    ])
+    def test_three_samples_match_oracle(self, s, phi):
+        for form, params in ((KOLODZIEJ, {"delta0": 1.0}),
+                             (DEGIORGI, {"alpha": 2.0, "delta": 0.5})):
+            got = certify_iteration_hypothesis(s, phi, form, **params)
+            assert got == certify_oracle(s, phi, form, **params)
+
+    def test_seed7_families_match_oracle(self):
+        # the 100 + 100 families one verify run with seed 7 draws
+        rng = np.random.default_rng(7)
+        for make in [synthetic_kolodziej_family] * 100 + [synthetic_degiorgi_family] * 100:
+            fam = make(rng)
+            params = {key: fam.params[key] for key in ("delta0", "alpha", "delta")
+                      if key in fam.params}
+            got = certify_iteration_hypothesis(fam.s, fam.phi, fam.form, **params)
+            assert got == certify_oracle(fam.s, fam.phi, fam.form, **params)
+            assert got[1]
 
 
 class TestSyntheticFamilies:
