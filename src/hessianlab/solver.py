@@ -13,17 +13,20 @@ coefficient planes, fixed for the step, with the difference planes of the
 Krylov vector; the preconditioner divides the residual pointwise by
 c = tr(a_over_s) / (4n) and applies the inverse difference Laplacian in
 its real tensor-product eigenbasis.  The degenerate problem is approached
-along a fixed decreasing schedule of t.  Each stage tries up to three
-starts and keeps the first inside the cone: from stage 2 on the secant
-prediction through the two previous solutions, then the previous solution
-as is, then zero, whose X is the base form and so strictly inside the cone
-once ``bg.validate`` passes; ``StageRecord.start`` names the one used
-(``"secant"``, ``"warm"`` or ``"zero"``).  The weak-solution certificate is
-the decreasing sequence phi_t + C / 2^i.
+along a fixed decreasing schedule of t, with one Newton driver for the
+whole family.  Each stage tries up to three starts and keeps the first
+inside the cone: from stage 2 on the Lagrange extrapolation in t through
+the last min(i, 5) solutions (skipped too when its solve does not
+converge), then the previous solution as is, then zero, whose X is the
+base form and so strictly inside the cone once ``bg.validate`` passes;
+``StageRecord.start`` names the one used (``"extrapolated"``, ``"warm"``
+or ``"zero"``).  The weak-solution certificate is the decreasing sequence
+phi_t + C / 2^i.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field as dataclass_field
 
@@ -44,6 +47,8 @@ from .grid import (
 from .symfunc import binom, esp_margins, hessian_kernel
 
 DAMPING_FLOOR = 2.0 ** -20
+# the extrapolated stage start interpolates at most this many previous stages
+PREDICTOR_ORDER = 5
 
 
 @dataclass
@@ -214,23 +219,29 @@ def degenerate_brackets(bg: BackgroundData, t: float, b_t: float, m: int,
 
 
 class _NewtonDriver:
-    """Workspace holding the fixed data of one (bg, t, f, config) problem."""
+    """Workspace holding the fixed data of one (bg, config) problem.
 
-    def __init__(self, bg: BackgroundData, t: float, f: ScalarField,
-                 config: SolverConfig):
+    The stage, t and the density f, is an input of each ``solve``, so one
+    driver serves every stage and start of a continuation.
+    """
+
+    def __init__(self, bg: BackgroundData, config: SolverConfig):
         grid = bg.grid
         self.bg = bg
         self.grid = grid
-        self.t = float(t)
-        self.f = f
         self.config = config
         self.m = config.m
         self.n = grid.n
         self.binom = binom(grid.n, config.m)
-        self.base = bg.base_form(self.t).data
         self.omega_inv = bg.omega_inv
         self.laplacian_inverse = fd_laplacian_inverse(grid)
         self.num_points = grid.num_points
+
+    def set_stage(self, t: float, f: ScalarField) -> "_NewtonDriver":
+        """Pose the stage-t equation with density f; returns the driver."""
+        self.base = self.bg.base_form(float(t)).data
+        self.f = f
+        return self
 
     # -- pointwise analysis ------------------------------------------------
 
@@ -389,6 +400,55 @@ class _NewtonDriver:
         }
         return phi_new, b_new, post, info
 
+    # -- one solve -----------------------------------------------------------
+
+    def solve(self, t: float, f: ScalarField, phi0: np.ndarray | None, b0: float):
+        """Newton iteration for stage t from phi0 (zero if None) and b0.
+
+        Returns ``(state, record)``.  The start must lie strictly inside the
+        cone (ConeViolationError otherwise); the solve stops when the sup of
+        the log-residual drops below config.newton_tol, so a start that
+        already meets it takes no step.
+        """
+        t0 = time.perf_counter()
+        config = self.config
+        self.set_stage(t, f)
+        phi = np.zeros(self.grid.shape) if phi0 is None else phi0
+        phi = phi - phi.max()
+        try:
+            analysis = self.analyze(phi, b0)
+        except ConeViolationError as err:
+            raise ConeViolationError(
+                f"cone violation at initialization: {err}", point=err.point,
+                margin=err.margin,
+            ) from err
+        b = self._recenter(analysis, b0)
+
+        history = [float(np.abs(analysis["residual"]).max())]
+        iters = 0
+        while history[-1] >= config.newton_tol:
+            if iters >= config.max_newton:
+                raise NonConvergenceError(
+                    f"no convergence in {config.max_newton} Newton steps "
+                    f"(residual {history[-1]:.3e})",
+                    diagnostics={"residual_history": history},
+                )
+            phi, b, analysis, _ = self.step(phi, b, analysis)
+            iters += 1
+            history.append(float(np.abs(analysis["residual"]).max()))
+
+        state = SolverState(
+            phi=ScalarField(self.grid, phi), b=float(b), residual_sup=history[-1],
+            cone_margin_min=analysis["worst"], newton_iters=iters,
+        )
+        record = StageRecord(
+            t=float(t), b=state.b, residual_history=history,
+            sup_phi=float(phi.max()), inf_phi=float(phi.min()),
+            margin_min=state.cone_margin_min, iters=iters,
+            seconds=time.perf_counter() - t0,
+        )
+        return state, record
+
 
 # ---------------------------------------------------------------------------
 # public operations
@@ -397,7 +457,7 @@ class _NewtonDriver:
 def residual(phi: ScalarField, b: float, bg: BackgroundData, t: float,
              f: ScalarField, m: int) -> ScalarField:
     """Pointwise log-residual log S_m(lam(X)) - log C(n, m) - m (f + b)."""
-    driver = _NewtonDriver(bg, t, f, SolverConfig(m=m))
+    driver = _NewtonDriver(bg, SolverConfig(m=m)).set_stage(t, f)
     analysis = driver.analyze(phi.data, b)
     return ScalarField(phi.grid, analysis["residual"])
 
@@ -416,63 +476,33 @@ def solve_nondegenerate(bg: BackgroundData, t: float, f: ScalarField,
     """
     if not 0 < t < np.inf:
         raise ConfigError(f"t must be positive and finite (got {t})")
-    t0 = time.perf_counter()
-    driver = _NewtonDriver(bg, t, f, config)
-    phi = np.zeros(bg.grid.shape) if warm_start is None else warm_start.data.copy()
-    phi = phi - phi.max()
+    driver = _NewtonDriver(bg, config)
     b = compatibility_constant(bg, t, f, config.m) if b0 is None else float(b0)
-
-    try:
-        analysis = driver.analyze(phi, b)
-    except ConeViolationError as err:
-        raise ConeViolationError(
-            f"cone violation at initialization: {err}", point=err.point,
-            margin=err.margin,
-        ) from err
-    b = driver._recenter(analysis, b)
-
-    history = [float(np.abs(analysis["residual"]).max())]
-    iters = 0
-    while history[-1] >= config.newton_tol:
-        if iters >= config.max_newton:
-            raise NonConvergenceError(
-                f"no convergence in {config.max_newton} Newton steps "
-                f"(residual {history[-1]:.3e})",
-                diagnostics={"residual_history": history},
-            )
-        phi, b, analysis, _ = driver.step(phi, b, analysis)
-        iters += 1
-        history.append(float(np.abs(analysis["residual"]).max()))
-
-    state = SolverState(
-        phi=ScalarField(bg.grid, phi), b=float(b), residual_sup=history[-1],
-        cone_margin_min=analysis["worst"], newton_iters=iters,
-    )
-    record = StageRecord(
-        t=float(t), b=state.b, residual_history=history,
-        sup_phi=float(phi.max()), inf_phi=float(phi.min()),
-        margin_min=state.cone_margin_min, iters=iters,
-        seconds=time.perf_counter() - t0,
-        start="zero" if warm_start is None else "warm",
-    )
+    phi0 = None if warm_start is None else warm_start.data
+    state, record = driver.solve(t, f, phi0, b)
+    record.start = "zero" if warm_start is None else "warm"
     return state, SolveReport(stages=[record])
 
 
 def _stage_starts(states: list, ts: list, i: int) -> list:
-    """The starts of stage i in the order tried, as ``(name, phi or None)``.
+    """The starts of stage i in the order tried, as ``(name, phi data or None)``.
 
-    From stage 2 on the secant prediction
-    phi_{i-1} + (t_i - t_{i-1}) / (t_{i-1} - t_{i-2}) (phi_{i-1} - phi_{i-2})
-    comes first, then the previous solution phi_{i-1}, then zero.
+    From stage 2 on the extrapolated start comes first: the polynomial in t
+    through the last k = min(i, PREDICTOR_ORDER) stage solutions, evaluated
+    at t_i in Lagrange form (k = 2 is the secant through phi_{i-1} and
+    phi_{i-2}).  Then the previous solution phi_{i-1}, then zero.
     """
     starts = []
     if i >= 2:
-        prev, older = states[-1].phi.data, states[-2].phi.data
-        ratio = (ts[i] - ts[i - 1]) / (ts[i - 1] - ts[i - 2])
-        secant = prev + ratio * (prev - older)
-        starts.append(("secant", ScalarField(states[-1].phi.grid, secant)))
+        nodes = ts[i - min(i, PREDICTOR_ORDER):i]
+        predicted = np.zeros(states[-1].phi.grid.shape)
+        for j, (t_j, state) in enumerate(zip(nodes, states[-len(nodes):])):
+            weight = math.prod((ts[i] - t_l) / (t_j - t_l)
+                               for l, t_l in enumerate(nodes) if l != j)
+            predicted += weight * state.phi.data
+        starts.append(("extrapolated", predicted))
     if i >= 1:
-        starts.append(("warm", states[-1].phi))
+        starts.append(("warm", states[-1].phi.data))
     starts.append(("zero", None))
     return starts
 
@@ -481,11 +511,14 @@ def continuation_degenerate(bg: BackgroundData, f: ScalarField,
                             schedule: ContinuationSchedule, config: SolverConfig):
     """Solve the decreasing-t family; returns (states, report).
 
-    Stage i starts from the first of ``_stage_starts`` whose X lies inside
-    the cone: the secant prediction (stage 2 on), the previous phi, then
-    zero.  ``solve_nondegenerate`` raises ConeViolationError only at
-    initialization, so a start that raises it is skipped and the next one
-    tried; ``StageRecord.start`` names the start each stage used.
+    One ``_NewtonDriver`` serves every stage and start.  Stage i tries the
+    starts of ``_stage_starts`` in order: the extrapolation through up to
+    PREDICTOR_ORDER previous solutions (stage 2 on), the previous phi, then
+    zero.  A start outside the cone (ConeViolationError, raised only at
+    initialization) hands over to the next one, and so does an extrapolated
+    start whose solve raises NonConvergenceError; that error from any other
+    start ends the continuation.  ``StageRecord.start`` names the start
+    each stage used.
 
     The density is shifted once so its mass matches the degenerate-limit
     compatibility identity; per stage the report records the constant b_t,
@@ -499,6 +532,7 @@ def continuation_degenerate(bg: BackgroundData, f: ScalarField,
     f_norm, shift = normalize_density(bg, f, config.m)
     bounds = bracket_bounds(bg, config.m)
     report = SolveReport(meta={"mass_shift": shift})
+    driver = _NewtonDriver(bg, config)
     states = []
     for i, t in enumerate(schedule.t_values):
         sigma = 0.0
@@ -514,13 +548,17 @@ def continuation_degenerate(bg: BackgroundData, f: ScalarField,
         try:
             for start, phi0 in _stage_starts(states, schedule.t_values, i):
                 try:
-                    state, stage_rep = solve_nondegenerate(
-                        bg, t, f_stage, config, warm_start=phi0, b0=b_t)
+                    state, record = driver.solve(t, f_stage, phi0, b_t)
                     break
                 except ConeViolationError:
                     # only the initialization can raise it; the zero start,
                     # tried last, is inside the cone once bg.validate passes
                     if start == "zero":
+                        raise
+                except NonConvergenceError:
+                    # an extrapolation may overshoot; any other start that
+                    # fails to converge ends the continuation
+                    if start != "extrapolated":
                         raise
         except NonConvergenceError as err:
             report.meta["aborted_stage"] = i
@@ -529,7 +567,6 @@ def continuation_degenerate(bg: BackgroundData, f: ScalarField,
                 f"continuation stage {i} (t={t:.3e}) failed: {err}",
                 diagnostics={"partial_report": report, "states": states},
             ) from err
-        record = stage_rep.stages[0]
         record.seconds = time.perf_counter() - t_start
         record.mollify_sigma = sigma
         record.start = start

@@ -65,9 +65,9 @@ def continuation_run():
     return schedule, states, report
 
 
-def test_secant_starts_match_warm_starts(continuation_run, monkeypatch):
-    # the secant predictor cuts Newton steps (31 with plain warm starts)
-    # and leaves the stage constants, the brackets and phi where they were
+def test_extrapolated_starts_match_warm_starts(continuation_run, monkeypatch):
+    # the extrapolated starts cut Newton steps (31 with plain warm starts)
+    # and leave the stage constants, the brackets and phi where they were
     import hessianlab.solver as solver
 
     schedule, states, report = continuation_run
@@ -76,12 +76,12 @@ def test_secant_starts_match_warm_starts(continuation_run, monkeypatch):
     f = TrigPolynomial.random(2, np.random.default_rng(2024), amplitude=0.3).sample(grid)
     stage_starts = solver._stage_starts
     monkeypatch.setattr(solver, "_stage_starts", lambda *args: [
-        s for s in stage_starts(*args) if s[0] != "secant"])
+        s for s in stage_starts(*args) if s[0] != "extrapolated"])
     warm_states, warm_report = continuation_degenerate(bg, f, schedule, SolverConfig(m=2))
 
-    secant_iters = sum(rec.iters for rec in report.stages)
-    assert secant_iters <= 22
-    assert secant_iters < sum(rec.iters for rec in warm_report.stages)
+    extrapolated_iters = sum(rec.iters for rec in report.stages)
+    assert extrapolated_iters <= 17
+    assert extrapolated_iters < sum(rec.iters for rec in warm_report.stages)
     assert {rec.start for rec in warm_report.stages} == {"zero", "warm"}
     for rec, warm in zip(report.stages, warm_report.stages):
         assert rec.b == pytest.approx(warm.b, abs=1e-10)

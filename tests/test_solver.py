@@ -1,5 +1,7 @@
 """Solver core: compatibility constants, residuals, Newton steps, continuation."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,7 @@ from hessianlab import (
     solve_nondegenerate,
     wedge_integral,
 )
-from hessianlab.solver import _NewtonDriver
+from hessianlab.solver import _NewtonDriver, _stage_starts
 from hessianlab.symfunc import binom
 
 from conftest import anisotropic_spd, random_hermitian
@@ -126,7 +128,7 @@ class TestResidual:
         bg = BackgroundData.flat(grid12, kappa=1.0)
         phi_star, f_star, _ = make_manufactured(grid12, bg, 0.5, 2)
         direction = TrigPolynomial.random(2, rng, amplitude=1.0).sample(grid12)
-        driver = _NewtonDriver(bg, 0.5, f_star, SolverConfig(m=2))
+        driver = _NewtonDriver(bg, SolverConfig(m=2)).set_stage(0.5, f_star)
         analysis = driver.analyze(phi_star.data, 0.0)
         coeff = driver.stencil_coefficients(analysis["a_over_s"])
         lin = driver.apply_stencil(coeff, direction.data).reshape(grid12.shape)
@@ -152,7 +154,7 @@ class TestKrylovOperators:
     def test_stencil_matches_complex_hessian_trace(self, rng, n, N):
         grid = TorusGrid(n=n, points_per_axis=N)
         bg = BackgroundData.flat(grid, kappa=1.0)
-        driver = _NewtonDriver(bg, 0.5, constant_density(grid, 0.0), SolverConfig(m=2))
+        driver = _NewtonDriver(bg, SolverConfig(m=2))
         a = np.stack([random_hermitian(rng, n) for _ in range(grid.num_points)])
         a = a.reshape(grid.shape + (n, n))
         v = rng.standard_normal(grid.shape)
@@ -166,7 +168,7 @@ class TestKrylovOperators:
         # with a_over_s = c I the model operator is the operator itself
         grid = TorusGrid(n=n, points_per_axis=N)
         bg = BackgroundData.flat(grid, kappa=1.0)
-        driver = _NewtonDriver(bg, 0.5, constant_density(grid, 0.0), SolverConfig(m=2))
+        driver = _NewtonDriver(bg, SolverConfig(m=2))
         a = np.broadcast_to(0.7 * np.eye(n, dtype=complex), grid.shape + (n, n))
         matvec, precondition = driver.krylov_operators(a)
         v = rng.standard_normal(grid.num_points)
@@ -201,7 +203,7 @@ class TestNewtonStep:
         phi_star, f_star, _ = make_manufactured(grid12, bg, 0.5, 2)
         cfg = SolverConfig(m=2)
         state, _ = solve_nondegenerate(bg, 0.5, f_star, cfg)
-        driver = _NewtonDriver(bg, 0.5, f_star, cfg)
+        driver = _NewtonDriver(bg, cfg).set_stage(0.5, f_star)
         phi, b, _, _ = driver.step(state.phi.data, state.b)
         assert np.abs(phi - state.phi.data).max() < 1e-12
         assert abs(b - state.b) < 1e-12
@@ -224,7 +226,7 @@ class TestNewtonStep:
         bg = BackgroundData.flat(grid12, kappa=1.0)
         phi_star, f_star, _ = make_manufactured(grid12, bg, 0.5, 2)
         cfg = SolverConfig(m=2, cone_margin=1e-8, damping=64.0)
-        driver = _NewtonDriver(bg, 0.5, f_star, cfg)
+        driver = _NewtonDriver(bg, cfg).set_stage(0.5, f_star)
         phi_new, b_new, post, info = driver.step(np.zeros(grid12.shape), 0.0)
         assert info["step_size"] < 64.0
         assert post["worst"] >= cfg.cone_margin
@@ -234,7 +236,7 @@ class TestNewtonStep:
         bg = BackgroundData.flat(grid12, kappa=1.0)
         phi_star, f_star, _ = make_manufactured(grid12, bg, 0.5, 2)
         cfg = SolverConfig(m=2, cone_margin=1e9)  # unattainable safeguard
-        driver = _NewtonDriver(bg, 0.5, f_star, cfg)
+        driver = _NewtonDriver(bg, cfg).set_stage(0.5, f_star)
         with pytest.raises(NonConvergenceError) as err:
             driver.step(np.zeros(grid12.shape), 0.0)
         assert "residual_sup" in err.value.diagnostics
@@ -246,7 +248,7 @@ class TestNewtonStep:
         bg = BackgroundData.flat(grid12, kappa=1.0)
         phi_star, f_star, _ = make_manufactured(grid12, bg, 0.5, 2)
         cfg = SolverConfig(m=2, damping=damping)
-        driver = _NewtonDriver(bg, 0.5, f_star, cfg)
+        driver = _NewtonDriver(bg, cfg).set_stage(0.5, f_star)
         phi, b, analysis = np.zeros(grid12.shape), 0.0, None
         for _ in range(steps):
             phi, b, analysis, info = driver.step(phi, b, analysis)
@@ -344,7 +346,7 @@ class TestSolve:
         phi_star, f_star, _ = make_manufactured(grid12, bg, 0.5, 2)
         cfg = SolverConfig(m=2)
         state, _ = solve_nondegenerate(bg, 0.5, f_star, cfg)
-        driver = _NewtonDriver(bg, 0.5, f_star, cfg)
+        driver = _NewtonDriver(bg, cfg).set_stage(0.5, f_star)
         analysis = driver.analyze(state.phi.data, state.b)
         coeff_eigs = np.linalg.eigvalsh(analysis["a_over_s"])
         assert coeff_eigs[..., 0].min() > 0.0
@@ -482,7 +484,7 @@ class TestContinuation:
             assert rec.residual_history[-1] < cfg.newton_tol
             assert rec.bracket_lower <= rec.bracket_mid <= rec.bracket_upper
         assert decreasing_sequence(states).violation <= 0
-        assert [rec.start for rec in report.stages] == ["zero", "zero"] + ["secant"] * 10
+        assert [rec.start for rec in report.stages] == ["zero", "zero"] + ["extrapolated"] * 10
         with pytest.raises(ConeViolationError):
             solve_nondegenerate(bg, sched.t_values[1], f, cfg, warm_start=states[0].phi)
 
@@ -499,6 +501,62 @@ class TestContinuation:
         assert all(rec.residual_history[-1] < cfg.newton_tol for rec in report.stages)
         with pytest.raises(ConeViolationError):
             solve_nondegenerate(bg, 0.01, f, cfg, warm_start=states[0].phi)
+
+    def test_default_schedule_work_count(self):
+        # the problem above on the default 12-stage schedule: the
+        # extrapolated starts take at most 15 Newton steps (20 with secants)
+        grid = TorusGrid(n=2, points_per_axis=6)
+        bg = BackgroundData.flat(grid, chi_matrix=np.diag([0.4, 0.0]), kappa=1.0)
+        f = TrigPolynomial.random(2, np.random.default_rng(9), amplitude=0.3).sample(grid)
+        cfg = SolverConfig(m=2)
+        _, report = continuation_degenerate(bg, f, ContinuationSchedule.default(), cfg)
+        assert [rec.start for rec in report.stages[2:]] == ["extrapolated"] * 10
+        assert all(rec.residual_history[-1] < cfg.newton_tol for rec in report.stages)
+        assert sum(rec.iters for rec in report.stages) <= 15
+
+    @pytest.mark.parametrize("degree", range(5))
+    def test_extrapolation_reproduces_polynomials(self, grid8, rng, degree):
+        # on a non-geometric schedule the start of stage i interpolates the
+        # last min(i, 5) stages, so it is exact for fields of degree < i in t
+        ts = [1.0, 0.83, 0.61, 0.5, 0.37, 0.2, 0.11, 0.04, 0.013]
+        coeffs = rng.standard_normal((degree + 1,) + grid8.shape)
+
+        def field(t):
+            return ScalarField(grid8, sum(c * t**d for d, c in enumerate(coeffs)))
+
+        states = [SimpleNamespace(phi=field(t)) for t in ts]
+        for i in range(max(2, degree + 1), len(ts)):
+            name, start = _stage_starts(states[:i], ts, i)[0]
+            want = field(ts[i]).data
+            assert name == "extrapolated"
+            assert np.abs(start - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_failed_extrapolation_falls_back_to_warm(self, monkeypatch):
+        # an extrapolated start whose solve raises NonConvergenceError hands
+        # over to the warm start, which reaches the same solutions
+        grid = TorusGrid(n=2, points_per_axis=6)
+        bg = BackgroundData.flat(grid, chi_matrix=np.diag([0.4, 0.0]), kappa=1.0)
+        f = TrigPolynomial.random(2, np.random.default_rng(9), amplitude=0.3).sample(grid)
+        sched = ContinuationSchedule.default(num_stages=5)
+        cfg = SolverConfig(m=2)
+        states, _ = continuation_degenerate(bg, f, sched, cfg)
+        solve = _NewtonDriver.solve
+        tried = []
+
+        def failing_first_try(self, t, *args):
+            # the first try of stages 2 on is the extrapolated start
+            tried.append(t)
+            if t in sched.t_values[2:] and tried.count(t) == 1:
+                raise NonConvergenceError("injected", diagnostics={})
+            return solve(self, t, *args)
+
+        monkeypatch.setattr(_NewtonDriver, "solve", failing_first_try)
+        fallback_states, report = continuation_degenerate(bg, f, sched, cfg)
+        assert [rec.start for rec in report.stages] == ["zero"] + ["warm"] * 4
+        assert len(tried) == len(sched.t_values) + 3
+        for state, fallback in zip(states, fallback_states):
+            assert np.abs(state.phi.data - fallback.phi.data).max() <= 1e-10
+            assert fallback.b == pytest.approx(state.b, abs=1e-10)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("name", ["newton_tol", "cone_margin", "damping",
