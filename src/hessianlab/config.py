@@ -4,14 +4,15 @@ The format is INI-style (configparser) with sections [problem], [solver],
 [schedule], [experiment], [run] and [output].  Unknown sections or keys are
 rejected by name before any computation, as are out-of-range values.  The
 same config drives every command; command-specific options live under
-[experiment].
+[experiment].  A config holds what changes results; the stability worker
+cap, which does not, is the HESSIANLAB_THREADS environment variable, read
+by the CLI.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-import os
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -50,7 +51,7 @@ _SCHEMA = {
         "inject_spike": bool, "margin_floor": float, "lemma_families": int,
         "noise_amplitude": float, "manufactured_amplitude": float,
     },
-    "run": {"seed": int, "threads": int},
+    "run": {"seed": int},
     "output": {"directory": str},
 }
 
@@ -104,7 +105,6 @@ class ExperimentConfig:
     manufactured_amplitude: float = 0.05
 
     seed: int = 1234
-    threads: int = 0
     directory: str = "out"
 
     # ------------------------------------------------------------------
@@ -144,14 +144,14 @@ class ExperimentConfig:
                 build()
             except ConfigError as err:
                 raise ConfigError(f"[{section}] {err}") from err
+        if not self.scales:
+            raise ConfigError("experiment.scales must list at least one scale")
         if self.lemma_families < 1:
             raise ConfigError("experiment.lemma_families must be >= 1")
         if self.viscosity_samples < 0:
             raise ConfigError("experiment.viscosity_samples must be nonnegative")
         if self.seed < 0:
             raise ConfigError("run.seed must be nonnegative")
-        if self.threads < 0:
-            raise ConfigError("run.threads must be nonnegative")
 
     # -- builders ------------------------------------------------------
 
@@ -232,21 +232,10 @@ class ExperimentConfig:
         )
 
     def build_schedule(self) -> ContinuationSchedule:
-        ts = self.t_values or [self.t_start * self.ratio**i
-                               for i in range(self.num_stages)]
+        ts = self.t_values or ContinuationSchedule.default(
+            self.num_stages, self.ratio, self.t_start).t_values
         sigmas = self.mollify_sigmas or None
         return ContinuationSchedule(t_values=ts, mollification_sigmas=sigmas)
-
-    def thread_count(self) -> int:
-        env = os.environ.get("HESSIANLAB_THREADS")
-        if env is not None:
-            try:
-                return max(1, int(env))
-            except ValueError as err:
-                raise ConfigError(f"HESSIANLAB_THREADS={env!r} is not an integer") from err
-        if self.threads:
-            return self.threads
-        return os.cpu_count() or 1
 
 
 def _parse_value(section: str, key: str, raw: str):
@@ -304,7 +293,6 @@ def load_config(path) -> ExperimentConfig:
                 value = _parse_list(section, key, raw)
             else:
                 value = _parse_value(section, key, raw)
-            attr = "directory" if (section, key) == ("output", "directory") else key
-            setattr(cfg, attr, value)
+            setattr(cfg, key, value)
     cfg.validate()
     return cfg

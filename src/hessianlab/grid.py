@@ -20,7 +20,8 @@ import numpy as np
 from .errors import DomainError
 from .symfunc import pencil_eigh
 
-DEFAULT_POINT_BUDGET = 2_000_000
+# the most points a TorusGrid accepts, so an HLF1 header cannot ask for more
+POINT_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,6 @@ class TorusGrid:
     n: int
     points_per_axis: int
     period: float = 1.0
-    point_budget: int = DEFAULT_POINT_BUDGET
 
     def __post_init__(self):
         if self.n < 1:
@@ -43,10 +43,10 @@ class TorusGrid:
             raise DomainError("points_per_axis must be even and >= 2")
         if not 0.0 < self.period < np.inf:
             raise DomainError("period must be positive and finite")
-        if self.points_per_axis ** (2 * self.n) > self.point_budget:
+        if self.points_per_axis ** (2 * self.n) > POINT_BUDGET:
             raise DomainError(
                 f"{self.points_per_axis}^{2 * self.n} points exceed the budget "
-                f"{self.point_budget}"
+                f"{POINT_BUDGET}"
             )
 
     @property

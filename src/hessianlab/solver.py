@@ -15,13 +15,12 @@ c = tr(a_over_s) / (4n) and applies the inverse difference Laplacian in
 its real tensor-product eigenbasis.  The degenerate problem is approached
 along a fixed decreasing schedule of t, with one Newton driver for the
 whole family.  Each stage tries up to three starts and keeps the first
-inside the cone: from stage 2 on the Lagrange extrapolation in t through
-the last min(i, 5) solutions (skipped too when its solve does not
-converge), then the previous solution as is, then zero, whose X is the
-base form and so strictly inside the cone once ``bg.validate`` passes;
-``StageRecord.start`` names the one used (``"extrapolated"``, ``"warm"``
-or ``"zero"``).  The weak-solution certificate is the decreasing sequence
-phi_t + C / 2^i.
+whose solve converges: from stage 2 on the Lagrange extrapolation in t
+through the last min(i, 5) solutions, then the previous solution as is,
+then zero, whose X is the base form and so strictly inside the cone once
+``bg.validate`` passes; ``StageRecord.start`` names the one used
+(``"extrapolated"``, ``"warm"`` or ``"zero"``).  The weak-solution
+certificate is the decreasing sequence phi_t + C / 2^i.
 """
 
 from __future__ import annotations
@@ -49,6 +48,8 @@ from .symfunc import binom, esp_margins, hessian_kernel
 DAMPING_FLOOR = 2.0 ** -20
 # the extrapolated stage start interpolates at most this many previous stages
 PREDICTOR_ORDER = 5
+# outer-iteration cap of one lgmres solve
+KRYLOV_MAXITER = 20
 
 
 @dataclass
@@ -61,7 +62,6 @@ class SolverConfig:
     cone_margin: float = 1e-8
     damping: float = 1.0
     krylov_rtol: float = 1e-2
-    krylov_maxiter: int = 20
 
     def __post_init__(self):
         if self.m < 1:
@@ -69,9 +69,8 @@ class SolverConfig:
         for name in ("newton_tol", "cone_margin", "damping", "krylov_rtol"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ConfigError(f"{name} must be positive and finite")
-        for name in ("max_newton", "krylov_maxiter"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+        if self.max_newton < 1:
+            raise ConfigError("max_newton must be >= 1")
 
 
 @dataclass
@@ -350,7 +349,7 @@ class _NewtonDriver:
         op = spla.LinearOperator((P + 1, P + 1), matvec=matvec, dtype=float)
         mop = spla.LinearOperator((P + 1, P + 1), matvec=precondition, dtype=float)
         sol, _ = spla.lgmres(op, rhs, M=mop, rtol=rtol, atol=0.0,
-                             maxiter=self.config.krylov_maxiter)
+                             maxiter=KRYLOV_MAXITER)
         dphi = sol[:P].reshape(shape)
         dphi = dphi - dphi.mean()
         return dphi, float(sol[P])
@@ -514,11 +513,11 @@ def continuation_degenerate(bg: BackgroundData, f: ScalarField,
     One ``_NewtonDriver`` serves every stage and start.  Stage i tries the
     starts of ``_stage_starts`` in order: the extrapolation through up to
     PREDICTOR_ORDER previous solutions (stage 2 on), the previous phi, then
-    zero.  A start outside the cone (ConeViolationError, raised only at
-    initialization) hands over to the next one, and so does an extrapolated
-    start whose solve raises NonConvergenceError; that error from any other
-    start ends the continuation.  ``StageRecord.start`` names the start
-    each stage used.
+    zero.  A start whose solve raises ConeViolationError (outside the cone
+    at initialization) or NonConvergenceError hands over to the next one;
+    only a failure of the zero start ends the continuation, a
+    NonConvergenceError carrying the partial report.  ``StageRecord.start``
+    names the start each stage used.
 
     The density is shifted once so its mass matches the degenerate-limit
     compatibility identity; per stage the report records the constant b_t,
@@ -550,15 +549,9 @@ def continuation_degenerate(bg: BackgroundData, f: ScalarField,
                 try:
                     state, record = driver.solve(t, f_stage, phi0, b_t)
                     break
-                except ConeViolationError:
-                    # only the initialization can raise it; the zero start,
-                    # tried last, is inside the cone once bg.validate passes
+                except (ConeViolationError, NonConvergenceError):
+                    # a failed start hands over to the next; zero is the last
                     if start == "zero":
-                        raise
-                except NonConvergenceError:
-                    # an extrapolation may overshoot; any other start that
-                    # fails to converge ends the continuation
-                    if start != "extrapolated":
                         raise
         except NonConvergenceError as err:
             report.meta["aborted_stage"] = i
@@ -606,33 +599,24 @@ class DecreasingSequenceResult:
     violation: float = 0.0
 
 
-def decreasing_sequence(states: list, caps: list | None = None) -> DecreasingSequenceResult:
-    """Build the certificate sequence psi_i = phi_{t_i} + caps_i.
+def decreasing_sequence(states: list) -> DecreasingSequenceResult:
+    """Build the certificate sequence psi_i = phi_{t_i} + C / 2^i.
 
-    Default caps are C / 2^i with C seeded from the measured consecutive
-    oscillations.  If the pointwise ordering psi_{i+1} <= psi_i fails
-    anywhere, C is enlarged once to the minimal admissible constant
-    max_i 2^(i+1) sup(phi_{i+1} - phi_i) and the adjustment is reported.
+    C is seeded from the measured consecutive oscillations.  If the
+    pointwise ordering psi_{i+1} <= psi_i fails anywhere, C is enlarged once
+    to the minimal admissible constant max_i 2^(i+1) sup(phi_{i+1} - phi_i)
+    and the adjustment is reported.
     """
     phis = [s.phi for s in states]
     diffs = [
         float(np.max(phis[i + 1].data - phis[i].data)) for i in range(len(phis) - 1)
     ]
-    explicit_caps = caps is not None
 
     def build(cap_c):
         return [cap_c / 2.0**i for i in range(len(phis))]
 
-    if explicit_caps:
-        cap_list = [float(c) for c in caps]
-        if len(cap_list) != len(phis):
-            raise ConfigError("caps length must match the number of states")
-        if any(c <= 0 for c in cap_list):
-            raise ConfigError("caps must be positive")
-        cap_c = cap_list[0]
-    else:
-        cap_c = max(2.0 * max(diffs, default=0.0), 1e-12)
-        cap_list = build(cap_c)
+    cap_c = max(2.0 * max(diffs, default=0.0), 1e-12)
+    cap_list = build(cap_c)
 
     def violation(cap_list):
         worst = 0.0
@@ -646,7 +630,7 @@ def decreasing_sequence(states: list, caps: list | None = None) -> DecreasingSeq
     worst = violation(cap_list)
     adjusted = False
     adjustment = 0.0
-    if worst > 0.0 and not explicit_caps:
+    if worst > 0.0:
         needed = max(
             (2.0 ** (i + 1)) * max(d, 0.0) for i, d in enumerate(diffs)
         ) if diffs else cap_c

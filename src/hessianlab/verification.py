@@ -28,6 +28,8 @@ from .grid import (
 from .solver import SolverConfig, SolverState, solve_nondegenerate, uniformity_proxy
 from .symfunc import binom, esp_margins, hessian_kernel
 
+# the epsilon of the stability exponent floor q' / (n q* + q' + epsilon)
+STABILITY_EPSILON = 0.5
 
 # ---------------------------------------------------------------------------
 # stability
@@ -64,16 +66,15 @@ class StabilityResult:
     partial: bool = False
 
 
-def stability_floor(n: int, q: float, q_prime: float, epsilon: float = 0.5) -> float:
-    """Exponent floor q' / (n q* + q' + epsilon) with q* = q / (q - 1)."""
+def stability_floor(n: int, q: float, q_prime: float) -> float:
+    """Exponent floor q' / (n q* + q' + STABILITY_EPSILON), q* = q / (q - 1)."""
     q_star = q / (q - 1.0)
-    return q_prime / (n * q_star + q_prime + epsilon)
+    return q_prime / (n * q_star + q_prime + STABILITY_EPSILON)
 
 
 def stability_experiment(bg: BackgroundData, t: float, f_base: ScalarField,
                          perturbation: ScalarField, scales, q: float,
                          q_prime: float, config: SolverConfig,
-                         epsilon: float = 0.5,
                          max_workers: int | None = None) -> StabilityResult:
     """Solve perturbed pairs and fit the sup-gap versus weak-gap exponent.
 
@@ -85,7 +86,7 @@ def stability_experiment(bg: BackgroundData, t: float, f_base: ScalarField,
     the experiment checks the guaranteed direction only, never sharpness.
     """
     m = config.m
-    floor = stability_floor(bg.grid.n, q, q_prime, epsilon)
+    floor = stability_floor(bg.grid.n, q, q_prime)
     vol = bg.volume
     try:
         base_state, _ = solve_nondegenerate(bg, t, f_base, config)
@@ -170,8 +171,7 @@ class ViscosityReport:
 
 def viscosity_check(phi: ScalarField, b: float, bg: BackgroundData, t: float,
                     f: ScalarField, m: int, samples: int,
-                    rng: np.random.Generator | None = None,
-                    tol: float | None = None) -> ViscosityReport:
+                    rng: np.random.Generator | None = None) -> ViscosityReport:
     """Touching-quadratic sub/supersolution test at sampled grid points.
 
     At each sampled point the local quadratic model is the second-order
@@ -180,12 +180,11 @@ def viscosity_check(phi: ScalarField, b: float, bg: BackgroundData, t: float,
     above resp. below.  A subsolution violation is F(X + eta I) falling
     below exp(b + f) - tol; a supersolution violation is F(X - eta I)
     exceeding exp(b + f) + tol, skipped when the downward-shifted tuple
-    leaves the closed cone.  tol defaults to 10 h^2.  Report only.
+    leaves the closed cone.  tol is 10 h^2.  Report only.
     """
     grid = phi.grid
     n, h = grid.n, grid.spacing
-    if tol is None:
-        tol = 10.0 * h * h
+    tol = 10.0 * h * h
     etas = [2.0 * h * h, 4.0 * h * h]
     total = grid.num_points
     if samples >= total:

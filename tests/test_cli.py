@@ -87,6 +87,11 @@ class TestConfig:
         assert cfg.build_schedule().t_values[0] == 1.0
         assert len(cfg.build_schedule().t_values) == 12
 
+    def test_empty_scales_rejected(self, tmp_path):
+        path = write_config(tmp_path, **{"experiment.scales": ""})
+        with pytest.raises(ConfigError, match="experiment.scales"):
+            load_config(path)
+
     def test_missing_file(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.ini")]) == 1
 
@@ -194,15 +199,31 @@ class TestContinuationCommand:
             stage.pop("seconds")
         assert ra == rb
 
-    def test_partial_results_written(self, tmp_path):
-        # the continuation benchmark problem with one jump to t = 1e-5: stage 0
-        # converges in four Newton steps, stage 1 needs more than four
+    def test_failed_warm_start_falls_back_to_zero(self, tmp_path):
+        # the continuation benchmark problem with one jump to t = 1e-5: the
+        # warm start of stage 1 needs five Newton steps, its zero start four
         path = write_config(
             tmp_path,
             **{"problem.grid_points": 6, "problem.chi": "diag",
                "problem.chi_diag": "0.4, 0.0", "problem.f": "trig",
                "problem.f_amplitude": 0.3, "run.seed": 7,
                "solver.max_newton": 4, "schedule.t_values": "2.0, 0.00001"},
+        )
+        assert main(["continuation", "--config", str(path)]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert [(s["start"], s["iters"]) for s in report["stages"]] == [
+            ("zero", 4), ("zero", 4)]
+
+    def test_partial_results_written(self, tmp_path):
+        # the spike density with one jump to t = 1e-5: stage 0 converges in
+        # ten Newton steps; at stage 1 the warm start leaves the cone and the
+        # zero start needs thirteen
+        path = write_config(
+            tmp_path,
+            **{"problem.grid_points": 6, "problem.chi": "diag",
+               "problem.chi_diag": "0.4, 0.0", "problem.f": "spike",
+               "problem.q": 2, "run.seed": 7,
+               "solver.max_newton": 11, "schedule.t_values": "2.0, 0.00001"},
         )
         assert main(["continuation", "--config", str(path)]) == 3
         out = tmp_path / "out"
@@ -215,7 +236,7 @@ class TestContinuationCommand:
         assert not (out / "phi.hlf1").exists()
         report = json.loads((out / "report.json").read_text())
         assert report["meta"]["aborted_stage"] == 1
-        assert "no convergence in 4 Newton steps" in report["meta"]["abort_reason"]
+        assert "no convergence in 11 Newton steps" in report["meta"]["abort_reason"]
         assert len(report["stages"]) == 1
         assert "certificate" not in report
 
@@ -244,6 +265,19 @@ class TestStabilityCommand:
                "experiment.scales": "0.125"},
         )
         assert main(["stability", "--config", str(path)]) == 3
+
+    def test_non_integer_thread_cap_is_config_error(self, tmp_path, capsys,
+                                                    monkeypatch):
+        monkeypatch.setenv("HESSIANLAB_THREADS", "abc")
+        path = write_config(tmp_path, **{"experiment.scales": "0.125"})
+        assert main(["stability", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "config error:" in err and "HESSIANLAB_THREADS" in err
+
+    def test_threads_key_is_unknown(self, tmp_path, capsys):
+        path = write_config(tmp_path, **{"run.threads": 2})
+        assert main(["stability", "--config", str(path)]) == 1
+        assert "unknown config key [run] threads" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

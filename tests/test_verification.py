@@ -82,7 +82,7 @@ def dipole_bump(grid, width=0.15):
 
 class TestStability:
     def test_floor_formula(self):
-        assert stability_floor(2, 2.0, 1.0, 0.5) == pytest.approx(2.0 / 11.0)
+        assert stability_floor(2, 2.0, 1.0) == pytest.approx(2.0 / 11.0)
 
     def test_zero_perturbation_skips_fit(self, grid12):
         bg = BackgroundData.flat(grid12, kappa=1.0)
