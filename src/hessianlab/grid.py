@@ -13,6 +13,7 @@ generator, never as the solver's operator.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,6 +150,15 @@ def _wrap_pad(data: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _neighbour_slice(N: int, n: int, steps: tuple) -> tuple:
+    """Wrap-pad index of the neighbour the (axis, +-1) ``steps`` reach, built once."""
+    idx = [slice(1, N + 1)] * (2 * n)
+    for axis, step in steps:
+        idx[axis] = slice(1 + step, N + 1 + step)
+    return tuple(idx)
+
+
 def hessian_planes(data: np.ndarray, n: int) -> np.ndarray:
     """Unscaled difference planes of the discrete complex Hessian.
 
@@ -164,14 +174,10 @@ def hessian_planes(data: np.ndarray, n: int) -> np.ndarray:
     """
     N = data.shape[0]
     padded = _wrap_pad(data)
-    inner = [slice(1, N + 1)] * (2 * n)
 
     def at(*steps):
         """data at the neighbour reached by the (axis, +-1) ``steps``."""
-        idx = list(inner)
-        for axis, step in steps:
-            idx[axis] = slice(1 + step, N + 1 + step)
-        return padded[tuple(idx)]
+        return padded[_neighbour_slice(N, n, steps)]
 
     def mixed(a, b):
         return (at((a, 1), (b, 1)) - at((a, -1), (b, 1))

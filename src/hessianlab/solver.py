@@ -7,19 +7,21 @@ The stage-t equation on the torus reads, in log-residual form,
 
 with the compatibility constant b solved jointly with a mean-zero update of
 phi.  Each Newton step linearizes the log of the operator, solves the
-bordered linear system with a Krylov method, and guards the positivity-cone
-margin with a damped line search.  The Krylov matvec contracts real
-coefficient planes, fixed for the step, with the difference planes of the
-Krylov vector; the preconditioner divides the residual pointwise by
-c = tr(a_over_s) / (4n) and applies the inverse difference Laplacian in
-its real tensor-product eigenbasis.  The degenerate problem is approached
-along a fixed decreasing schedule of t, with one Newton driver for the
-whole family.  Each stage tries up to three starts and keeps the first
-whose solve converges: from stage 2 on the Lagrange extrapolation in t
-through the last min(i, 5) solutions, then the previous solution as is,
-then zero, whose X is the base form and so strictly inside the cone once
-``bg.validate`` passes; ``StageRecord.start`` names the one used
-(``"extrapolated"``, ``"warm"`` or ``"zero"``).  The weak-solution
+bordered linear system by lgmres started at the preconditioned right-hand
+side, and guards the positivity-cone margin with a damped line search.  The
+Krylov matvec contracts real coefficient planes, fixed for the step, with
+the difference planes of the Krylov vector; the preconditioner divides the
+residual pointwise by c = tr(a_over_s) / (4n) and applies the inverse
+difference Laplacian in its real tensor-product eigenbasis.  The degenerate
+problem is approached along a fixed decreasing schedule of t, with one
+Newton driver and one table of the wedge moments of chi for the whole
+family: every stage mass, in b_t and in the brackets, is a polynomial in
+kappa + t over that table.  Each stage tries up to three starts and keeps
+the first whose solve converges: from stage 2 on the Lagrange
+extrapolation in t through the last min(i, 5) solutions, then the previous
+solution as is, then zero, whose X is the base form and so strictly inside
+the cone once ``bg.validate`` passes; ``StageRecord.start`` names the one
+used (``"extrapolated"``, ``"warm"`` or ``"zero"``).  The weak-solution
 certificate is the decreasing sequence phi_t + C / 2^i.
 """
 
@@ -150,13 +152,30 @@ def wedge_integral(bg: BackgroundData, form: HermitianField, k: int) -> float:
     return integrate(ScalarField(bg.grid, S[..., k] / binom(bg.grid.n, k)), bg.volume)
 
 
-def compatibility_constant(bg: BackgroundData, t: float, f: ScalarField, m: int) -> float:
+def _chi_moments(bg: BackgroundData, m: int) -> tuple:
+    """The wedge integrals of chi^k wedge omega^(n-k), k = 0..m (k = 0: the volume)."""
+    return (bg.volume * bg.grid.period ** (2 * bg.grid.n),) + tuple(
+        wedge_integral(bg, bg.chi, k) for k in range(1, m + 1))
+
+
+def _stage_mass(bg: BackgroundData, t: float, m: int, moments: tuple) -> float:
+    """``wedge_integral(bg, bg.base_form(t), m)`` from the ``_chi_moments``.
+
+    With s = kappa + t, (chi + s omega)^m = sum_k C(m, k) s^(m-k) chi^k omega^(m-k).
+    """
+    s = bg.kappa + t
+    return sum(binom(m, k) * s ** (m - k) * moment for k, moment in enumerate(moments))
+
+
+def compatibility_constant(bg: BackgroundData, t: float, f: ScalarField, m: int,
+                           moments: tuple | None = None) -> float:
     """The constant b making the stage-t equation integrally consistent.
 
     exp(m b) equals the mass of S_m(lam(chi + (kappa + t) omega)) divided
-    by the mass of C(n, m) exp(m f), both against the omega volume.
+    by the mass of C(n, m) exp(m f), both against the omega volume; the
+    first is ``_stage_mass`` of the chi ``moments`` (built here if None).
     """
-    num = binom(bg.grid.n, m) * wedge_integral(bg, bg.base_form(t), m)
+    num = binom(bg.grid.n, m) * _stage_mass(bg, t, m, moments or _chi_moments(bg, m))
     den = binom(bg.grid.n, m) * integrate(
         ScalarField(bg.grid, np.exp(m * f.data)), bg.volume
     )
@@ -167,31 +186,33 @@ def compatibility_constant(bg: BackgroundData, t: float, f: ScalarField, m: int)
     return float(np.log(num / den) / m)
 
 
-def normalize_density(bg: BackgroundData, f: ScalarField, m: int):
+def normalize_density(bg: BackgroundData, f: ScalarField, m: int,
+                      moments: tuple | None = None):
     """Shift f by the constant enforcing the degenerate-limit mass identity.
 
     After the shift the mass of exp(m f) equals the mass of
     (chi + kappa omega)^m wedge omega^(n-m), so the stage constants b_t tend
-    to zero as t decreases.  Returns ``(shifted_f, shift)``.
+    to zero as t decreases: the shift is b_0 (``compatibility_constant``,
+    given ``moments``).  Returns ``(shifted_f, shift)``.
     """
-    shift = compatibility_constant(bg, 0.0, f, m)
+    shift = compatibility_constant(bg, 0.0, f, m, moments)
     return ScalarField(f.grid, f.data + shift), float(shift)
 
 
-def bracket_bounds(bg: BackgroundData, m: int):
+def bracket_bounds(bg: BackgroundData, m: int, moments: tuple | None = None):
     """The t-independent ends ``(lower, upper)`` of ``degenerate_brackets``.
 
     lower and upper are the bracketing integrals built from
     (kappa omega)^n, whose mass is kappa^n times the omega volume,
     (chi + (kappa + 1) omega)^m wedge omega^(n-m),
-    (chi + kappa omega)^m wedge omega^(n-m) and the omega volume.
+    (chi + kappa omega)^m wedge omega^(n-m) and the omega volume; the two
+    wedge masses are ``_stage_mass`` at t = 1 and 0 of the ``moments``.
     """
     n = bg.grid.n
-    vol_total = bg.volume * bg.grid.period ** (2 * n)
-    lower = bg.kappa**n * vol_total / wedge_integral(bg, bg.base_form(1.0), m) ** (n / m)
-    upper = wedge_integral(bg, bg.base_form(0.0), m) ** (n / m) / vol_total ** (
-        (n - m) / m
-    )
+    moments = moments or _chi_moments(bg, m)
+    vol_total = moments[0]
+    lower = bg.kappa**n * vol_total / _stage_mass(bg, 1.0, m, moments) ** (n / m)
+    upper = _stage_mass(bg, 0.0, m, moments) ** (n / m) / vol_total ** ((n - m) / m)
     return float(lower), float(upper)
 
 
@@ -339,7 +360,10 @@ class _NewtonDriver:
 
     def solve_linear(self, a_over_s: np.ndarray, rhs_field: np.ndarray,
                      rtol: float):
-        """Bordered Krylov solve for (delta phi, delta b) with mean(delta phi)=0."""
+        """Bordered Krylov solve for (delta phi, delta b) with mean(delta phi)=0.
+
+        lgmres starts at M^-1 rhs, not at 0, and stops at rtol ||rhs||.
+        """
         P = self.num_points
         shape = self.grid.shape
         rhs = np.concatenate([rhs_field.ravel(), [0.0]])
@@ -348,8 +372,8 @@ class _NewtonDriver:
         matvec, precondition = self.krylov_operators(a_over_s)
         op = spla.LinearOperator((P + 1, P + 1), matvec=matvec, dtype=float)
         mop = spla.LinearOperator((P + 1, P + 1), matvec=precondition, dtype=float)
-        sol, _ = spla.lgmres(op, rhs, M=mop, rtol=rtol, atol=0.0,
-                             maxiter=KRYLOV_MAXITER)
+        sol, _ = spla.lgmres(op, rhs, x0=precondition(rhs), M=mop, rtol=rtol,
+                             atol=0.0, maxiter=KRYLOV_MAXITER)
         dphi = sol[:P].reshape(shape)
         dphi = dphi - dphi.mean()
         return dphi, float(sol[P])
@@ -401,13 +425,14 @@ class _NewtonDriver:
 
     # -- one solve -----------------------------------------------------------
 
-    def solve(self, t: float, f: ScalarField, phi0: np.ndarray | None, b0: float):
-        """Newton iteration for stage t from phi0 (zero if None) and b0.
+    def solve(self, t: float, f: ScalarField, phi0: np.ndarray | None):
+        """Newton iteration for stage t from phi0 (zero if None).
 
-        Returns ``(state, record)``.  The start must lie strictly inside the
-        cone (ConeViolationError otherwise); the solve stops when the sup of
-        the log-residual drops below config.newton_tol, so a start that
-        already meets it takes no step.
+        Returns ``(state, record)``.  b starts at 0, as the first recentering
+        sets it to mean(residual) / m whatever its start.  The start must lie
+        strictly inside the cone (ConeViolationError otherwise); the solve
+        stops when the sup of the log-residual drops below config.newton_tol,
+        so a start that already meets it takes no step.
         """
         t0 = time.perf_counter()
         config = self.config
@@ -415,13 +440,13 @@ class _NewtonDriver:
         phi = np.zeros(self.grid.shape) if phi0 is None else phi0
         phi = phi - phi.max()
         try:
-            analysis = self.analyze(phi, b0)
+            analysis = self.analyze(phi, 0.0)
         except ConeViolationError as err:
             raise ConeViolationError(
                 f"cone violation at initialization: {err}", point=err.point,
                 margin=err.margin,
             ) from err
-        b = self._recenter(analysis, b0)
+        b = self._recenter(analysis, 0.0)
 
         history = [float(np.abs(analysis["residual"]).max())]
         iters = 0
@@ -462,8 +487,7 @@ def residual(phi: ScalarField, b: float, bg: BackgroundData, t: float,
 
 
 def solve_nondegenerate(bg: BackgroundData, t: float, f: ScalarField,
-                        config: SolverConfig, warm_start: ScalarField | None = None,
-                        b0: float | None = None):
+                        config: SolverConfig, warm_start: ScalarField | None = None):
     """Newton iteration to the stage-t solution; returns (state, report).
 
     t must be positive and finite (ConfigError otherwise).  Starts from zero
@@ -476,9 +500,8 @@ def solve_nondegenerate(bg: BackgroundData, t: float, f: ScalarField,
     if not 0 < t < np.inf:
         raise ConfigError(f"t must be positive and finite (got {t})")
     driver = _NewtonDriver(bg, config)
-    b = compatibility_constant(bg, t, f, config.m) if b0 is None else float(b0)
     phi0 = None if warm_start is None else warm_start.data
-    state, record = driver.solve(t, f, phi0, b)
+    state, record = driver.solve(t, f, phi0)
     record.start = "zero" if warm_start is None else "warm"
     return state, SolveReport(stages=[record])
 
@@ -528,8 +551,9 @@ def continuation_degenerate(bg: BackgroundData, f: ScalarField,
     certificate.
     """
     bg.validate(config.m)
-    f_norm, shift = normalize_density(bg, f, config.m)
-    bounds = bracket_bounds(bg, config.m)
+    moments = _chi_moments(bg, config.m)
+    f_norm, shift = normalize_density(bg, f, config.m, moments)
+    bounds = bracket_bounds(bg, config.m, moments)
     report = SolveReport(meta={"mass_shift": shift})
     driver = _NewtonDriver(bg, config)
     states = []
@@ -543,11 +567,10 @@ def continuation_degenerate(bg: BackgroundData, f: ScalarField,
                 smooth = mollify(density, sigma)
                 f_stage = ScalarField(f_norm.grid, np.log(smooth.data) / config.m)
         t_start = time.perf_counter()
-        b_t = compatibility_constant(bg, t, f_stage, config.m)
         try:
             for start, phi0 in _stage_starts(states, schedule.t_values, i):
                 try:
-                    state, record = driver.solve(t, f_stage, phi0, b_t)
+                    state, record = driver.solve(t, f_stage, phi0)
                     break
                 except (ConeViolationError, NonConvergenceError):
                     # a failed start hands over to the next; zero is the last
@@ -563,6 +586,7 @@ def continuation_degenerate(bg: BackgroundData, f: ScalarField,
         record.seconds = time.perf_counter() - t_start
         record.mollify_sigma = sigma
         record.start = start
+        b_t = compatibility_constant(bg, t, f_stage, config.m, moments)
         lower, mid, upper = degenerate_brackets(bg, t, b_t, config.m, bounds)
         record.bracket_lower, record.bracket_mid, record.bracket_upper = lower, mid, upper
         report.stages.append(record)

@@ -23,6 +23,8 @@ from hessianlab import (
     bracket_bounds,
     decreasing_sequence,
     degenerate_brackets,
+    hessian_kernel,
+    integrate,
     lq_spike,
     manufactured_solution,
     normalize_density,
@@ -30,10 +32,23 @@ from hessianlab import (
     solve_nondegenerate,
     wedge_integral,
 )
-from hessianlab.solver import _NewtonDriver, _stage_starts
+from hessianlab.solver import _NewtonDriver, _chi_moments, _stage_mass, _stage_starts
 from hessianlab.symfunc import binom
 
 from conftest import anisotropic_spd, random_hermitian
+
+
+def count_matvecs(monkeypatch) -> list:
+    """A list that gains one entry per Krylov matvec (``apply_stencil`` call)."""
+    calls = []
+    apply_stencil = _NewtonDriver.apply_stencil
+
+    def counting(self, coeff, v_data):
+        calls.append(1)
+        return apply_stencil(self, coeff, v_data)
+
+    monkeypatch.setattr(_NewtonDriver, "apply_stencil", counting)
+    return calls
 
 
 def make_manufactured(grid, bg, t, m, curvature=0.6, seed=7, discrete=True):
@@ -99,6 +114,44 @@ class TestCompatibilityConstant:
             b_t = compatibility_constant(bg, t, f, m)
             _, mid, _ = degenerate_brackets(bg, t, b_t, m, bounds=(lower, upper))
             assert mid == pytest.approx(wedge_power(kappa + t) / np.exp(n * b_t), rel=1e-13)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_stage_masses_match_wedge_integrals(self, n):
+        # the stage masses are a polynomial in kappa + t over the moments of
+        # chi; the oracle integrates S_m of each base form directly, here for
+        # a chi with varying complex off-diagonal entries, outside the cone
+        rng = np.random.default_rng(50 + n)
+        grid = TorusGrid(n=n, points_per_axis=6 if n == 2 else 4, period=1.3)
+        omega = anisotropic_spd(rng, n)
+        shape = grid.shape + (n, n)
+        off = np.triu(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), 1)
+        noise = 0.3 * np.linalg.eigvalsh(omega)[0] * (off + np.conj(off.swapaxes(-1, -2)))
+        bg = BackgroundData(omega=omega, chi=HermitianField(grid, noise - 0.2 * omega),
+                            kappa=0.7)
+        S, _ = hessian_kernel(bg.chi.data, bg.omega_inv, 1)
+        assert S[..., 1].min() < 0
+        f = TrigPolynomial.random(n, rng, amplitude=0.2, max_mode=1).sample(grid)
+        vol_total = bg.volume * grid.period ** (2 * n)
+        for m in range(1, n + 1):
+            def wedge(t):
+                return wedge_integral(bg, bg.base_form(t), m)
+
+            def b_oracle(t):
+                density = integrate(ScalarField(grid, np.exp(m * f.data)), bg.volume)
+                return np.log(wedge(t) / density) / m
+
+            moments = _chi_moments(bg, m)
+            for t in (1.0, 0.25, 2.0**-8, 0.0):
+                assert _stage_mass(bg, t, m, moments) == pytest.approx(wedge(t), rel=1e-13)
+                assert compatibility_constant(bg, t, f, m) == pytest.approx(
+                    b_oracle(t), rel=1e-13, abs=1e-13)
+            _, shift = normalize_density(bg, f, m)
+            assert shift == pytest.approx(b_oracle(0.0), rel=1e-13, abs=1e-13)
+            lower, upper = bracket_bounds(bg, m)
+            assert lower == pytest.approx(
+                bg.kappa**n * vol_total / wedge(1.0) ** (n / m), rel=1e-13)
+            assert upper == pytest.approx(
+                wedge(0.0) ** (n / m) / vol_total ** ((n - m) / m), rel=1e-13)
 
 
 class TestResidual:
@@ -180,21 +233,37 @@ class TestKrylovOperators:
 
     def test_spike_work_counts(self, monkeypatch):
         # the rough spike density of the verify benchmark at N = 8: Newton
-        # steps as with the mean-scaled FFT preconditioner (8), matvecs at
-        # most half the 230 bound on that benchmark's two solves (it took 156)
+        # steps as with the mean-scaled FFT preconditioner (8); lgmres started
+        # at the preconditioned right-hand side takes 91 matvecs (106 from 0)
         grid = TorusGrid(n=2, points_per_axis=8)
         bg = BackgroundData.flat(grid, kappa=1.0)
-        matvecs = []
-        apply_stencil = _NewtonDriver.apply_stencil
-
-        def counting(self, coeff, v_data):
-            matvecs.append(1)
-            return apply_stencil(self, coeff, v_data)
-
-        monkeypatch.setattr(_NewtonDriver, "apply_stencil", counting)
+        matvecs = count_matvecs(monkeypatch)
         state, _ = solve_nondegenerate(bg, 0.25, lq_spike(grid, q=2.0), SolverConfig(m=2))
         assert state.newton_iters == 8
-        assert len(matvecs) <= 115
+        assert len(matvecs) <= 100
+
+    def test_krylov_solution_meets_forcing(self, monkeypatch):
+        # lgmres starts at the preconditioned right-hand side; on the spike
+        # solve's first and last Newton step the returned (dphi, db) meets
+        # the bordered system to rtol ||rhs||, the inexact-Newton forcing
+        grid = TorusGrid(n=2, points_per_axis=8)
+        bg = BackgroundData.flat(grid, kappa=1.0)
+        solves = []
+        solve_linear = _NewtonDriver.solve_linear
+
+        def recording(self, a_over_s, rhs_field, rtol):
+            out = solve_linear(self, a_over_s, rhs_field, rtol)
+            solves.append((self, a_over_s, rhs_field, rtol) + out)
+            return out
+
+        monkeypatch.setattr(_NewtonDriver, "solve_linear", recording)
+        solve_nondegenerate(bg, 0.25, lq_spike(grid, q=2.0), SolverConfig(m=2))
+        assert len(solves) == 8
+        for driver, a_over_s, rhs_field, rtol, dphi, db in (solves[0], solves[-1]):
+            matvec, _ = driver.krylov_operators(a_over_s)
+            rhs = np.append(rhs_field.ravel(), 0.0)
+            residual = matvec(np.append(dphi.ravel(), db)) - rhs
+            assert np.linalg.norm(residual) <= rtol * np.linalg.norm(rhs)
 
 
 class TestNewtonStep:
@@ -462,8 +531,9 @@ class TestContinuation:
         monkeypatch.setattr(solver, "wedge_integral",
                             lambda *args: calls.append(args) or wedge(*args))
         _, report = continuation_degenerate(bg, f, sched, SolverConfig(m=2))
-        # normalize_density, two bracket ends, then b_t per stage
-        assert len(calls) == 3 + len(sched.t_values)
+        # one moment table of chi, k = 1..m, serves the shift, the bracket
+        # ends and every b_t
+        assert [args[1:] for args in calls] == [(bg.chi, 1), (bg.chi, 2)]
         monkeypatch.undo()
         f_norm, _ = normalize_density(bg, f, 2)
         for t, rec in zip(sched.t_values, report.stages):
@@ -502,9 +572,11 @@ class TestContinuation:
         with pytest.raises(ConeViolationError):
             solve_nondegenerate(bg, 0.01, f, cfg, warm_start=states[0].phi)
 
-    def test_default_schedule_work_count(self):
+    def test_default_schedule_work_count(self, monkeypatch):
         # the problem above on the default 12-stage schedule: the
-        # extrapolated starts take at most 15 Newton steps (20 with secants)
+        # extrapolated starts take at most 15 Newton steps (20 with secants),
+        # and their Krylov solves 84 matvecs (98 with lgmres started at 0)
+        matvecs = count_matvecs(monkeypatch)
         grid = TorusGrid(n=2, points_per_axis=6)
         bg = BackgroundData.flat(grid, chi_matrix=np.diag([0.4, 0.0]), kappa=1.0)
         f = TrigPolynomial.random(2, np.random.default_rng(9), amplitude=0.3).sample(grid)
@@ -513,6 +585,7 @@ class TestContinuation:
         assert [rec.start for rec in report.stages[2:]] == ["extrapolated"] * 10
         assert all(rec.residual_history[-1] < cfg.newton_tol for rec in report.stages)
         assert sum(rec.iters for rec in report.stages) <= 15
+        assert len(matvecs) <= 90
 
     @pytest.mark.parametrize("degree", range(5))
     def test_extrapolation_reproduces_polynomials(self, grid8, rng, degree):

@@ -234,7 +234,7 @@ class TestUniquenessEnergy:
         chi0 = np.diag(np.linspace(0.4, 0.1, n))
 
         def normalized_energy(c):
-            def fake_solve(bg, t, f, config, warm_start=None, b0=None):
+            def fake_solve(bg, t, f, config, warm_start=None):
                 u = u1 if warm_start is None else u2
                 return SolverState(phi=ScalarField(bg.grid, c * u), b=0.0,
                                    residual_sup=0.0, cone_margin_min=1.0,
