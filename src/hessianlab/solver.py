@@ -7,11 +7,12 @@ The stage-t equation on the torus reads, in log-residual form,
 
 with the compatibility constant b solved jointly with a mean-zero update of
 phi.  Each Newton step linearizes the log of the operator, solves the
-bordered linear system by lgmres started at the preconditioned right-hand
-side, and guards the positivity-cone margin with a damped line search.  The
-Krylov matvec contracts real coefficient planes, fixed for the step, with
-the difference planes of the Krylov vector; the preconditioner divides the
-residual pointwise by c = tr(a_over_s) / (4n) and applies the inverse
+bordered linear system by ``gmres``, restarted right-preconditioned GMRES
+started at the preconditioned right-hand side, and guards the
+positivity-cone margin with a damped line search.  The Krylov matvec
+contracts real coefficient planes, fixed for the step, with the difference
+planes of the Krylov vector; the preconditioner divides the residual
+pointwise by c = tr(a_over_s) / (4n) and applies the inverse
 difference Laplacian in its real tensor-product eigenbasis.  The degenerate
 problem is approached along a fixed decreasing schedule of t, with one
 Newton driver and one table of the wedge moments of chi for the whole
@@ -29,10 +30,11 @@ from __future__ import annotations
 
 import math
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field as dataclass_field
+from types import SimpleNamespace
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .background import BackgroundData
 from .errors import ConeViolationError, ConfigError, NonConvergenceError
@@ -50,8 +52,9 @@ from .symfunc import binom, esp_margins, hessian_kernel
 DAMPING_FLOOR = 2.0 ** -20
 # the extrapolated stage start interpolates at most this many previous stages
 PREDICTOR_ORDER = 5
-# outer-iteration cap of one lgmres solve
+# restart cycles of one Krylov solve, and the Arnoldi steps of one cycle
 KRYLOV_MAXITER = 20
+KRYLOV_RESTART = 30
 
 
 @dataclass
@@ -235,6 +238,63 @@ def degenerate_brackets(bg: BackgroundData, t: float, b_t: float, m: int,
 
 
 # ---------------------------------------------------------------------------
+# Krylov solve
+
+
+def gmres(A, b, x0, M, rtol, atol, maxiter):
+    """Restarted right-preconditioned GMRES (Saad & Schultz 1986) for A x = b.
+
+    ``A.matvec`` applies A, ``M.matvec`` the preconditioner M^-1.  Cycles of
+    ``KRYLOV_RESTART`` CGS2 Arnoldi steps minimize the true residual until it
+    is at most max(atol, rtol ||b||).  Returns ``(x, info)``, info 0 on
+    convergence, else the cycles run.
+    """
+    matvec, precondition = A.matvec, M.matvec
+    x, k = np.array(x0, dtype=float), KRYLOV_RESTART
+    target = max(atol, rtol * float(np.linalg.norm(b)))
+    V = np.empty((k + 1, b.size))
+    for _ in range(maxiter):
+        r = b - matvec(x)
+        g = np.zeros(k + 1)
+        g[0] = np.linalg.norm(r)
+        if g[0] <= target:
+            return x, 0
+        H, cs, sn = np.zeros((k, k)), np.zeros(k), np.zeros(k)
+        V[0] = r / g[0]
+        for j in range(k):
+            w = matvec(precondition(V[j]))
+            h = V[: j + 1] @ w
+            w -= h @ V[: j + 1]
+            h2 = V[: j + 1] @ w
+            w -= h2 @ V[: j + 1]
+            h += h2
+            h_next = float(np.linalg.norm(w))
+            for i in range(j):
+                h[i], h[i + 1] = cs[i] * h[i] + sn[i] * h[i + 1], cs[i] * h[i + 1] - sn[i] * h[i]
+            rho = math.hypot(h[j], h_next)
+            cs[j], sn[j] = h[j] / rho, h_next / rho
+            h[j] = rho
+            H[: j + 1, j] = h
+            g[j], g[j + 1] = cs[j] * g[j], -sn[j] * g[j]
+            # a happy breakdown, h_next == 0, gives g[j + 1] = 0: it stops before w / h_next
+            if abs(g[j + 1]) <= target:
+                break
+            V[j + 1] = w / h_next
+        y = np.empty(j + 1)
+        for i in range(j, -1, -1):
+            y[i] = (g[i] - H[i, i + 1: j + 1] @ y[i + 1:]) / H[i, i]
+        x += precondition(y @ V[: j + 1])
+        if abs(g[j + 1]) <= target:
+            return x, 0
+    return x, maxiter
+
+
+# perfbench's tracer counts Krylov work by swapping this attribute for a proxy
+spla = SimpleNamespace(
+    LinearOperator=namedtuple("LinearOperator", "shape matvec dtype"), lgmres=gmres)
+
+
+# ---------------------------------------------------------------------------
 # Newton machinery
 
 
@@ -362,10 +422,9 @@ class _NewtonDriver:
                      rtol: float):
         """Bordered Krylov solve for (delta phi, delta b) with mean(delta phi)=0.
 
-        lgmres starts at M^-1 rhs, not at 0, and stops at rtol ||rhs||.
+        ``gmres`` starts at M^-1 rhs, not at 0, and stops at rtol ||rhs||.
         """
-        P = self.num_points
-        shape = self.grid.shape
+        P, shape = self.num_points, self.grid.shape
         rhs = np.concatenate([rhs_field.ravel(), [0.0]])
         if not np.any(rhs):
             return np.zeros(shape), 0.0

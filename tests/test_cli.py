@@ -1,9 +1,15 @@
 """Command-line driver: exit codes, validation, reports, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import hessianlab
 from hessianlab.cli import _STAGE_COLUMNS, main
 from hessianlab.config import _LIST_KEYS, _SCHEMA, load_config
 from hessianlab.errors import ConfigError
@@ -33,6 +39,18 @@ def write_config(tmp_path, name="cfg.ini", **overrides):
     path = tmp_path / name
     path.write_text("\n".join(lines))
     return path
+
+
+def test_cli_import_stays_light():
+    # scipy (and the numpy.testing and numpy.f2py it pulls in) cost a fresh
+    # CLI process about 0.2 s; nothing on the import path may bring them back
+    src = str(Path(hessianlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = ("import sys, hessianlab.cli; print(*[m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy' or m in ('numpy.f2py', 'numpy.testing')])")
+    run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert run.stdout.split() == []
 
 
 class TestConfig:

@@ -32,7 +32,8 @@ from hessianlab import (
     solve_nondegenerate,
     wedge_integral,
 )
-from hessianlab.solver import _NewtonDriver, _chi_moments, _stage_mass, _stage_starts
+from hessianlab import solver
+from hessianlab.solver import _NewtonDriver, _chi_moments, _stage_mass, _stage_starts, gmres
 from hessianlab.symfunc import binom
 
 from conftest import anisotropic_spd, random_hermitian
@@ -233,21 +234,26 @@ class TestKrylovOperators:
 
     def test_spike_work_counts(self, monkeypatch):
         # the rough spike density of the verify benchmark at N = 8: Newton
-        # steps as with the mean-scaled FFT preconditioner (8); lgmres started
-        # at the preconditioned right-hand side takes 91 matvecs (106 from 0)
+        # steps as with the mean-scaled FFT preconditioner (8); the right-
+        # preconditioned GMRES started at the preconditioned right-hand side
+        # takes 70 matvecs (91 with left-preconditioned lgmres)
         grid = TorusGrid(n=2, points_per_axis=8)
         bg = BackgroundData.flat(grid, kappa=1.0)
         matvecs = count_matvecs(monkeypatch)
         state, _ = solve_nondegenerate(bg, 0.25, lq_spike(grid, q=2.0), SolverConfig(m=2))
         assert state.newton_iters == 8
-        assert len(matvecs) <= 100
+        assert len(matvecs) <= 75
 
     def test_krylov_solution_meets_forcing(self, monkeypatch):
-        # lgmres starts at the preconditioned right-hand side; on the spike
-        # solve's first and last Newton step the returned (dphi, db) meets
+        # GMRES stops on its Givens residual estimate; at every Newton step of
+        # the spike solve and of an n = 3 solve the returned (dphi, db) meets
         # the bordered system to rtol ||rhs||, the inexact-Newton forcing
-        grid = TorusGrid(n=2, points_per_axis=8)
-        bg = BackgroundData.flat(grid, kappa=1.0)
+        spike_grid, grid3 = TorusGrid(n=2, points_per_axis=8), TorusGrid(n=3, points_per_axis=6)
+        bg3 = BackgroundData.flat(grid3, kappa=1.0)
+        trig = TrigPolynomial.random(3, np.random.default_rng(2)).scaled_to_curvature(0.5)
+        _, f3, _ = manufactured_solution(bg3, 0.5, 2, trig.sample(grid3), discrete=True)
+        problems = [(BackgroundData.flat(spike_grid, kappa=1.0), 0.25,
+                     lq_spike(spike_grid, q=2.0), 8), (bg3, 0.5, f3, 3)]
         solves = []
         solve_linear = _NewtonDriver.solve_linear
 
@@ -257,13 +263,91 @@ class TestKrylovOperators:
             return out
 
         monkeypatch.setattr(_NewtonDriver, "solve_linear", recording)
-        solve_nondegenerate(bg, 0.25, lq_spike(grid, q=2.0), SolverConfig(m=2))
-        assert len(solves) == 8
-        for driver, a_over_s, rhs_field, rtol, dphi, db in (solves[0], solves[-1]):
-            matvec, _ = driver.krylov_operators(a_over_s)
-            rhs = np.append(rhs_field.ravel(), 0.0)
-            residual = matvec(np.append(dphi.ravel(), db)) - rhs
-            assert np.linalg.norm(residual) <= rtol * np.linalg.norm(rhs)
+        for bg, t, f, steps in problems:
+            solves.clear()
+            solve_nondegenerate(bg, t, f, SolverConfig(m=2))
+            assert len(solves) == steps
+            for driver, a_over_s, rhs_field, rtol, dphi, db in solves:
+                matvec, _ = driver.krylov_operators(a_over_s)
+                rhs = np.append(rhs_field.ravel(), 0.0)
+                residual = matvec(np.append(dphi.ravel(), db)) - rhs
+                assert np.linalg.norm(residual) <= rtol * np.linalg.norm(rhs)
+
+
+def bordered_system(rng, size=40):
+    """A random nonsymmetric block with a mean row and a constant column border."""
+    A = np.zeros((size + 1, size + 1))
+    A[:size, :size] = 4.0 * np.eye(size) + rng.standard_normal((size, size)) / np.sqrt(size)
+    A[:size, size] = -2.0
+    A[size, :size] = 1.0 / size
+    return A, rng.standard_normal(size + 1)
+
+
+def counted(mat, calls=None):
+    """An operator applying mat; appends to calls (if given) per application."""
+    def matvec(v):
+        if calls is not None:
+            calls.append(1)
+        return mat @ v
+    return SimpleNamespace(matvec=matvec)
+
+
+class TestGmres:
+    @pytest.mark.parametrize("precond", ["identity", "jacobi"])
+    def test_matches_dense_solve(self, rng, precond):
+        A, b = bordered_system(rng)
+        diag = np.diag(A).copy()
+        diag[-1] = 1.0
+        M = np.eye(len(b)) if precond == "identity" else np.diag(1.0 / diag)
+        x, info = gmres(counted(A), b, np.zeros_like(b), counted(M),
+                        rtol=1e-10, atol=0.0, maxiter=20)
+        assert info == 0
+        assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
+        want = np.linalg.solve(A, b)
+        assert np.abs(x - want).max() <= 1e-8 * np.abs(want).max()
+
+    def test_restarts(self, rng, monkeypatch):
+        monkeypatch.setattr(solver, "KRYLOV_RESTART", 4)
+        A, b = bordered_system(rng)
+        calls = []
+        x, info = gmres(counted(A, calls), b, np.zeros_like(b), counted(np.eye(len(b))),
+                        rtol=1e-10, atol=0.0, maxiter=50)
+        assert info == 0
+        assert len(calls) > 2 * (4 + 1)
+        want = np.linalg.solve(A, b)
+        assert np.abs(x - want).max() <= 1e-8 * np.abs(want).max()
+
+    def test_cycle_cap_reports_not_converged(self, rng, monkeypatch):
+        monkeypatch.setattr(solver, "KRYLOV_RESTART", 2)
+        A, b = bordered_system(rng)
+        x, info = gmres(counted(A), b, np.zeros_like(b), counted(np.eye(len(b))),
+                        rtol=1e-10, atol=0.0, maxiter=1)
+        assert info == 1
+        assert np.linalg.norm(b - A @ x) < np.linalg.norm(b)
+
+    def test_exact_preconditioner_breaks_down_happily(self, rng):
+        # with M = A^-1 the first Arnoldi step spans the solution
+        A, b = bordered_system(rng)
+        calls = []
+        x, info = gmres(counted(A, calls), b, np.zeros_like(b), counted(np.linalg.inv(A)),
+                        rtol=1e-10, atol=0.0, maxiter=20)
+        assert info == 0
+        assert len(calls) == 2
+        assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
+        # an exactly invariant start vector: h_{1,0} == 0 even at rtol = 0
+        x, info = gmres(counted(3.0 * np.eye(5)), np.eye(5)[0], np.zeros(5),
+                        counted(np.eye(5)), rtol=0.0, atol=0.0, maxiter=1)
+        assert info == 0
+        assert np.array_equal(x, np.eye(5)[0] / 3.0)
+
+    def test_solution_start_takes_one_matvec(self, rng):
+        A, b = bordered_system(rng)
+        x0 = np.linalg.solve(A, b)
+        calls = []
+        x, info = gmres(counted(A, calls), b, x0, counted(np.eye(len(b))),
+                        rtol=1e-8, atol=0.0, maxiter=20)
+        assert (info, len(calls)) == (0, 1)
+        assert np.array_equal(x, x0)
 
 
 class TestNewtonStep:
@@ -575,7 +659,7 @@ class TestContinuation:
     def test_default_schedule_work_count(self, monkeypatch):
         # the problem above on the default 12-stage schedule: the
         # extrapolated starts take at most 15 Newton steps (20 with secants),
-        # and their Krylov solves 84 matvecs (98 with lgmres started at 0)
+        # and their GMRES solves 64 matvecs (84 with left-preconditioned lgmres)
         matvecs = count_matvecs(monkeypatch)
         grid = TorusGrid(n=2, points_per_axis=6)
         bg = BackgroundData.flat(grid, chi_matrix=np.diag([0.4, 0.0]), kappa=1.0)
@@ -585,7 +669,7 @@ class TestContinuation:
         assert [rec.start for rec in report.stages[2:]] == ["extrapolated"] * 10
         assert all(rec.residual_history[-1] < cfg.newton_tol for rec in report.stages)
         assert sum(rec.iters for rec in report.stages) <= 15
-        assert len(matvecs) <= 90
+        assert len(matvecs) <= 68
 
     @pytest.mark.parametrize("degree", range(5))
     def test_extrapolation_reproduces_polynomials(self, grid8, rng, degree):
