@@ -37,7 +37,7 @@ from .grid import (
     mollify,
     tree_sum,
 )
-from .hlf import csv_slice, read_field, write_field
+from .hlf import read_field, write_field
 from .iteration import (
     certify_iteration_hypothesis,
     degiorgi_threshold,

@@ -313,10 +313,19 @@ def cmd_conecheck(args) -> int:
         field = read_field(args.field)
         if not isinstance(field, HermitianField):
             raise ConfigError("conecheck --field expects a Hermitian field file")
-        S, _ = hessian_kernel(field.data, np.eye(field.grid.n), m)
-        margins = esp_margins(S, field.grid.n)
-        hist, edges = np.histogram(margins, bins=10)
-        print(f"points: {margins.size}  worst_margin: {margins.min():.6g}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            S, _ = hessian_kernel(field.data, np.eye(field.grid.n), m)
+            margins = esp_margins(S, field.grid.n)
+            lo, hi = margins.min(), margins.max()
+            # convex combinations of the ends, unlike lo + k (hi - lo) / 10,
+            # can reach inf only by rounding at the float64 limit
+            edges = np.linspace(1.0, 0.0, 11) * lo + np.linspace(0.0, 1.0, 11) * hi
+        if not np.all(np.isfinite(margins)):
+            raise DomainError(f"{args.field}: cone margins overflow float64")
+        if not np.all(edges[:-1] < edges[1:]):
+            edges = np.array([lo, hi])  # one bin: the range is too narrow for ten
+        hist, edges = np.histogram(margins, bins=edges)
+        print(f"points: {margins.size}  worst_margin: {lo:.6g}")
         for count, lo, hi in zip(hist, edges[:-1], edges[1:]):
             print(f"[{lo:+.4e}, {hi:+.4e}): {count}")
         return EXIT_OK

@@ -108,7 +108,8 @@ class HermitianField:
             raise DomainError(
                 f"matrix data shape {self.data.shape} != {self.grid.shape + (n, n)}"
             )
-        self.data = 0.5 * (self.data + np.conj(np.swapaxes(self.data, -1, -2)))
+        # halved before the sum, so entries near the float64 limit do not overflow
+        self.data = 0.5 * self.data + 0.5 * np.conj(np.swapaxes(self.data, -1, -2))
 
     @classmethod
     def constant(cls, grid: TorusGrid, matrix) -> "HermitianField":

@@ -114,6 +114,9 @@ class ContinuationSchedule:
     @classmethod
     def default(cls, num_stages: int = 12, ratio: float = 0.5,
                 t_start: float = 1.0) -> "ContinuationSchedule":
+        # checked before ratio**i is formed, which overflows for a huge ratio
+        if not 0 < ratio < 1:
+            raise ConfigError(f"ratio must lie in (0, 1), got {ratio!r}")
         return cls([t_start * ratio**i for i in range(num_stages)])
 
 
@@ -613,6 +616,7 @@ def continuation_degenerate(bg: BackgroundData, f: ScalarField,
     moments = _chi_moments(bg, config.m)
     f_norm, shift = normalize_density(bg, f, config.m, moments)
     bounds = bracket_bounds(bg, config.m, moments)
+    mass_0 = _stage_mass(bg, 0.0, config.m, moments)
     report = SolveReport(meta={"mass_shift": shift})
     driver = _NewtonDriver(bg, config)
     states = []
@@ -645,7 +649,8 @@ def continuation_degenerate(bg: BackgroundData, f: ScalarField,
         record.seconds = time.perf_counter() - t_start
         record.mollify_sigma = sigma
         record.start = start
-        b_t = compatibility_constant(bg, t, f_stage, config.m, moments)
+        # f_norm has mass _stage_mass(0) by construction and mollify keeps it
+        b_t = float(np.log(_stage_mass(bg, t, config.m, moments) / mass_0) / config.m)
         lower, mid, upper = degenerate_brackets(bg, t, b_t, config.m, bounds)
         record.bracket_lower, record.bracket_mid, record.bracket_upper = lower, mid, upper
         report.stages.append(record)

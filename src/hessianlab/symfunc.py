@@ -181,14 +181,21 @@ def grad_elem_sym(values, m: int) -> np.ndarray:
     return restricted_esp(lam, m - 1)
 
 
+def _unit_sup(lam: np.ndarray) -> tuple:
+    """``(lam / s, s)``, s the power of two in (max|lam| / 2, max|lam|]: exact."""
+    scale = math.ldexp(1.0, math.frexp(float(np.abs(lam).max()))[1] - 1)
+    return lam / scale, scale
+
+
 def check_maclaurin(values, m: int) -> float:
     """Smallest gap in the Maclaurin chain of normalized means.
 
     Returns min over pairs j < i <= m of (S_j/C(n,j))^(1/j) - (S_i/C(n,i))^(1/i),
     which is nonnegative on cone members.  The diagonal pairs j = i are
-    trivially zero and are excluded so the gap is informative.
+    trivially zero and are excluded so the gap is informative.  It has degree
+    1, so it is taken on ``_unit_sup(lam)``, where S_k cannot overflow.
     """
-    lam = as_eigentuple(values)
+    lam, scale = _unit_sup(as_eigentuple(values))
     n = lam.size
     member, _ = cone_membership(lam, m)
     if not member:
@@ -197,7 +204,7 @@ def check_maclaurin(values, m: int) -> float:
     means = [(e[k] / binom(n, k)) ** (1.0 / k) for k in range(1, m + 1)]
     if m == 1:
         return 0.0
-    return float(min(means[j] - means[i] for j in range(m) for i in range(j + 1, m)))
+    return scale * float(min(means[j] - means[i] for j in range(m) for i in range(j + 1, m)))
 
 
 def check_garding(lam_values, eta_values, m: int) -> float:
@@ -206,9 +213,10 @@ def check_garding(lam_values, eta_values, m: int) -> float:
     Returns sum_i eta_i S_{m-1;i}(lam) - m S_m(eta)^(1/m) S_m(lam)^((m-1)/m),
     nonnegative when both tuples lie in the (closed) degree-m cone.  Boundary
     tuples are admitted: a vanishing S_m simply zeroes the right-hand side.
+    It has degree m - 1 in lam and 1 in eta, so it is taken on ``_unit_sup``.
     """
-    lam = as_eigentuple(lam_values)
-    eta = as_eigentuple(eta_values)
+    lam, lam_scale = _unit_sup(as_eigentuple(lam_values))
+    eta, eta_scale = _unit_sup(as_eigentuple(eta_values))
     n = lam.size
     if eta.size != n:
         raise DomainError("tuple dimensions differ")
@@ -220,7 +228,9 @@ def check_garding(lam_values, eta_values, m: int) -> float:
     sm_eta = float(elem_sym_table(eta)[m])
     pairing = float(np.dot(eta, restricted_esp(lam, m - 1)))
     rhs = m * sm_eta ** (1.0 / m) * sm_lam ** ((m - 1.0) / m)
-    return pairing - rhs
+    gap = pairing - rhs
+    # float products overflow to inf where ** raises; a zero gap stays zero
+    return gap * math.prod([eta_scale] + [lam_scale] * (m - 1)) if gap else gap
 
 
 def metric_inv_sqrt(G: np.ndarray, min_eig: float = METRIC_MIN_EIG) -> np.ndarray:

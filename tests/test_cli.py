@@ -98,6 +98,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match=rf"^\[{section}\] "):
             load_config(path)
 
+    def test_huge_schedule_ratio_is_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, **{"schedule.ratio": 1e308,
+                                         "schedule.num_stages": 3})
+        with pytest.raises(ConfigError, match=r"^\[schedule\] ratio"):
+            load_config(path)
+        assert main(["continuation", "--config", str(path)]) == 1
+        assert "config error: [schedule] ratio" in capsys.readouterr().err
+
     def test_defaults_roundtrip(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
         assert cfg.n == 2 and cfg.m == 2 and cfg.grid_points == 8
@@ -123,7 +131,7 @@ class TestSolveCommand:
         assert report["stage"]["inf_phi"] == 0.0
         assert report["b"] == pytest.approx(np.log(1.5), rel=1e-10)
         assert (tmp_path / "out" / "phi.hlf1").exists()
-        assert (tmp_path / "out" / "phi.hlf1.json").exists()
+        assert not (tmp_path / "out" / "phi.hlf1.json").exists()
 
     def test_manufactured_error_table(self, tmp_path):
         path = write_config(

@@ -1,20 +1,22 @@
-"""HLF1 round-trips, header layout, sidecar metadata, CSV slices."""
+"""HLF1 round-trips, header layout and period, version check, fuzzed input."""
 
-import json
+import contextlib
+import io
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hessianlab import (
     DomainError,
     HermitianField,
     ScalarField,
     TorusGrid,
-    csv_slice,
     read_field,
     write_field,
 )
+from hessianlab.cli import main
 
 
 @pytest.fixture
@@ -49,34 +51,59 @@ def test_header_layout(grid, tmp_path):
     write_field(path, ScalarField.constant(grid, 1.0))
     raw = path.read_bytes()
     assert raw[:4] == b"HLF1"
-    assert struct.unpack_from("<I", raw, 4)[0] == 1
-    assert raw[8:16] == b"\x00" * 8
+    assert struct.unpack_from("<I", raw, 4)[0] == 2
+    assert struct.unpack_from("<d", raw, 8)[0] == 2.0
     n, N, kind, reserved = struct.unpack_from("<4I", raw, 16)
     assert (n, N, kind, reserved) == (2, 6, 0, 0)
     payload = np.frombuffer(raw, dtype="<f8", offset=32)
     assert payload.size == 6**4
 
 
-def test_sidecar_contents(grid, tmp_path):
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["scalar", "hermitian"])
+def test_roundtrip_keeps_period(tmp_path, rng, n, kind):
+    grid = TorusGrid(n=n, points_per_axis=4, period=1.3)
+    if kind == "scalar":
+        field = ScalarField(grid, rng.standard_normal(grid.shape))
+    else:
+        shape = grid.shape + (n, n)
+        field = HermitianField(grid, rng.standard_normal(shape)
+                               + 1j * rng.standard_normal(shape))
     path = tmp_path / "f.hlf1"
-    write_field(path, ScalarField.constant(grid, 0.0))
-    meta = json.loads((tmp_path / "f.hlf1.json").read_text())
-    assert meta["format"] == "HLF1"
-    assert meta["n"] == 2
-    assert meta["points_per_axis"] == 6
-    assert meta["period"] == 2.0
-    assert meta["kind"] == "scalar"
-    assert meta["axis_order"] == ["x1", "y1", "x2", "y2"]
-
-
-def test_missing_sidecar_needs_period(grid, tmp_path):
-    path = tmp_path / "f.hlf1"
-    write_field(path, ScalarField.constant(grid, 0.0))
-    (tmp_path / "f.hlf1.json").unlink()
-    with pytest.raises(DomainError):
-        read_field(path)
-    back = read_field(path, period=2.0)
+    write_field(path, field)
+    back = read_field(path)
+    assert type(back) is type(field)
     assert back.grid == grid
+    assert np.array_equal(back.data, field.data)
+    write_field(tmp_path / "g.hlf1", back)
+    assert (tmp_path / "g.hlf1").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("period", [0.0, -1.0, float("nan"), float("inf"), -float("inf")])
+def test_bad_header_period_names_file(grid, tmp_path, period):
+    path = tmp_path / "f.hlf1"
+    write_field(path, ScalarField.constant(grid, 1.0))
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<d", raw, 8, period)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DomainError, match="period") as err:
+        read_field(path)
+    assert "f.hlf1" in str(err.value)
+
+
+def test_version_1_rejected(grid, tmp_path, capsys):
+    # the version-1 layout: reserved zero bytes where the period now sits
+    path = tmp_path / "f.hlf1"
+    write_field(path, HermitianField.identity(grid))
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<I", raw, 4, 1)
+    raw[8:16] = b"\x00" * 8
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DomainError, match="unsupported HLF1 version 1") as err:
+        read_field(path)
+    assert "f.hlf1" in str(err.value)
+    assert main(["conecheck", "--field", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 def test_write_deterministic(grid, tmp_path, rng):
@@ -84,7 +111,7 @@ def test_write_deterministic(grid, tmp_path, rng):
     write_field(tmp_path / "a.hlf1", field)
     write_field(tmp_path / "b.hlf1", field)
     assert (tmp_path / "a.hlf1").read_bytes() == (tmp_path / "b.hlf1").read_bytes()
-    assert (tmp_path / "a.hlf1.json").read_text() == (tmp_path / "b.hlf1.json").read_text()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.hlf1", "b.hlf1"]
 
 
 def test_rejects_garbage(tmp_path):
@@ -133,41 +160,72 @@ def test_bad_header_kind(grid, tmp_path):
         read_field(path)
 
 
-@pytest.mark.parametrize("sidecar, message", [
-    ("{not json", "unreadable sidecar"),
-    (json.dumps({"n": 2, "points_per_axis": 6}), "unreadable sidecar"),
-    (json.dumps({"n": 2, "points_per_axis": 8, "period": 2.0}), "disagrees"),
-    (json.dumps({"n": 3, "points_per_axis": 6, "period": 2.0}), "disagrees"),
-    (json.dumps({"n": 2, "points_per_axis": 6, "period": float("nan")}), "period"),
-])
-def test_bad_sidecar_names_file(grid, tmp_path, sidecar, message):
-    path = tmp_path / "f.hlf1"
-    write_field(path, ScalarField.constant(grid, 1.0))
-    (tmp_path / "f.hlf1.json").write_text(sidecar)
-    with pytest.raises(DomainError, match=message) as err:
+# ---------------------------------------------------------------------------
+# fuzzing the HLF1 input route: every mutated file ends in exit 0, or in
+# exit 1 with a named "config error:", never in a traceback
+
+# byte offset, format and candidate values of each mutated header field
+HEADER_FIELDS = {
+    "version": (4, "<I", [0, 1, 3, 2**32 - 1]),
+    "period": (8, "<d", [0.0, -1.0, float("nan"), float("inf"), 1e308, 5e-324]),
+    "n": (16, "<I", [0, 1, 2, 3, 17, 2**32 - 1]),
+    "N": (20, "<I", [0, 1, 3, 4, 2**31]),
+    "kind": (24, "<I", [0, 1, 2]),
+}
+
+
+@st.composite
+def mutated_hlf1(draw):
+    n = draw(st.sampled_from([1, 2]))
+    grid = TorusGrid(n=n, points_per_axis=draw(st.sampled_from([2, 4])), period=1.3)
+    values = draw(st.lists(st.floats(-1.79e308, 1.79e308), min_size=1, max_size=3))
+    # a diagonal mask gives the constant margins of scaled identity fields
+    mask = draw(st.sampled_from([np.eye(n), np.ones((n, n))]))
+    data = np.resize(np.array(values), grid.shape + (n, n)) * mask
+    hermitian = draw(st.booleans())
+    field = HermitianField(grid, data) if hermitian else ScalarField(grid, data[..., 0, 0])
+    # at most two header fields change, so many files stay readable
+    names = draw(st.sets(st.sampled_from(sorted(HEADER_FIELDS)), max_size=2))
+    mutations = {name: draw(st.sampled_from(HEADER_FIELDS[name][2])) for name in names}
+    trim = draw(st.one_of(st.just(0), st.integers(1, 40)))
+    return field, mutations, trim, draw(st.sampled_from([1, 2]))
+
+
+def _write_mutated(path, field, mutations, trim):
+    write_field(path, field)
+    raw = bytearray(path.read_bytes())
+    for name, value in mutations.items():
+        offset, fmt, _ = HEADER_FIELDS[name]
+        struct.pack_into(fmt, raw, offset, value)
+    path.write_bytes(bytes(raw[:len(raw) - trim]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_hlf1())
+def test_mutated_files_end_in_named_errors(tmp_path_factory, example):
+    field, mutations, trim, m = example
+    path = tmp_path_factory.mktemp("fuzz") / "f.hlf1"
+    _write_mutated(path, field, mutations, trim)
+    try:
         read_field(path)
-    assert "f.hlf1" in str(err.value)
+    except DomainError as err:
+        assert "f.hlf1" in str(err)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["conecheck", "--field", str(path), "--m", str(m)])
+    assert code in (0, 1)
+    assert code == 0 or err.getvalue().startswith("config error:")
 
 
-def test_csv_slice_2d(grid, tmp_path):
-    data = np.zeros(grid.shape)
-    data[3, 4, 0, 0] = 1.25
-    csv_path = tmp_path / "slice.csv"
-    csv_slice(ScalarField(grid, data), csv_path, axes=(0, 1))
-    lines = csv_path.read_text().strip().split("\n")
-    assert lines[0] == "x1,y1,value"
-    assert len(lines) == 1 + 36
-    hit = [ln for ln in lines if ln.endswith("1.25")]
-    assert len(hit) == 1
-    x, y, _ = hit[0].split(",")
-    assert float(x) == pytest.approx(3 * grid.spacing)
-    assert float(y) == pytest.approx(4 * grid.spacing)
-
-
-def test_csv_slice_1d(grid, tmp_path):
-    field = ScalarField(grid, np.ones(grid.shape))
-    csv_path = tmp_path / "line.csv"
-    csv_slice(field, csv_path, axes=(2,))
-    lines = csv_path.read_text().strip().split("\n")
-    assert lines[0] == "x2,value"
-    assert len(lines) == 1 + 6
+@pytest.mark.parametrize("diagonal, code", [(1e308, 1), (-1e308, 1), (1e200, 0)])
+def test_conecheck_near_float_limit(tmp_path, capsys, diagonal, code):
+    # S_1 = 2e308 overflows: a named error; S_1 = 2e200 is finite and every
+    # margin equals 1e200, a range too narrow for ten bins, so one bin prints
+    path = tmp_path / "x.hlf1"
+    write_field(path, HermitianField.identity(TorusGrid(n=2, points_per_axis=4), diagonal))
+    assert main(["conecheck", "--field", str(path), "--m", "2"]) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert "worst_margin: 1e+200" in out and "): 256" in out
+    else:
+        assert err.startswith("config error:") and "x.hlf1" in err and "overflow" in err

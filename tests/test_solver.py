@@ -620,8 +620,13 @@ class TestContinuation:
         assert [args[1:] for args in calls] == [(bg.chi, 1), (bg.chi, 2)]
         monkeypatch.undo()
         f_norm, _ = normalize_density(bg, f, 2)
+        moments = solver._chi_moments(bg, 2)
+        mass_0 = solver._stage_mass(bg, 0.0, 2, moments)
         for t, rec in zip(sched.t_values, report.stages):
-            b_t = compatibility_constant(bg, t, f_norm, 2)
+            # f_norm carries the mass _stage_mass(0), so b_t needs no integral of f
+            b_t = float(np.log(solver._stage_mass(bg, t, 2, moments) / mass_0) / 2)
+            assert b_t == pytest.approx(compatibility_constant(bg, t, f_norm, 2),
+                                        rel=0, abs=1e-14)
             fresh = degenerate_brackets(bg, t, b_t, 2)
             assert (rec.bracket_lower, rec.bracket_mid, rec.bracket_upper) == fresh
 
@@ -743,6 +748,11 @@ class TestContinuation:
     def test_schedule_names_bad_value(self, kwargs, name):
         with pytest.raises(ConfigError, match=name):
             ContinuationSchedule(**kwargs)
+
+    @pytest.mark.parametrize("ratio", [1e308, 1.0, 0.0, np.nan])
+    def test_default_schedule_names_ratio(self, ratio):
+        with pytest.raises(ConfigError, match="ratio"):
+            ContinuationSchedule.default(num_stages=3, ratio=ratio)
 
     @pytest.mark.parametrize("name, value", [("max_newton", -1)])
     def test_iteration_caps_rejected(self, name, value):

@@ -204,6 +204,26 @@ class TestInequalities:
         with pytest.raises(DomainError):
             check_garding([3, -1, -1], [1, 1, 1], 2)
 
+    @pytest.mark.parametrize("lam, m", [
+        ([1e300, 1e300, 1e300], 2), ([1e308, 1e308], 2), ([1.79e308, 1.0, 0.5], 2),
+        ([3e300, -1e300, 2e300], 2), ([1e300, 1e300, 1e300], 3), ([1e300, 2e300, 3e300], 3),
+    ])
+    def test_gaps_of_huge_tuples_do_not_overflow(self, lam, m):
+        # both gaps are homogeneous, so they are taken on lam / max|lam|; a
+        # gap beyond the float64 range may be +inf, never -inf or nan
+        scale = max(lam)
+        maclaurin = check_maclaurin(lam, m)
+        garding = check_garding(lam, np.ones(len(lam)), m)
+        assert np.isfinite(maclaurin) and maclaurin >= -1e-12 * scale
+        assert not np.isnan(garding) and garding >= -1e-12 * scale * scale ** (m - 2)
+
+    def test_gaps_scale_homogeneously(self):
+        lam = np.array([1.0, 2.0, 3.0])
+        assert check_maclaurin(1e300 * lam, 2) == pytest.approx(
+            1e300 * check_maclaurin(lam, 2), rel=1e-14)
+        assert check_garding(1e300 * lam, 2e-300 * lam[::-1], 2) == pytest.approx(
+            2.0 * check_garding(lam, lam[::-1], 2), rel=1e-12)
+
     def test_operator_concavity(self, rng):
         for n, m in ((3, 2), (4, 3)):
             tuples = sample_cone_tuples(rng, n, m, 2000)
