@@ -59,6 +59,21 @@ def test_header_layout(grid, tmp_path):
     assert payload.size == 6**4
 
 
+def test_sidecar_contents(grid, tmp_path):
+    # what version 1 kept in a JSON sidecar now lives in the one file
+    path = tmp_path / "f.hlf1"
+    field = ScalarField(grid, np.arange(6**4, dtype=float).reshape(grid.shape))
+    write_field(path, field)
+    assert [p.name for p in tmp_path.iterdir()] == ["f.hlf1"]
+    raw = path.read_bytes()
+    assert raw[:4] == b"HLF1"
+    period, n, N, kind, _ = struct.unpack_from("<d4I", raw, 8)
+    assert (period, n, N, kind) == (2.0, 2, 6, 0)
+    # axis order x1, y1, x2, y2: the payload is the row-major flattening
+    payload = np.frombuffer(raw, dtype="<f8", offset=32)
+    assert np.array_equal(payload, np.arange(6**4, dtype=float))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("kind", ["scalar", "hermitian"])
 def test_roundtrip_keeps_period(tmp_path, rng, n, kind):
