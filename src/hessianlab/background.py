@@ -70,11 +70,8 @@ class BackgroundData:
         worst = esp_margins(S, grid.n)
         if worst.min() < -1e-10:
             idx = np.unravel_index(int(np.argmin(worst)), grid.shape)
-            raise ConeViolationError(
-                f"chi leaves the closed degree-{m} cone at {idx}",
-                point=idx,
-                margin=float(worst.min()),
-            )
+            raise ConeViolationError(f"chi leaves the closed degree-{m} cone at {idx}",
+                                     point=idx, margin=float(worst.min()))
 
     def base_form(self, t: float) -> HermitianField:
         """chi + chi_tilde + t * omega = chi + (kappa + t) * omega."""
@@ -227,10 +224,8 @@ def manufactured_solution(bg: BackgroundData, t: float, m: int,
     worst_min = float(worst.min())
     if worst_min < margin_floor:
         idx = np.unravel_index(int(np.argmin(worst)), grid.shape)
-        raise ConeViolationError(
-            f"manufactured potential margin {worst_min:.3e} below {margin_floor}",
-            point=idx, margin=worst_min,
-        )
+        raise ConeViolationError(f"manufactured potential margin {worst_min:.3e} below "
+                                 f"{margin_floor}", point=idx, margin=worst_min)
     f_star = ScalarField(grid, (np.log(S[..., m]) - np.log(binom(grid.n, m))) / m)
     phi_star = ScalarField(grid, potential.data - potential.data.max())
     return phi_star, f_star, worst_min

@@ -336,8 +336,15 @@ def cmd_conecheck(args) -> int:
 # dispatch
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a config error, exit 1; argparse's exit 2 means nonconvergence."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hessianlab",
         description="Complex Hessian equation solver and estimate checks",
     )
@@ -355,8 +362,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "conecheck":
             return cmd_conecheck(args)
         cfg = load_config(args.config)

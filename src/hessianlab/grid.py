@@ -3,7 +3,10 @@
 A torus of complex dimension ``n`` is sampled on a uniform periodic grid
 with ``N`` points per real axis, axes ordered (x_1, y_1, ..., x_n, y_n).
 Scalar fields are float arrays over the grid; Hermitian fields carry an
-(n, n) complex matrix per point, symmetrized on construction.
+(n, n) complex matrix per point, symmetrized on construction.  The solver
+holds Hermitian fields as n * n real planes instead (``hessian_planes``,
+``symfunc.hermitian_to_planes``): the diagonal, the real parts above it
+and the imaginary parts below it.
 
 Centered second-order finite differences are the working derivative scheme.
 A spectral route is provided as well; it is exact on trigonometric
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .symfunc import pencil_eigh
+from .symfunc import pencil_eigh, planes_to_hermitian
 
 # the most points a TorusGrid accepts, so an HLF1 header cannot ask for more
 POINT_BUDGET = 2_000_000
@@ -80,9 +83,7 @@ class ScalarField:
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=float)
         if self.data.shape != self.grid.shape:
-            raise DomainError(
-                f"scalar data shape {self.data.shape} != grid shape {self.grid.shape}"
-            )
+            raise DomainError(f"scalar data shape {self.data.shape} != {self.grid.shape}")
         if not np.all(np.isfinite(self.data)):
             raise DomainError("scalar field contains non-finite values")
 
@@ -105,9 +106,7 @@ class HermitianField:
         n = self.grid.n
         self.data = np.asarray(self.data, dtype=complex)
         if self.data.shape != self.grid.shape + (n, n):
-            raise DomainError(
-                f"matrix data shape {self.data.shape} != {self.grid.shape + (n, n)}"
-            )
+            raise DomainError(f"matrix data shape {self.data.shape} != {self.grid.shape + (n, n)}")
         # halved before the sum, so entries near the float64 limit do not overflow
         self.data = 0.5 * self.data + 0.5 * np.conj(np.swapaxes(self.data, -1, -2))
 
@@ -169,9 +168,11 @@ def hessian_planes(data: np.ndarray, n: int) -> np.ndarray:
     (j, i) is mixed(x_i, y_j) - mixed(y_i, x_j), where mixed(a, b) is 4 h^2
     times the centered mixed difference along axes a and b.  Every
     neighbour is read as a slice of one periodic wrap-pad of ``data``.
-    This is the one discretization: ``complex_hessian`` scales these planes
-    into matrix entries, and the solver's Krylov matvec contracts them with
-    the coefficients of its linearization.
+    This is the one discretization.  Times ``hessian_scale`` the planes are
+    those of the complex Hessian in the layout of
+    ``symfunc.hermitian_to_planes``: the Newton loop holds X that way, and
+    ``complex_hessian`` turns them into matrices.  The Krylov matvec
+    contracts them with the coefficients of its linearization.
     """
     N = data.shape[0]
     padded = _wrap_pad(data)
@@ -196,6 +197,12 @@ def hessian_planes(data: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def hessian_scale(grid: TorusGrid) -> np.ndarray:
+    """Factors (n * n,) taking ``hessian_planes`` to complex-Hessian planes."""
+    h = grid.spacing
+    return np.where(np.eye(grid.n, dtype=bool), 0.25 / (h * h), 0.0625 / (h * h)).ravel()
+
+
 def complex_hessian(phi: ScalarField) -> HermitianField:
     """Discrete complex Hessian of a scalar potential.
 
@@ -203,22 +210,14 @@ def complex_hessian(phi: ScalarField) -> HermitianField:
     (1/4)(d_{x_i x_j} + d_{y_i y_j}) + (i/4)(d_{x_i y_j} - d_{y_i x_j})
     with centered periodic differences: the three-point second difference
     on the diagonal and ``diff1`` composed with itself off it, read from
-    ``hessian_planes``.  The i = j imaginary part is zero and entries below
-    the diagonal are conjugated copies, so the output is exactly Hermitian.
+    ``hessian_planes`` times ``hessian_scale``.  The output is exactly
+    Hermitian.
     """
     grid = phi.grid
-    n, h = grid.n, grid.spacing
-    planes = hessian_planes(phi.data, n)
-    out = np.zeros(grid.shape + (n, n), dtype=complex)
-    for i in range(n):
-        out.real[..., i, i] = (0.25 / (h * h)) * planes[i, i]
-        for j in range(i + 1, n):
-            re = (0.0625 / (h * h)) * planes[i, j]
-            im = (0.0625 / (h * h)) * planes[j, i]
-            out.real[..., i, j] = out.real[..., j, i] = re
-            out.imag[..., i, j] = im
-            out.imag[..., j, i] = -im
-    return _hermitian_by_construction(grid, out)
+    n = grid.n
+    planes = hessian_planes(phi.data, n).reshape((n * n,) + grid.shape)
+    scale = hessian_scale(grid).reshape((n * n,) + (1,) * (2 * n))
+    return _hermitian_by_construction(grid, planes_to_hermitian(scale * planes))
 
 
 def fd_laplacian_inverse(grid: TorusGrid):
@@ -276,12 +275,8 @@ def complex_gradient(phi: ScalarField) -> np.ndarray:
 # spectral route (oracle / manufactured data only)
 
 
-def _wavenumbers(grid: TorusGrid) -> np.ndarray:
-    return 2.0 * np.pi * np.fft.fftfreq(grid.points_per_axis, d=grid.spacing)
-
-
 def spectral_derivative(data: np.ndarray, axis: int, grid: TorusGrid, order: int = 1) -> np.ndarray:
-    k = _wavenumbers(grid)
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.points_per_axis, d=grid.spacing)
     shape = [1] * data.ndim
     shape[axis] = grid.points_per_axis
     mult = (1j * k.reshape(shape)) ** order
@@ -329,9 +324,7 @@ def eigen_field(A: HermitianField, omega: np.ndarray) -> np.ndarray:
     """
     n = A.grid.n
     if np.shape(omega) != (n, n):
-        raise DomainError(
-            f"omega must be one ({n}, {n}) matrix, got shape {np.shape(omega)}"
-        )
+        raise DomainError(f"omega must be one ({n}, {n}) matrix, got shape {np.shape(omega)}")
     lam, _, _ = pencil_eigh(A.data, omega)
     return lam
 

@@ -6,24 +6,23 @@ The stage-t equation on the torus reads, in log-residual form,
     X = chi + (kappa + t) * omega + (complex Hessian of phi),
 
 with the compatibility constant b solved jointly with a mean-zero update of
-phi.  Each Newton step linearizes the log of the operator, solves the
-bordered linear system by ``gmres``, restarted right-preconditioned GMRES
-started at the preconditioned right-hand side, and guards the
-positivity-cone margin with a damped line search.  The Krylov matvec
-contracts real coefficient planes, fixed for the step, with the difference
-planes of the Krylov vector; the preconditioner divides the residual
-pointwise by c = tr(a_over_s) / (4n) and applies the inverse
-difference Laplacian in its real tensor-product eigenbasis.  The degenerate
-problem is approached along a fixed decreasing schedule of t, with one
-Newton driver and one table of the wedge moments of chi for the whole
-family: every stage mass, in b_t and in the brackets, is a polynomial in
-kappa + t over that table.  Each stage tries up to three starts and keeps
-the first whose solve converges: from stage 2 on the Lagrange
-extrapolation in t through the last min(i, 5) solutions, then the previous
-solution as is, then zero, whose X is the base form and so strictly inside
-the cone once ``bg.validate`` passes; ``StageRecord.start`` names the one
-used (``"extrapolated"``, ``"warm"`` or ``"zero"``).  The weak-solution
-certificate is the decreasing sequence phi_t + C / 2^i.
+phi.  The Newton loop holds X, its line-search step and T / S_m as n * n
+real planes (the layout of ``grid.hessian_planes``) and evaluates them with
+the real-arithmetic ``planes_kernel``.  Each step linearizes the log of the
+operator, solves the bordered system by ``gmres``, restarted
+right-preconditioned GMRES started at M^-1 rhs, and guards the cone margin
+with a damped line search.  The matvec contracts the planes of T / S_m,
+scaled per plane, with the difference planes of the Krylov vector; the
+preconditioner divides the residual by c = tr(T / S_m) / (4n) and applies
+the inverse difference Laplacian.  The degenerate problem is approached
+along a decreasing schedule of t, with one Newton driver and one table of
+the wedge moments of chi for the whole family: every stage mass is a
+polynomial in kappa + t over that table.  Each stage keeps the first start
+whose solve converges: from stage 2 on the Lagrange extrapolation in t
+through the last min(i, 5) solutions, then the previous solution, then
+zero, whose X is the base form and so inside the cone once ``bg.validate``
+passes (``StageRecord.start``).  The weak-solution certificate is the
+decreasing sequence phi_t + C / 2^i.
 """
 
 from __future__ import annotations
@@ -41,13 +40,13 @@ from .errors import ConeViolationError, ConfigError, NonConvergenceError
 from .grid import (
     HermitianField,
     ScalarField,
-    complex_hessian,
     fd_laplacian_inverse,
     hessian_planes,
+    hessian_scale,
     integrate,
     mollify,
 )
-from .symfunc import binom, esp_margins, hessian_kernel
+from .symfunc import binom, esp_margins, hermitian_to_planes, hessian_kernel, planes_kernel
 
 DAMPING_FLOOR = 2.0 ** -20
 # the extrapolated stage start interpolates at most this many previous stages
@@ -186,9 +185,7 @@ def compatibility_constant(bg: BackgroundData, t: float, f: ScalarField, m: int,
         ScalarField(bg.grid, np.exp(m * f.data)), bg.volume
     )
     if num <= 0 or den <= 0:
-        raise ConfigError(
-            f"compatibility integrals must be positive (got {num:.3e}, {den:.3e})"
-        )
+        raise ConfigError(f"compatibility integrals must be positive (got {num:.3e}, {den:.3e})")
     return float(np.log(num / den) / m)
 
 
@@ -305,58 +302,62 @@ class _NewtonDriver:
     """Workspace holding the fixed data of one (bg, config) problem.
 
     The stage, t and the density f, is an input of each ``solve``, so one
-    driver serves every stage and start of a continuation.
+    driver serves every stage and start of a continuation.  Hermitian
+    fields, X, its line-search step and T / S_m, are held as real planes of
+    shape (n * n, num_points) in the layout of ``hessian_planes``.
     """
 
     def __init__(self, bg: BackgroundData, config: SolverConfig):
         grid = bg.grid
-        self.bg = bg
-        self.grid = grid
-        self.config = config
-        self.m = config.m
-        self.n = grid.n
+        self.bg, self.grid, self.config = bg, grid, config
+        self.m, self.n = config.m, grid.n
         self.binom = binom(grid.n, config.m)
         self.omega_inv = bg.omega_inv
         self.laplacian_inverse = fd_laplacian_inverse(grid)
         self.num_points = grid.num_points
+        self.chi = hermitian_to_planes(bg.chi.data).reshape(grid.n ** 2, -1)
+        self.omega = hermitian_to_planes(bg.omega)[:, None]
+        self.hess_scale = hessian_scale(grid)[:, None]
 
     def set_stage(self, t: float, f: ScalarField) -> "_NewtonDriver":
         """Pose the stage-t equation with density f; returns the driver."""
-        self.base = self.bg.base_form(float(t)).data
+        self.base = self.chi + (self.bg.kappa + float(t)) * self.omega
         self.f = f
         return self
+
+    def hessian(self, data: np.ndarray) -> np.ndarray:
+        """Planes of the complex Hessian of grid values: ``hessian_planes`` scaled."""
+        return self.hess_scale * hessian_planes(data, self.n).reshape(self.n ** 2, -1)
 
     # -- pointwise analysis ------------------------------------------------
 
     def eigen(self, x_data: np.ndarray):
-        """Kernel output (S_0..S_m, Newton tensor) of X, see ``hessian_kernel``."""
-        return hessian_kernel(x_data, self.omega_inv, self.m)
+        """Kernel output (S_0..S_m, Newton tensor) of X, see ``planes_kernel``."""
+        return planes_kernel(x_data, self.omega_inv, self.m)
 
     def margins(self, S: np.ndarray) -> np.ndarray:
         return esp_margins(S, self.n)
 
     def analyze(self, phi_data: np.ndarray, b: float):
         """Kernel data, residual and linearization coefficients at an iterate."""
-        x = self.base + complex_hessian(ScalarField(self.grid, phi_data)).data
+        x = self.base + self.hessian(phi_data)
         S, T = self.eigen(x)
         margins = self.margins(S)
         worst = float(margins.min())
         if not worst > 0.0:
             idx = np.unravel_index(int(np.argmin(margins)), self.grid.shape)
-            raise ConeViolationError(
-                f"cone margin {worst:.3e} at grid point {idx}",
-                point=idx, margin=worst,
-            )
+            raise ConeViolationError(f"cone margin {worst:.3e} at grid point {idx}",
+                                     point=idx, margin=worst)
         return self._linearize(x, S, T, worst, b)
 
     def _linearize(self, x: np.ndarray, S: np.ndarray, T: np.ndarray,
                    worst: float, b: float) -> dict:
         """Residual and linearization at X from its kernel output (S, T)."""
         sm = S[..., self.m]
-        resid = np.log(sm) - np.log(self.binom) - self.m * (self.f.data + b)
+        resid = np.log(sm) - np.log(self.binom) - self.m * (self.f.data.ravel() + b)
         return {
             "x": x, "S": S, "sm": sm, "worst": worst,
-            "residual": resid, "a_over_s": T / sm[..., None, None],
+            "residual": resid, "a_over_s": T / sm,
         }
 
     def _recenter(self, analysis: dict, b: float) -> float:
@@ -370,18 +371,11 @@ class _NewtonDriver:
     def stencil_coefficients(self, a_over_s: np.ndarray) -> np.ndarray:
         """Real planes C with tr(a_over_s H(v)) = sum C * hessian_planes(v).
 
-        C[i, i] = a_ii / (4 h^2) and, for i < j, C[i, j] = Re a_ji / (8 h^2)
-        and C[j, i] = -Im a_ji / (8 h^2), so the Krylov matvec builds no
-        complex Hessian.  Shape (n * n, num_points).
+        tr(A H) = sum_a w_a A_a H_a over the planes, w 1 on the diagonal and
+        2 off it, so C is a_over_s times w ``hessian_scale``: 1 / (4 h^2) on
+        the diagonal, 1 / (8 h^2) off it.
         """
-        n, h2 = self.n, self.grid.spacing ** 2
-        coeff = np.empty((n, n) + self.grid.shape)
-        for i in range(n):
-            coeff[i, i] = a_over_s[..., i, i].real / (4.0 * h2)
-            for j in range(i + 1, n):
-                coeff[i, j] = a_over_s[..., j, i].real / (8.0 * h2)
-                coeff[j, i] = -a_over_s[..., j, i].imag / (8.0 * h2)
-        return coeff.reshape(n * n, self.num_points)
+        return a_over_s * ((2.0 - np.eye(self.n).reshape(-1, 1)) * self.hess_scale)
 
     def apply_stencil(self, coeff: np.ndarray, v_data: np.ndarray) -> np.ndarray:
         """tr(a_over_s H(v)), flattened, from ``stencil_coefficients`` planes."""
@@ -408,7 +402,7 @@ class _NewtonDriver:
             out[P] = phi_v.mean()
             return out
 
-        trace = np.einsum("...ii->...", a_over_s).real
+        trace = a_over_s[:: self.n + 1].sum(axis=0).reshape(shape)
         inv_c = (4.0 * self.n) / np.maximum(trace, 1e-30)
 
         def precondition(v):
@@ -451,7 +445,7 @@ class _NewtonDriver:
         resid_sup = float(np.abs(resid).max())
         rtol = min(cfg.krylov_rtol, max(resid_sup, 1e-14))
         dphi, db = self.solve_linear(analysis["a_over_s"], -resid, rtol)
-        hess_step = complex_hessian(ScalarField(self.grid, dphi)).data
+        hess_step = self.hessian(dphi)
 
         step_size = cfg.damping
         x_now = analysis["x"]
@@ -545,7 +539,7 @@ def residual(phi: ScalarField, b: float, bg: BackgroundData, t: float,
     """Pointwise log-residual log S_m(lam(X)) - log C(n, m) - m (f + b)."""
     driver = _NewtonDriver(bg, SolverConfig(m=m)).set_stage(t, f)
     analysis = driver.analyze(phi.data, b)
-    return ScalarField(phi.grid, analysis["residual"])
+    return ScalarField(phi.grid, analysis["residual"].reshape(phi.grid.shape))
 
 
 def solve_nondegenerate(bg: BackgroundData, t: float, f: ScalarField,
@@ -596,21 +590,16 @@ def continuation_degenerate(bg: BackgroundData, f: ScalarField,
     """Solve the decreasing-t family; returns (states, report).
 
     One ``_NewtonDriver`` serves every stage and start.  Stage i tries the
-    starts of ``_stage_starts`` in order: the extrapolation through up to
-    PREDICTOR_ORDER previous solutions (stage 2 on), the previous phi, then
-    zero.  A start whose solve raises ConeViolationError (outside the cone
-    at initialization) or NonConvergenceError hands over to the next one;
-    only a failure of the zero start ends the continuation, a
-    NonConvergenceError carrying the partial report.  ``StageRecord.start``
-    names the start each stage used.
+    starts of ``_stage_starts`` in order; a start whose solve raises
+    ConeViolationError or NonConvergenceError hands over to the next, and
+    only a failed zero start ends the continuation, with a
+    NonConvergenceError carrying the partial report.
 
-    The density is shifted once so its mass matches the degenerate-limit
-    compatibility identity; per stage the report records the constant b_t,
-    the residual history, the sup/inf of phi_t, the cone margin, and the
-    two-sided bracket on V_t / exp(n b_t).  The report also carries the
-    t-uniformity proxy max_t ||phi_t||_inf <= 3 median_t ||phi_t||_inf and
-    the consecutive sup-differences used by the decreasing-sequence
-    certificate.
+    The density is shifted once to match the degenerate-limit mass
+    identity.  Per stage the report records b_t, the residual history, the
+    sup/inf of phi_t, the cone margin, the start used and the bracket on
+    V_t / exp(n b_t); it also carries the t-uniformity proxy and the
+    consecutive sup-differences of the decreasing-sequence certificate.
     """
     bg.validate(config.m)
     moments = _chi_moments(bg, config.m)
@@ -659,10 +648,8 @@ def continuation_degenerate(bg: BackgroundData, f: ScalarField,
     sups, _, passed = uniformity_proxy(states)
     report.meta["sup_norms"] = sups
     report.meta["uniformity_pass"] = passed
-    report.meta["consecutive_sup_diffs"] = [
-        float(np.max(states[i + 1].phi.data - states[i].phi.data))
-        for i in range(len(states) - 1)
-    ]
+    report.meta["consecutive_sup_diffs"] = [float(np.max(b.phi.data - a.phi.data))
+                                            for a, b in zip(states, states[1:])]
     report.meta["b_values"] = [s.b for s in states]
     return states, report
 
@@ -696,41 +683,22 @@ def decreasing_sequence(states: list) -> DecreasingSequenceResult:
     and the adjustment is reported.
     """
     phis = [s.phi for s in states]
-    diffs = [
-        float(np.max(phis[i + 1].data - phis[i].data)) for i in range(len(phis) - 1)
-    ]
+    diffs = [float(np.max(b.data - a.data)) for a, b in zip(phis, phis[1:])]
 
-    def build(cap_c):
-        return [cap_c / 2.0**i for i in range(len(phis))]
+    def caps_and_violation(cap_c):
+        caps = [cap_c / 2.0**i for i in range(len(phis))]
+        return caps, max([0.0] + [float(np.max((b.data + cb) - (a.data + ca))) for a, b, ca, cb
+                                  in zip(phis, phis[1:], caps, caps[1:])])
 
     cap_c = max(2.0 * max(diffs, default=0.0), 1e-12)
-    cap_list = build(cap_c)
-
-    def violation(cap_list):
-        worst = 0.0
-        for i in range(len(phis) - 1):
-            gap = np.max(
-                (phis[i + 1].data + cap_list[i + 1]) - (phis[i].data + cap_list[i])
-            )
-            worst = max(worst, float(gap))
-        return worst
-
-    worst = violation(cap_list)
-    adjusted = False
-    adjustment = 0.0
-    if worst > 0.0:
-        needed = max(
-            (2.0 ** (i + 1)) * max(d, 0.0) for i, d in enumerate(diffs)
-        ) if diffs else cap_c
-        adjustment = needed - cap_c
-        cap_c = needed
-        cap_list = build(cap_c)
-        adjusted = True
-        worst = violation(cap_list)
-
-    fields = [
-        ScalarField(p.grid, p.data + c) for p, c in zip(phis, cap_list)
-    ]
+    cap_list, worst = caps_and_violation(cap_c)
+    adjusted, adjustment = worst > 0.0, 0.0
+    if adjusted:
+        # worst > 0 needs two states, so diffs is not empty
+        needed = max((2.0 ** (i + 1)) * max(d, 0.0) for i, d in enumerate(diffs))
+        adjustment, cap_c = needed - cap_c, needed
+        cap_list, worst = caps_and_violation(cap_c)
+    fields = [ScalarField(p.grid, p.data + c) for p, c in zip(phis, cap_list)]
     return DecreasingSequenceResult(
         fields=fields, cap_constant=cap_c, caps=cap_list,
         adjusted=adjusted, adjustment=adjustment, violation=worst,

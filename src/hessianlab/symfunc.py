@@ -3,13 +3,16 @@
 Everything here is dimension-generic and pure: tuples of generalized
 eigenvalues go in, scalars or small arrays come out.  The solver and the
 field calculus build on the batched variants, which accept arrays of shape
-``(..., n)`` and evaluate pointwise, and on ``hessian_kernel``, which takes
+``(..., n)`` and evaluate pointwise, and on ``planes_kernel``, which takes
 the elementary symmetric polynomials and the Newton tensor of a Hermitian
-field straight from its matrix entries, with no eigendecomposition.
+field held as n * n real planes, in real arithmetic and with no
+eigendecomposition; ``hessian_kernel`` is its adapter for complex matrices.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -109,9 +112,7 @@ def elem_sym_minors(matrix, k: int) -> float:
     if k == 0:
         return 1.0
     total = 0.0
-    from itertools import combinations
-
-    for idx in combinations(range(n), k):
+    for idx in itertools.combinations(range(n), k):
         sub = a[np.ix_(idx, idx)]
         total += np.linalg.det(sub).real
     return float(total)
@@ -143,14 +144,23 @@ def cone_membership(values, spec) -> tuple[bool, float]:
 
     ``spec`` may be a ConeSpec or a plain degree ``m`` (margin 0).  Returns
     ``(is_member, worst_margin)`` where the margin is min_k S_k / C(n,k).
+    With ``_unit_sup(lam) = (u, s)`` the degree-k margin is s^k e_k(u) /
+    C(n, k), and it exceeds the slack iff e_k(u) / C(n, k) > slack / s^k:
+    float products by s saturate without a warning, only where the truth does.
     """
     lam = as_eigentuple(values)
     if isinstance(spec, (int, np.integer)):
         spec = ConeSpec(n=lam.size, m=int(spec))
     if lam.size != spec.n:
         raise DomainError(f"tuple length {lam.size} != cone dimension {spec.n}")
-    worst = esp_margins(elem_sym_table(lam)[: spec.m + 1], spec.n)
-    return bool(worst > spec.margin), float(worst)
+    unit, scale = _unit_sup(lam)
+    e = elem_sym_table(unit)
+    member, worst, slack = True, math.inf, spec.margin
+    for k in range(1, spec.m + 1):
+        u, slack = float(e[k]) / binom(spec.n, k), slack / scale
+        member = member and u > slack
+        worst = min(worst, math.prod([u] + [scale] * k))
+    return member, worst
 
 
 def restricted_esp(values: np.ndarray, k: int) -> np.ndarray:
@@ -250,61 +260,85 @@ def metric_inv_sqrt(G: np.ndarray, min_eig: float = METRIC_MIN_EIG) -> np.ndarra
     return np.einsum("...ik,...k,...jk->...ij", Vg, 1.0 / np.sqrt(wg), np.conj(Vg))
 
 
-def _plane_dot(row, col):
-    """sum_l row[l] * col[l] over lists of entry planes (or scalars)."""
-    total = row[0] * col[0]
-    for a, b in zip(row[1:], col[1:]):
-        total = total + a * b
-    return total
+def hermitian_to_planes(x) -> np.ndarray:
+    """Real planes (n * n, ...) of Hermitian ``x`` (..., n, n), the ``hessian_planes`` layout.
 
-
-def hessian_kernel(x: np.ndarray, omega_inv: np.ndarray, m: int):
-    """S_0..S_m and the Newton tensor of a Hermitian field relative to a metric.
-
-    Pointwise over the leading axes of ``x`` with W = omega^(-1) x, returns
-    ``(S, T)``: ``S[..., k]`` is S_k of the eigenvalues of W (those of x
-    relative to omega) for k = 0..m, and ``T`` is the Hermitian matrix
-    T_{m-1}(W) omega^(-1), where T_k(W) = sum_j (-1)^j S_{k-j} W^j is the
-    Newton tensor.  Since d S_m = tr(T dx), T / S_m linearizes log S_m.
-
-    No eigendecomposition: the Faddeev-LeVerrier recursion
-    S_k = tr(W T_{k-1}) / k, T_k = S_k I - W T_{k-1} runs on the (i, j)
-    entry planes of x.  It carries B_k = T_k omega^(-1), which is Hermitian,
-    so only its upper triangle is computed and B_{m-1} is T itself.
+    Plane i * n + j holds Re x_ij for i <= j and Im x_ji for i > j.
+    ``planes_to_hermitian`` inverts it, bit for bit on exactly Hermitian ``x``.
     """
     x = np.asarray(x, dtype=complex)
     n = x.shape[-1]
+    return np.stack([x[..., i, j].real if i <= j else x[..., j, i].imag
+                     for i in range(n) for j in range(n)])
+
+
+def planes_to_hermitian(p) -> np.ndarray:
+    """The Hermitian matrices (..., n, n) of real planes (n * n, ...)."""
+    p = np.asarray(p, dtype=float)
+    n, lead = math.isqrt(p.shape[0]), p.shape[1:]
+    q = p.reshape(n * n, -1)
+    out = np.empty((q.shape[1], n, n), dtype=complex)
+    # column 2 (i n + j) of the float view holds Re x_ij, the next one Im x_ij
+    v = out.view(float).reshape(q.shape[1], 2 * n * n)
+    for i in range(n):
+        v[:, 2 * (i * n + i)], v[:, 2 * (i * n + i) + 1] = q[i * n + i], 0.0
+        for j in range(i + 1, n):
+            v[:, 2 * (i * n + j)] = v[:, 2 * (j * n + i)] = q[i * n + j]
+            v[:, 2 * (i * n + j) + 1] = q[j * n + i]
+            np.negative(q[j * n + i], out=v[:, 2 * (j * n + i) + 1])
+    return out.reshape(lead + (n, n))
+
+
+@functools.lru_cache(maxsize=32)
+def _recursion_maps(oi_bytes: bytes, n: int, m: int) -> tuple:
+    """``(B_0, w, maps)`` of ``planes_kernel`` for one omega^(-1), built once.
+
+    S_m = sum_a w_a x_a b_a.  ``maps[k - 1]`` takes the planes x_a (k = 1)
+    or the products x_a b_c (k > 1) to S_k and B_k: its column evaluates
+    them with X B_{k-1} replaced by E_a omega^(-1) resp. E_a E_c, E the
+    basis matrices of the planes.
+    """
+    oi = np.frombuffer(oi_bytes, dtype=complex).reshape(n, n)
+    b0 = hermitian_to_planes(oi)
+    E = planes_to_hermitian(np.eye(n * n))
+    maps = []
+    for k in range(1, m):
+        F = E @ oi if k == 1 else np.einsum("aij,cjl->acil", E, E).reshape(-1, n, n)
+        s_row = np.trace(F, axis1=-2, axis2=-1).real / k
+        maps.append(np.vstack([s_row, np.outer(b0, s_row) - hermitian_to_planes(oi @ F)]))
+    return b0[:, None], (2.0 - np.eye(n).ravel()) / m, maps
+
+
+def planes_kernel(x: np.ndarray, omega_inv: np.ndarray, m: int):
+    """S_0..S_m and the Newton tensor of a Hermitian field X held as real planes.
+
+    Pointwise over the planes (n * n, ...) of ``x`` with W = omega^(-1) X,
+    returns ``(S, T)``: ``S[..., k]`` is S_k of the eigenvalues of W for
+    k = 0..m, and ``T``, planes like ``x``, is T_{m-1}(W) omega^(-1) for the
+    Newton tensor T_k(W) = sum_j (-1)^j S_{k-j} W^j, so T / S_m linearizes
+    log S_m.  The Faddeev-LeVerrier recursion S_k = tr(X B_{k-1}) / k,
+    B_k = S_k omega^(-1) - omega^(-1) X B_{k-1} runs in real arithmetic:
+    step 1 is a constant matmul, as B_1 is linear in X, and a later step a
+    pointwise product of planes, then a constant matmul.
+    """
+    n = math.isqrt(x.shape[0])
     if not 1 <= m <= n:
         raise DomainError(f"m={m} outside 1..{n}")
-    oi = np.asarray(omega_inv, dtype=complex)
-    ix = range(n)
-    xp = [[x[..., i, j] for j in ix] for i in ix]
-    w = [[_plane_dot(oi[i], [xp[l][j] for l in ix]) for j in ix] for i in ix]
-    S = np.empty(x.shape[:-2] + (m + 1,))
-    S[..., 0] = 1.0
-    b = oi
-    for k in range(1, m + 1):
-        # S_k = tr(W T_{k-1}) / k = tr(x B_{k-1}) / k
-        s_k = _plane_dot([xp[i][j] for i in ix for j in ix],
-                         [b[j][i] for i in ix for j in ix]).real / k
-        S[..., k] = s_k
-        if k == m:
-            break
-        # B_k = S_k omega^(-1) - W B_{k-1}, upper triangle then conjugates
-        nxt = [[None] * n for _ in ix]
-        for i in ix:
-            for j in range(i, n):
-                entry = s_k * oi[i, j] - _plane_dot(w[i], [b[l][j] for l in ix])
-                if i == j:
-                    nxt[i][i] = entry.real
-                else:
-                    nxt[i][j], nxt[j][i] = entry, np.conj(entry)
-        b = nxt
-    T = np.empty(x.shape, dtype=complex)
-    for i in ix:
-        for j in ix:
-            T[..., i, j] = b[i][j]
-    return S, T
+    b, weights, maps = _recursion_maps(np.asarray(omega_inv, dtype=complex).tobytes(), n, m)
+    xf = x.reshape(n * n, -1)
+    S = np.empty((xf.shape[1], m + 1))
+    S[:, 0] = 1.0
+    for k, step in enumerate(maps, 1):
+        out = step @ (xf if k == 1 else (xf[:, None] * b[None]).reshape(n ** 4, -1))
+        S[:, k], b = out[0], out[1:]
+    S[:, m] = weights @ (xf * b)
+    return S.reshape(x.shape[1:] + (m + 1,)), np.broadcast_to(b, xf.shape).reshape(x.shape)
+
+
+def hessian_kernel(x: np.ndarray, omega_inv: np.ndarray, m: int):
+    """``planes_kernel`` of complex matrices ``x`` (..., n, n), with ``T`` as matrices."""
+    S, T = planes_kernel(hermitian_to_planes(x), omega_inv, m)
+    return S, planes_to_hermitian(T)
 
 
 def pencil_eigh(A: np.ndarray, G: np.ndarray, min_eig: float = METRIC_MIN_EIG):

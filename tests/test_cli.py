@@ -1,13 +1,16 @@
 """Command-line driver: exit codes, validation, reports, determinism."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import hessianlab
 from hessianlab.cli import _STAGE_COLUMNS, main
@@ -18,6 +21,17 @@ from hessianlab.hlf import read_field
 FLOAT_KEYS = [(section, key) for section, keys in _SCHEMA.items()
               for key, kind in keys.items() if kind is float]
 FLOAT_KEYS += [key for key, kind in _LIST_KEYS.items() if kind is float]
+
+
+# floats from +-1e-320 to +-1e308, the extremes themselves, non-finite values,
+# words and empty tokens, joined by blanks, commas and brackets
+TUPLE_TOKENS = st.one_of(
+    st.builds(lambda mag, neg: repr(-mag if neg else mag),
+              st.floats(min_value=1e-320, max_value=1e308), st.booleans()),
+    st.sampled_from(["1e308", "-1e308", "1e-320", "-1e-320", "0", "nan", "inf", "-inf", ""]),
+    st.text(alphabet="abe+-._", max_size=4),
+)
+TUPLE_SEPARATORS = [" ", ",", ", ", "[", "]", "(", ")", "] [", ""]
 
 
 def write_config(tmp_path, name="cfg.ini", **overrides):
@@ -405,3 +419,33 @@ class TestConecheck:
 
     def test_needs_input(self, capsys):
         assert main(["conecheck"]) == 1
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(text=st.builds(lambda seps, toks: "".join(a + b for a, b in zip(seps, toks)),
+                          st.lists(st.sampled_from(TUPLE_SEPARATORS), min_size=5, max_size=5),
+                          st.lists(TUPLE_TOKENS, min_size=2, max_size=4)))
+    @example(text="1e308 1e308")
+    @example(text="1e-320 1e-320")
+    @example(text="-1e200,1e200")
+    def test_tuple_input_ends_in_result_or_config_error(self, text):
+        # the --tuple route with over- and underflowing floats, non-finite
+        # values, words, empty tokens and stray separators; pytest turns any
+        # escaping warning into a failure
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["conecheck", "--tuple", text])
+        if code == 0:
+            assert "member: " in out.getvalue() and "nan" not in out.getvalue()
+        else:
+            assert code == 1 and err.getvalue().startswith("config error:"), (code, err.getvalue())
+
+    @pytest.mark.parametrize("text, member, margin", [
+        ("1e308 1e308", True, "1e+308"), ("1e-320 1e-320", True, None),
+        ("1e200 1e200 -1e200", False, "-inf")])
+    def test_tuple_scaled_before_the_margins(self, capsys, text, member, margin):
+        assert main(["conecheck", "--tuple", text]) == 0
+        out = capsys.readouterr().out
+        assert f"member: {member}" in out
+        if margin is not None:
+            assert f"worst_margin: {margin}\n" in out
+

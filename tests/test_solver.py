@@ -34,7 +34,7 @@ from hessianlab import (
 )
 from hessianlab import solver
 from hessianlab.solver import _NewtonDriver, _chi_moments, _stage_mass, _stage_starts, gmres
-from hessianlab.symfunc import binom
+from hessianlab.symfunc import binom, hermitian_to_planes, planes_to_hermitian
 
 from conftest import anisotropic_spd, random_hermitian
 
@@ -204,6 +204,19 @@ class TestResidual:
 
 
 class TestKrylovOperators:
+    def test_loop_planes_equal_complex_hessian_entries(self, rng, grid12):
+        # X = base form + complex Hessian, summed on planes in the Newton loop
+        # and as complex matrices outside it, agrees to the bit
+        omega = anisotropic_spd(rng, 2)
+        bg = BackgroundData(omega=omega, kappa=1.0, chi=HermitianField.constant(
+            grid12, 0.1 * random_hermitian(rng, 2)))
+        phi = TrigPolynomial.random(2, rng, amplitude=0.01).sample(grid12)
+        driver = _NewtonDriver(bg, SolverConfig(m=2)).set_stage(
+            0.5, constant_density(grid12, 0.0))
+        want = bg.base_form(0.5).data + complex_hessian(phi).data
+        assert np.array_equal(driver.analyze(phi.data, 0.0)["x"],
+                              hermitian_to_planes(want).reshape(4, -1))
+
     @pytest.mark.parametrize("n, N", [(2, 6), (3, 4)])
     def test_stencil_matches_complex_hessian_trace(self, rng, n, N):
         grid = TorusGrid(n=n, points_per_axis=N)
@@ -214,7 +227,8 @@ class TestKrylovOperators:
         v = rng.standard_normal(grid.shape)
         want = np.einsum("...ij,...ji->...", a,
                          complex_hessian(ScalarField(grid, v)).data).real
-        got = driver.apply_stencil(driver.stencil_coefficients(a), v)
+        got = driver.apply_stencil(
+            driver.stencil_coefficients(hermitian_to_planes(a).reshape(n * n, -1)), v)
         assert np.abs(got.reshape(grid.shape) - want).max() <= 1e-13 * np.abs(want).max()
 
     @pytest.mark.parametrize("n, N", [(2, 6), (3, 4)])
@@ -224,7 +238,8 @@ class TestKrylovOperators:
         bg = BackgroundData.flat(grid, kappa=1.0)
         driver = _NewtonDriver(bg, SolverConfig(m=2))
         a = np.broadcast_to(0.7 * np.eye(n, dtype=complex), grid.shape + (n, n))
-        matvec, precondition = driver.krylov_operators(a)
+        matvec, precondition = driver.krylov_operators(
+            hermitian_to_planes(a).reshape(n * n, -1))
         v = rng.standard_normal(grid.num_points)
         v -= v.mean()
         beta = 0.3
@@ -501,7 +516,7 @@ class TestSolve:
         state, _ = solve_nondegenerate(bg, 0.5, f_star, cfg)
         driver = _NewtonDriver(bg, cfg).set_stage(0.5, f_star)
         analysis = driver.analyze(state.phi.data, state.b)
-        coeff_eigs = np.linalg.eigvalsh(analysis["a_over_s"])
+        coeff_eigs = np.linalg.eigvalsh(planes_to_hermitian(analysis["a_over_s"]))
         assert coeff_eigs[..., 0].min() > 0.0
 
         S = analysis["S"]

@@ -24,11 +24,15 @@ from hessianlab import (
     hessian_operator_F,
     restricted_esp,
 )
+from hessianlab import HermitianField, TorusGrid
 from hessianlab.symfunc import (
     esp_margins,
+    hermitian_to_planes,
     hermitize,
     metric_inv_sqrt,
     pencil_eigh,
+    planes_kernel,
+    planes_to_hermitian,
 )
 
 from conftest import (
@@ -402,6 +406,40 @@ class TestHessianKernel:
         for m in (0, 3):
             with pytest.raises(DomainError):
                 hessian_kernel(np.eye(2), np.eye(2), m)
+
+
+class TestPlanesKernel:
+    """The real-arithmetic kernel on planes, with no adapter, against the oracles."""
+
+    @pytest.mark.parametrize("n, m", DEGREES)
+    @KERNEL_CASES
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_roots_and_eigh_oracles(self, n, m, seed):
+        rng = np.random.default_rng(seed)
+        omega = anisotropic_spd(rng, n)
+        batch = np.stack([random_hermitian(rng, n) for _ in range(4)])
+        S, T = planes_kernel(hermitian_to_planes(batch), hermitize(np.linalg.inv(omega)), m)
+        assert S.shape == (4, m + 1) and T.shape == (n * n, 4) and T.dtype == float
+        for a, got in zip(batch, S):
+            roots = pencil_roots_oracle(a, omega)
+            scale = max(1.0, np.abs(roots).max())
+            for k in range(m + 1):
+                assert abs(got[k] - esp_enumeration(roots, k)) <= 1e-10 * scale**k
+        lam, U, gis = pencil_eigh(batch, omega)
+        grads = restricted_esp(lam, m - 1)
+        want = gis @ np.einsum("...ik,...k,...jk->...ij", U, grads, np.conj(U)) @ gis
+        scale = max(1.0, np.abs(lam).max()) ** (m - 1) * np.abs(gis @ gis).max()
+        assert np.abs(T - hermitian_to_planes(want)).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_field_planes_round_trip_is_bit_exact(self, rng, n):
+        grid = TorusGrid(n=n, points_per_axis=4)
+        data = np.stack([random_hermitian(rng, n) for _ in range(grid.num_points)])
+        field = HermitianField(grid, data.reshape(grid.shape + (n, n)))
+        planes = hermitian_to_planes(field.data)
+        assert planes.shape == (n * n,) + grid.shape and planes.dtype == float
+        back = HermitianField(grid, planes_to_hermitian(planes))
+        assert back.data.tobytes() == field.data.tobytes()
 
 
 class TestOperatorF:
