@@ -38,8 +38,10 @@ want = 0.25 * (
     np.cos(2 * np.pi * grid.axis_coords(0) / L)
     + np.cos(2 * np.pi * grid.axis_coords(1) / L)
 ) + np.zeros(grid.shape)
-print("entry (1,1) error:", np.abs(hess.data[..., 0, 0] - want).max())
-print("entry (1,2) magnitude:", np.abs(hess.data[..., 0, 1]).max())
+# A Hermitian field holds n * n real planes: plane 0 is entry (1,1), planes
+# 1 and 2 the real and imaginary parts of entry (1,2).
+print("entry (1,1) error:", np.abs(hess.data[0] - want).max())
+print("entry (1,2) magnitude:", np.hypot(hess.data[1], hess.data[2]).max())
 
 # The error above is O(h^2); halving h divides it by about four.
 for N in (8, 16, 32):
@@ -50,7 +52,7 @@ for N in (8, 16, 32):
         + np.zeros(g.shape),
     )
     w = 0.25 * np.cos(2 * np.pi * g.axis_coords(0) / L) + np.zeros(g.shape)
-    print(f"  N={N:3d}: max error {np.abs(complex_hessian(p).data[..., 0, 0] - w).max():.3e}")
+    print(f"  N={N:3d}: max error {np.abs(complex_hessian(p).data[0] - w).max():.3e}")
 
 # Against the spectral route (exact on resolved modes) the difference is
 # pure discretization error, shrinking fourfold per grid halving:

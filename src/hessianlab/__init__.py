@@ -72,7 +72,7 @@ from .symfunc import (
     generalized_eigenvalues,
     grad_elem_sym,
     hessian_operator_F,
-    hessian_kernel,
+    planes_kernel,
     restricted_esp,
 )
 from .verification import (

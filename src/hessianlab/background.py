@@ -7,7 +7,8 @@ eigenvalues relative to omega stay in the closed degree-m cone.  The
 semipositive and big form chi_tilde is realized on the flat torus as
 kappa * omega, so the background holds only the scalar kappa >= 0
 (kappa = 0 for the non-degenerate path); omega being positive definite
-makes chi_tilde positive semidefinite with no pointwise check.
+makes chi_tilde positive semidefinite with no pointwise check.  The stage
+forms chi + (kappa + t) omega are summed on ``HermitianField`` planes.
 Constant-coefficient backgrounds are closed for free, and spatially
 varying chi is generated from a potential so it stays closed.
 """
@@ -26,7 +27,8 @@ from .grid import (
     complex_hessian,
     complex_hessian_spectral,
 )
-from .symfunc import binom, esp_margins, hermitize, hessian_kernel, metric_inv_sqrt
+from .symfunc import (binom, esp_margins, hermitian_to_planes, hermitize,
+                      metric_inv_sqrt, planes_kernel)
 
 OMEGA_MIN_MARGIN = 1e-8
 
@@ -66,7 +68,7 @@ class BackgroundData:
 
     def validate(self, m: int) -> None:
         grid = self.grid
-        S, _ = hessian_kernel(self.chi.data, self.omega_inv, m)
+        S, _ = planes_kernel(self.chi.data, self.omega_inv, m)
         worst = esp_margins(S, grid.n)
         if worst.min() < -1e-10:
             idx = np.unravel_index(int(np.argmin(worst)), grid.shape)
@@ -74,8 +76,10 @@ class BackgroundData:
                                      point=idx, margin=float(worst.min()))
 
     def base_form(self, t: float) -> HermitianField:
-        """chi + chi_tilde + t * omega = chi + (kappa + t) * omega."""
-        return HermitianField(self.grid, self.chi.data + (self.kappa + t) * self.omega)
+        """chi + chi_tilde + t * omega = chi + (kappa + t) * omega, summed on planes."""
+        n = self.grid.n
+        omega = hermitian_to_planes(self.omega).reshape((n * n,) + (1,) * (2 * n))
+        return HermitianField(self.grid, self.chi.data + (self.kappa + t) * omega)
 
     @classmethod
     def flat(cls, grid: TorusGrid, chi_matrix=None, kappa: float = 0.0,
@@ -93,7 +97,8 @@ class BackgroundData:
 
         Adding a Hessian keeps chi closed on the discrete level as well.
         """
-        chi = HermitianField(grid, chi0_matrix + complex_hessian(potential).data)
+        chi = HermitianField(grid, HermitianField.constant(grid, chi0_matrix).data
+                             + complex_hessian(potential).data)
         return cls(omega=np.eye(grid.n), chi=chi, kappa=float(kappa))
 
 
@@ -118,6 +123,8 @@ class TrigPolynomial:
     def random(cls, n: int, rng: np.random.Generator, amplitude: float = 1.0,
                max_mode: int = 2, num_terms: int = 4) -> "TrigPolynomial":
         """Seeded random polynomial with sum of |coefficients| = amplitude."""
+        if max_mode < 1 or num_terms < 1:
+            raise DomainError(f"max_mode and num_terms must be >= 1, got {max_mode}, {num_terms}")
         modes = []
         while len(modes) < num_terms:
             k = rng.integers(-max_mode, max_mode + 1, size=2 * n)
@@ -219,7 +226,7 @@ def manufactured_solution(bg: BackgroundData, t: float, m: int,
     """
     grid = bg.grid
     hess = complex_hessian(potential) if discrete else complex_hessian_spectral(potential)
-    S, _ = hessian_kernel(bg.base_form(t).data + hess.data, bg.omega_inv, m)
+    S, _ = planes_kernel(bg.base_form(t).data + hess.data, bg.omega_inv, m)
     worst = esp_margins(S, grid.n)
     worst_min = float(worst.min())
     if worst_min < margin_floor:

@@ -35,7 +35,7 @@ from .symfunc import (
     cone_membership,
     ConeSpec,
     esp_margins,
-    hessian_kernel,
+    planes_kernel,
 )
 from .verification import (
     linf_uniformity_report,
@@ -314,7 +314,7 @@ def cmd_conecheck(args) -> int:
         if not isinstance(field, HermitianField):
             raise ConfigError("conecheck --field expects a Hermitian field file")
         with np.errstate(over="ignore", invalid="ignore"):
-            S, _ = hessian_kernel(field.data, np.eye(field.grid.n), m)
+            S, _ = planes_kernel(field.data, np.eye(field.grid.n), m)
             margins = esp_margins(S, field.grid.n)
             lo, hi = margins.min(), margins.max()
             # convex combinations of the ends, unlike lo + k (hi - lo) / 10,
@@ -386,7 +386,7 @@ def main(argv=None) -> int:
         return EXIT_PARTIAL if partial is not None and getattr(
             partial, "stages", None
         ) else EXIT_NONCONVERGENCE
-    except FileNotFoundError as err:
+    except OSError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -130,6 +130,10 @@ class ExperimentConfig:
             raise ConfigError(f"problem.f must be one of {_F_KINDS}")
         if self.f == "hlf1" and not self.f_path:
             raise ConfigError("problem.f_path required for f = hlf1")
+        # verify's manufactured probe reads the trig keys whatever f is
+        for key in ("f_max_mode", "f_terms", "f_width", "f_cap"):
+            if not getattr(self, key) > 0:
+                raise ConfigError(f"problem.{key} must be positive")
         if self.q <= 1:
             raise ConfigError("problem.q must exceed 1")
         if self.q_prime <= 0:
@@ -279,14 +283,18 @@ _LIST_KEYS = {
 def load_config(path) -> ExperimentConfig:
     """Parse and validate a config file; unknown keys are rejected by name."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path, encoding="utf-8")
+        sections = {section: parser.items(section) for section in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot parse config file {path}: {err}") from err
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     cfg = ExperimentConfig()
-    for section in parser.sections():
+    for section, items in sections.items():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
-        for key, raw in parser.items(section):
+        for key, raw in items:
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown config key [{section}] {key}")
             if (section, key) in _LIST_KEYS:

@@ -2,11 +2,11 @@
 
 A torus of complex dimension ``n`` is sampled on a uniform periodic grid
 with ``N`` points per real axis, axes ordered (x_1, y_1, ..., x_n, y_n).
-Scalar fields are float arrays over the grid; Hermitian fields carry an
-(n, n) complex matrix per point, symmetrized on construction.  The solver
-holds Hermitian fields as n * n real planes instead (``hessian_planes``,
-``symfunc.hermitian_to_planes``): the diagonal, the real parts above it
-and the imaginary parts below it.
+Scalar fields are float arrays over the grid.  A Hermitian field, an (n, n)
+Hermitian matrix X per point, is held as the n * n real planes of
+``symfunc.hermitian_to_planes`` (plane (i, j) holds Re X_ij on and above
+the diagonal, Im X_ji below it), so it is Hermitian by construction;
+complex matrices enter only through ``HermitianField.from_matrices``.
 
 Centered second-order finite differences are the working derivative scheme.
 A spectral route is provided as well; it is exact on trigonometric
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .symfunc import pencil_eigh, planes_to_hermitian
+from .symfunc import hermitian_to_planes, pencil_eigh, planes_to_hermitian
 
 # the most points a TorusGrid accepts, so an HLF1 header cannot ask for more
 POINT_BUDGET = 2_000_000
@@ -97,31 +97,33 @@ class ScalarField:
 
 @dataclass(eq=False)
 class HermitianField:
-    """An (n, n) Hermitian matrix per grid point; symmetrized on write."""
+    """An (n, n) Hermitian matrix per grid point, as real planes (n * n,) + grid.shape."""
 
     grid: TorusGrid
     data: np.ndarray
 
     def __post_init__(self):
-        n = self.grid.n
-        self.data = np.asarray(self.data, dtype=complex)
-        if self.data.shape != self.grid.shape + (n, n):
-            raise DomainError(f"matrix data shape {self.data.shape} != {self.grid.shape + (n, n)}")
+        shape = (self.grid.n ** 2,) + self.grid.shape
+        if np.shape(self.data) != shape:
+            raise DomainError(f"plane data shape {np.shape(self.data)} != {shape}")
+        self.data = np.asarray(self.data, dtype=float)
+
+    @classmethod
+    def from_matrices(cls, grid: TorusGrid, a) -> "HermitianField":
+        """The field of complex matrices ``a`` (grid.shape + (n, n)), symmetrized."""
+        a, shape = np.asarray(a, dtype=complex), grid.shape + (grid.n, grid.n)
+        if a.shape != shape:
+            raise DomainError(f"matrix data shape {a.shape} != {shape}")
         # halved before the sum, so entries near the float64 limit do not overflow
-        self.data = 0.5 * self.data + 0.5 * np.conj(np.swapaxes(self.data, -1, -2))
+        return cls(grid, hermitian_to_planes(0.5 * a + 0.5 * np.conj(np.swapaxes(a, -1, -2))))
 
     @classmethod
     def constant(cls, grid: TorusGrid, matrix) -> "HermitianField":
-        mat = np.asarray(matrix, dtype=complex)
-        data = np.broadcast_to(mat, grid.shape + mat.shape).copy()
-        return cls(grid, data)
+        return cls.from_matrices(grid, np.broadcast_to(matrix, grid.shape + np.shape(matrix)))
 
     @classmethod
     def identity(cls, grid: TorusGrid, scale: float = 1.0) -> "HermitianField":
         return cls.constant(grid, scale * np.eye(grid.n))
-
-    def copy(self) -> "HermitianField":
-        return HermitianField(self.grid, self.data.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -130,13 +132,6 @@ class HermitianField:
 
 def diff1(data: np.ndarray, axis: int, h: float) -> np.ndarray:
     return (np.roll(data, -1, axis) - np.roll(data, 1, axis)) / (2.0 * h)
-
-
-def _hermitian_by_construction(grid: TorusGrid, data: np.ndarray) -> HermitianField:
-    """Wrap data that is exactly Hermitian already, skipping the symmetrization."""
-    out = HermitianField.__new__(HermitianField)
-    out.grid, out.data = grid, data
-    return out
 
 
 def _wrap_pad(data: np.ndarray) -> np.ndarray:
@@ -170,9 +165,9 @@ def hessian_planes(data: np.ndarray, n: int) -> np.ndarray:
     neighbour is read as a slice of one periodic wrap-pad of ``data``.
     This is the one discretization.  Times ``hessian_scale`` the planes are
     those of the complex Hessian in the layout of
-    ``symfunc.hermitian_to_planes``: the Newton loop holds X that way, and
-    ``complex_hessian`` turns them into matrices.  The Krylov matvec
-    contracts them with the coefficients of its linearization.
+    ``symfunc.hermitian_to_planes``, that of ``HermitianField.data``
+    (``complex_hessian``).  The Krylov matvec contracts them with the
+    coefficients of its linearization.
     """
     N = data.shape[0]
     padded = _wrap_pad(data)
@@ -210,14 +205,13 @@ def complex_hessian(phi: ScalarField) -> HermitianField:
     (1/4)(d_{x_i x_j} + d_{y_i y_j}) + (i/4)(d_{x_i y_j} - d_{y_i x_j})
     with centered periodic differences: the three-point second difference
     on the diagonal and ``diff1`` composed with itself off it, read from
-    ``hessian_planes`` times ``hessian_scale``.  The output is exactly
-    Hermitian.
+    ``hessian_planes`` times ``hessian_scale``.
     """
     grid = phi.grid
     n = grid.n
     planes = hessian_planes(phi.data, n).reshape((n * n,) + grid.shape)
     scale = hessian_scale(grid).reshape((n * n,) + (1,) * (2 * n))
-    return _hermitian_by_construction(grid, planes_to_hermitian(scale * planes))
+    return HermitianField(grid, scale * planes)
 
 
 def fd_laplacian_inverse(grid: TorusGrid):
@@ -290,26 +284,22 @@ def complex_hessian_spectral(phi: ScalarField) -> HermitianField:
     grid = phi.grid
     n = grid.n
     f = phi.data
-    out = np.zeros(grid.shape + (n, n), dtype=complex)
+    out = np.empty((n * n,) + grid.shape)
     d1 = {a: spectral_derivative(f, a, grid) for a in range(2 * n)}
+
+    def mixed(a, b):
+        return spectral_derivative(d1[a], b, grid)
+
     for i in range(n):
         xi, yi = 2 * i, 2 * i + 1
-        out[..., i, i] = 0.25 * (
+        out[i * n + i] = 0.25 * (
             spectral_derivative(f, xi, grid, order=2)
             + spectral_derivative(f, yi, grid, order=2)
         )
         for j in range(i + 1, n):
             xj, yj = 2 * j, 2 * j + 1
-            re = 0.25 * (
-                spectral_derivative(d1[xi], xj, grid)
-                + spectral_derivative(d1[yi], yj, grid)
-            )
-            im = 0.25 * (
-                spectral_derivative(d1[xi], yj, grid)
-                - spectral_derivative(d1[yi], xj, grid)
-            )
-            out[..., i, j] = re + 1j * im
-            out[..., j, i] = re - 1j * im
+            out[i * n + j] = 0.25 * (mixed(xi, xj) + mixed(yi, yj))
+            out[j * n + i] = 0.25 * (mixed(xi, yj) - mixed(yi, xj))
     return HermitianField(grid, out)
 
 
@@ -325,7 +315,7 @@ def eigen_field(A: HermitianField, omega: np.ndarray) -> np.ndarray:
     n = A.grid.n
     if np.shape(omega) != (n, n):
         raise DomainError(f"omega must be one ({n}, {n}) matrix, got shape {np.shape(omega)}")
-    lam, _, _ = pencil_eigh(A.data, omega)
+    lam, _, _ = pencil_eigh(planes_to_hermitian(A.data), omega)
     return lam
 
 

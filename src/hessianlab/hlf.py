@@ -8,7 +8,7 @@ Layout of an HLF1 file, all little-endian:
   scalar and 1 for Hermitian-matrix fields;
 * the float64 payload in row-major axis order (x_1, y_1, ..., x_n, y_n).
   Hermitian fields append two trailing axes (n, n) followed by an axis of
-  length 2 holding the real and imaginary parts.
+  length 2 holding the real and imaginary parts of the full matrices.
 
 A version-1 file (period kept in a separate JSON file) is rejected; it is
 regenerated by re-running the config that wrote it.  All writes are
@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import DomainError
 from .grid import HermitianField, ScalarField, TorusGrid
+from .symfunc import planes_to_hermitian
 
 MAGIC = b"HLF1"
 VERSION = 2
@@ -37,7 +38,8 @@ def write_field(path, field) -> None:
     if isinstance(field, ScalarField):
         kind, payload = KIND_SCALAR, field.data
     elif isinstance(field, HermitianField):
-        kind, payload = KIND_HERMITIAN, np.stack([field.data.real, field.data.imag], -1)
+        # the float view of complex matrices interleaves real and imaginary parts
+        kind, payload = KIND_HERMITIAN, planes_to_hermitian(field.data).view(float)
     else:
         raise DomainError(f"cannot serialize {type(field).__name__}")
     grid = field.grid
@@ -74,4 +76,4 @@ def read_field(path):
     if kind == KIND_SCALAR:
         return ScalarField(grid, payload.reshape(grid.shape).copy())
     shaped = payload.reshape(grid.shape + (n, n, 2))
-    return HermitianField(grid, shaped[..., 0] + 1j * shaped[..., 1])
+    return HermitianField.from_matrices(grid, shaped[..., 0] + 1j * shaped[..., 1])

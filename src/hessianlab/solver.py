@@ -46,7 +46,7 @@ from .grid import (
     integrate,
     mollify,
 )
-from .symfunc import binom, esp_margins, hermitian_to_planes, hessian_kernel, planes_kernel
+from .symfunc import binom, esp_margins, planes_kernel
 
 DAMPING_FLOOR = 2.0 ** -20
 # the extrapolated stage start interpolates at most this many previous stages
@@ -151,9 +151,9 @@ def wedge_integral(bg: BackgroundData, form: HermitianField, k: int) -> float:
 
     Uses the eigenvalue identity: the integrand equals
     S_k(lam(form)) / C(n, k) times the volume density of omega, with S_k
-    taken from ``hessian_kernel``.
+    taken from ``planes_kernel``.
     """
-    S, _ = hessian_kernel(form.data, bg.omega_inv, k)
+    S, _ = planes_kernel(form.data, bg.omega_inv, k)
     return integrate(ScalarField(bg.grid, S[..., k] / binom(bg.grid.n, k)), bg.volume)
 
 
@@ -315,13 +315,11 @@ class _NewtonDriver:
         self.omega_inv = bg.omega_inv
         self.laplacian_inverse = fd_laplacian_inverse(grid)
         self.num_points = grid.num_points
-        self.chi = hermitian_to_planes(bg.chi.data).reshape(grid.n ** 2, -1)
-        self.omega = hermitian_to_planes(bg.omega)[:, None]
         self.hess_scale = hessian_scale(grid)[:, None]
 
     def set_stage(self, t: float, f: ScalarField) -> "_NewtonDriver":
         """Pose the stage-t equation with density f; returns the driver."""
-        self.base = self.chi + (self.bg.kappa + float(t)) * self.omega
+        self.base = self.bg.base_form(float(t)).data.reshape(self.n ** 2, -1)
         self.f = f
         return self
 

@@ -5,8 +5,8 @@ eigenvalues go in, scalars or small arrays come out.  The solver and the
 field calculus build on the batched variants, which accept arrays of shape
 ``(..., n)`` and evaluate pointwise, and on ``planes_kernel``, which takes
 the elementary symmetric polynomials and the Newton tensor of a Hermitian
-field held as n * n real planes, in real arithmetic and with no
-eigendecomposition; ``hessian_kernel`` is its adapter for complex matrices.
+field held as the n * n real planes of ``hermitian_to_planes`` (the layout
+of ``grid.HermitianField``), in real arithmetic and with no eigensolver.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ def esp_margins(S: np.ndarray, n: int) -> np.ndarray:
     """Worst normalized margin min_k S_k / C(n,k) over k = 1..m, batched.
 
     ``S`` holds S_0..S_m of an n-tuple in its last axis, as returned by
-    ``elem_sym_table`` (truncated) or ``hessian_kernel``.
+    ``elem_sym_table`` (truncated) or ``planes_kernel``.
     """
     worst = S[..., 1] / binom(n, 1)
     for k in range(2, S.shape[-1]):
@@ -335,12 +335,6 @@ def planes_kernel(x: np.ndarray, omega_inv: np.ndarray, m: int):
     return S.reshape(x.shape[1:] + (m + 1,)), np.broadcast_to(b, xf.shape).reshape(x.shape)
 
 
-def hessian_kernel(x: np.ndarray, omega_inv: np.ndarray, m: int):
-    """``planes_kernel`` of complex matrices ``x`` (..., n, n), with ``T`` as matrices."""
-    S, T = planes_kernel(hermitian_to_planes(x), omega_inv, m)
-    return S, planes_to_hermitian(T)
-
-
 def pencil_eigh(A: np.ndarray, G: np.ndarray, min_eig: float = METRIC_MIN_EIG):
     """Eigen-decomposition of a Hermitian pencil, batched.
 
@@ -349,7 +343,7 @@ def pencil_eigh(A: np.ndarray, G: np.ndarray, min_eig: float = METRIC_MIN_EIG):
     eigenvectors, and ``g_inv_sqrt`` the inverse square root of G.  Raises
     SingularMetricError when G is not positive definite, reporting the index
     of the failing point for batched input.  Backs the tuple API and serves
-    as the oracle for ``hessian_kernel``.
+    as the oracle for ``planes_kernel``.
     """
     gis = metric_inv_sqrt(G, min_eig)
     mat = gis @ np.asarray(A, dtype=complex) @ gis

@@ -26,7 +26,7 @@ from .grid import (
     entropy_functional,
 )
 from .solver import SolverConfig, SolverState, solve_nondegenerate, uniformity_proxy
-from .symfunc import binom, esp_margins, hessian_kernel
+from .symfunc import binom, esp_margins, planes_kernel, planes_to_hermitian
 
 # the epsilon of the stability exponent floor q' / (n q* + q' + epsilon)
 STABILITY_EPSILON = 0.5
@@ -194,9 +194,9 @@ def viscosity_check(phi: ScalarField, b: float, bg: BackgroundData, t: float,
         flat_idx = np.sort(gen.choice(total, size=samples, replace=False))
 
     x_data = bg.base_form(t).data + complex_hessian(phi).data
-    x_flat = x_data.reshape(total, n, n)[flat_idx]
+    x_flat = x_data.reshape(n * n, total)[:, flat_idx]
     rhs = np.exp(b + f.data).reshape(total)[flat_idx]
-    eye = np.eye(n)
+    eye = np.eye(n).reshape(n * n, 1)
 
     def operator_f(S):
         sm = S[..., m]
@@ -206,10 +206,10 @@ def viscosity_check(phi: ScalarField, b: float, bg: BackgroundData, t: float,
     super_bad = np.zeros(flat_idx.size, dtype=bool)
     skipped = 0
     for eta in etas:
-        S_up, _ = hessian_kernel(x_flat + eta * eye, bg.omega_inv, m)
+        S_up, _ = planes_kernel(x_flat + eta * eye, bg.omega_inv, m)
         sub_bad |= operator_f(S_up) < rhs - tol
 
-        S_dn, _ = hessian_kernel(x_flat - eta * eye, bg.omega_inv, m)
+        S_dn, _ = planes_kernel(x_flat - eta * eye, bg.omega_inv, m)
         in_cone = esp_margins(S_dn, n) >= 0.0
         skipped += int(np.sum(~in_cone))
         super_bad |= in_cone & (operator_f(S_dn) > rhs + tol)
@@ -246,8 +246,8 @@ def uniqueness_energy(phi1: ScalarField, phi2: ScalarField, bg: BackgroundData,
     u = ScalarField(bg.grid, phi1.data - phi2.data)
     grad = complex_gradient(u)
 
-    _, T = hessian_kernel(bg.base_form(t).data, bg.omega_inv, 2)
-    density = np.einsum("...ij,...i,...j->...", T, grad, np.conj(grad)).real
+    _, T = planes_kernel(bg.base_form(t).data, bg.omega_inv, 2)
+    density = np.einsum("...ij,...i,...j->...", planes_to_hermitian(T), grad, np.conj(grad)).real
     return float(integrate(ScalarField(bg.grid, density), bg.volume))
 
 
@@ -278,7 +278,7 @@ def twin_solve_uniqueness(bg: BackgroundData, t: float, f: ScalarField,
                                        bg.omega_inv, grad).real),
         bg.volume,
     )
-    S, _ = hessian_kernel(bg.base_form(t).data, bg.omega_inv, 1)
+    S, _ = planes_kernel(bg.base_form(t).data, bg.omega_inv, 1)
     denom = float(S[..., 1].max()) * grad_sq
     normalized = energy / denom if denom > 1e-30 else 0.0
     return float(normalized), sup_diff, state_a, state_b
@@ -318,7 +318,7 @@ def laplacian_monitor(state: SolverState, bg: BackgroundData, t: float,
 
     a_mult = 1.0 / bg.kappa
     ef = ScalarField(bg.grid, np.exp(f.data))
-    S_ef, _ = hessian_kernel(complex_hessian(ef).data, bg.omega_inv, 1)
+    S_ef, _ = planes_kernel(complex_hessian(ef).data, bg.omega_inv, 1)
     lap_ef = S_ef[..., 1]
     core = (
         2.0 ** (m - 2) * n * np.exp(m * state.b) * np.exp(f.data)
@@ -332,7 +332,7 @@ def laplacian_monitor(state: SolverState, bg: BackgroundData, t: float,
 def trace_field(state: SolverState, bg: BackgroundData, t: float) -> ScalarField:
     """w = S_1(lam(X)), the trace of omega^{-1} X, at a state."""
     x_data = bg.base_form(t).data + complex_hessian(state.phi).data
-    S, _ = hessian_kernel(x_data, bg.omega_inv, 1)
+    S, _ = planes_kernel(x_data, bg.omega_inv, 1)
     return ScalarField(bg.grid, S[..., 1])
 
 

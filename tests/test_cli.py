@@ -135,6 +135,69 @@ class TestConfig:
     def test_missing_file(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.ini")]) == 1
 
+    @pytest.mark.parametrize("key, value", [
+        ("f_max_mode", 0), ("f_max_mode", -1), ("f_terms", 0), ("f_terms", -3),
+        ("f_width", 0.0), ("f_cap", 0.0), ("f_cap", -1.0),
+    ])
+    def test_density_generator_ranges_checked(self, tmp_path, key, value):
+        # f = constant: verify's manufactured probe reads the trig keys anyway
+        path = write_config(tmp_path, **{f"problem.{key}": value})
+        with pytest.raises(ConfigError, match=f"problem.{key}"):
+            load_config(path)
+
+
+def _directory_as_chi(tmp_path):
+    (tmp_path / "dir").mkdir()
+    return write_config(tmp_path, **{"problem.chi": "hlf1",
+                                     "problem.chi_path": tmp_path / "dir"}), f"{tmp_path}/dir'"
+
+
+def _directory_as_f(tmp_path):
+    (tmp_path / "dir").mkdir()
+    return write_config(tmp_path, **{"problem.f": "hlf1",
+                                     "problem.f_path": tmp_path / "dir"}), f"{tmp_path}/dir'"
+
+
+def _file_as_output(tmp_path):
+    (tmp_path / "taken").write_text("")
+    return write_config(tmp_path, **{"output.directory": tmp_path / "taken"}), f"{tmp_path}/taken'"
+
+
+def _output_under_file(tmp_path):
+    (tmp_path / "taken").write_text("")
+    return (write_config(tmp_path, **{"output.directory": tmp_path / "taken" / "out"}),
+            f"{tmp_path}/taken")
+
+
+def _repeated_section(tmp_path):
+    path = write_config(tmp_path)
+    path.write_text(path.read_text() + "\n[solver]\nt = 0.5\n")
+    return path, "line"
+
+
+def _line_before_sections(tmp_path):
+    path = write_config(tmp_path)
+    path.write_text("n = 2\n" + path.read_text())
+    return path, "line"
+
+
+def _not_utf8(tmp_path):
+    path = write_config(tmp_path)
+    path.write_bytes(path.read_bytes() + b"# \xff\xfe\n")
+    return path, str(path)
+
+
+@pytest.mark.parametrize("make", [
+    _directory_as_chi, _directory_as_f, _file_as_output, _output_under_file,
+    _repeated_section, _line_before_sections, _not_utf8,
+])
+def test_file_and_syntax_faults_are_config_errors(tmp_path, capsys, make):
+    # each fault ends in exit 1 with a message naming the path or the line
+    path, named = make(tmp_path)
+    assert main(["solve", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and named in err
+
 
 class TestSolveCommand:
     def test_constant_case(self, tmp_path, capsys):
@@ -392,7 +455,7 @@ class TestConecheck:
         from hessianlab import HermitianField, TorusGrid, write_field
 
         field = HermitianField.identity(TorusGrid(n=2, points_per_axis=4))
-        field.data[1, 2, 3, 0, 0, 0] = np.nan
+        field.data[0, 1, 2, 3, 0] = np.nan  # entry (0, 0) at grid point (1, 2, 3, 0)
         write_field(tmp_path / "x.hlf1", field)
         assert main(["conecheck", "--field", str(tmp_path / "x.hlf1"),
                      "--m", "2"]) == 1

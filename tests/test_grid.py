@@ -17,13 +17,13 @@ from hessianlab import (
     entropy_functional,
     gaussian_bump,
     generalized_eigenvalues,
-    hessian_kernel,
     integrate,
     lp_norm,
     mollify,
     tree_sum,
 )
 from hessianlab.grid import diff1, fd_laplacian_inverse
+from hessianlab.symfunc import planes_kernel, planes_to_hermitian
 
 from conftest import fd_laplacian_inverse_fft, random_spd
 
@@ -70,15 +70,15 @@ class TestComplexHessian:
         for N in (12, 24):
             grid = TorusGrid(n=2, points_per_axis=N)
             phi = ScalarField(grid, cos_potential(grid, 0) + cos_potential(grid, 1))
-            hess = complex_hessian(phi)
+            hess = planes_to_hermitian(complex_hessian(phi).data)
             L = grid.period
             want = 0.25 * (
                 np.cos(2 * np.pi * grid.axis_coords(0) / L)
                 + np.cos(2 * np.pi * grid.axis_coords(1) / L)
             ) + np.zeros(grid.shape)
-            errs[N] = np.abs(hess.data[..., 0, 0] - want).max()
-            assert np.abs(hess.data[..., 0, 1]).max() < 1e-13
-            assert np.abs(hess.data[..., 1, 1]).max() < 1e-13
+            errs[N] = np.abs(hess[..., 0, 0] - want).max()
+            assert np.abs(hess[..., 0, 1]).max() < 1e-13
+            assert np.abs(hess[..., 1, 1]).max() < 1e-13
         ratio = errs[12] / errs[24]
         order = np.log2(ratio)
         assert 1.8 <= order <= 2.2
@@ -89,8 +89,8 @@ class TestComplexHessian:
         for N in (12, 24):
             grid = TorusGrid(n=2, points_per_axis=N)
             phi = trig.sample(grid)
-            fd = complex_hessian(phi).data
-            exact = complex_hessian_spectral(phi).data
+            fd = planes_to_hermitian(complex_hessian(phi).data)
+            exact = planes_to_hermitian(complex_hessian_spectral(phi).data)
             errs[N] = np.abs(fd - exact).max()
         order = np.log2(errs[12] / errs[24])
         assert 1.8 <= order <= 2.2
@@ -98,10 +98,10 @@ class TestComplexHessian:
     def test_hermitian_exactly_and_zero_mean(self, rng):
         grid = TorusGrid(n=2, points_per_axis=8)
         phi = ScalarField(grid, rng.standard_normal(grid.shape))
-        hess = complex_hessian(phi)
-        adj = np.conj(np.swapaxes(hess.data, -1, -2))
-        assert np.abs(hess.data - adj).max() == 0.0
-        means = hess.data.reshape(-1, 2, 2).mean(axis=0)
+        hess = planes_to_hermitian(complex_hessian(phi).data)
+        adj = np.conj(np.swapaxes(hess, -1, -2))
+        assert np.abs(hess - adj).max() == 0.0
+        means = hess.reshape(-1, 2, 2).mean(axis=0)
         assert np.abs(means).max() < 1e-10
 
     @pytest.mark.parametrize("n, N", [(1, 8), (2, 6), (3, 4)])
@@ -112,7 +112,7 @@ class TestComplexHessian:
         h = grid.spacing
         for seed in range(3):
             f = np.random.default_rng(seed).standard_normal(grid.shape)
-            hess = complex_hessian(ScalarField(grid, f)).data
+            hess = planes_to_hermitian(complex_hessian(ScalarField(grid, f)).data)
             assert np.array_equal(hess, np.conj(np.swapaxes(hess, -1, -2)))
             want = np.zeros_like(hess)
             for i in range(n):
@@ -136,7 +136,7 @@ class TestComplexHessian:
         def laplacian(v):
             # the metric Laplacian is S_1 of the complex Hessian relative to omega
             hess = complex_hessian(v)
-            S, _ = hessian_kernel(hess.data, omega_inv, 1)
+            S, _ = planes_kernel(hess.data, omega_inv, 1)
             trace = eigen_field(hess, omega).sum(axis=-1)
             assert np.abs(S[..., 1] - trace).max() <= 1e-12 * np.abs(trace).max()
             return S[..., 1]
@@ -177,9 +177,9 @@ class TestEigenField:
         data = rng.standard_normal(grid8.shape + (2, 2)) + 1j * rng.standard_normal(
             grid8.shape + (2, 2)
         )
-        a = HermitianField(grid8, data)
+        a = HermitianField.from_matrices(grid8, data)
         lam = eigen_field(a, 1.5 * np.eye(2))
-        flat_a = a.data.reshape(-1, 2, 2)
+        flat_a = planes_to_hermitian(a.data).reshape(-1, 2, 2)
         flat_lam = lam.reshape(-1, 2)
         idx = rng.choice(flat_lam.shape[0], 100, replace=False)
         for i in idx:
@@ -222,7 +222,26 @@ class TestBackgroundOmega:
         assert np.array_equal(bg.omega_inv, np.conj(bg.omega_inv.T))
         assert np.allclose(bg.omega_inv @ omega, np.eye(2), atol=1e-12)
         assert bg.volume == pytest.approx(np.linalg.det(omega).real, rel=1e-12)
-        assert np.allclose(bg.base_form(0.0).data, 0.5 * omega)
+        base = planes_to_hermitian(bg.base_form(0.0).data)
+        assert np.allclose(base, 0.5 * omega)
+
+
+def test_hermitian_field_holds_planes(grid8):
+    # complex matrices enter through from_matrices only; the planes of the
+    # identity are 1 on the diagonal planes and 0 elsewhere
+    field = HermitianField.identity(grid8, 2.0)
+    assert field.data.shape == (4,) + grid8.shape and field.data.dtype == float
+    assert np.array_equal(field.data[:, 0, 0, 0, 0], [2.0, 0.0, 0.0, 2.0])
+    with pytest.raises(DomainError, match="plane data shape"):
+        HermitianField(grid8, np.zeros(grid8.shape + (2, 2), dtype=complex))
+    with pytest.raises(DomainError, match="matrix data shape"):
+        HermitianField.from_matrices(grid8, np.zeros((4,) + grid8.shape))
+
+
+@pytest.mark.parametrize("max_mode, num_terms", [(-1, 4), (2, 0), (2, -3)])
+def test_trig_polynomial_rejects_empty_ranges(rng, max_mode, num_terms):
+    with pytest.raises(DomainError, match="max_mode and num_terms"):
+        TrigPolynomial.random(2, rng, max_mode=max_mode, num_terms=num_terms)
 
 
 class TestIntegration:

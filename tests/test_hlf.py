@@ -38,7 +38,7 @@ def test_hermitian_roundtrip(grid, tmp_path, rng):
     data = rng.standard_normal(grid.shape + (2, 2)) + 1j * rng.standard_normal(
         grid.shape + (2, 2)
     )
-    field = HermitianField(grid, data)
+    field = HermitianField.from_matrices(grid, data)
     path = tmp_path / "chi.hlf1"
     write_field(path, field)
     back = read_field(path)
@@ -82,8 +82,8 @@ def test_roundtrip_keeps_period(tmp_path, rng, n, kind):
         field = ScalarField(grid, rng.standard_normal(grid.shape))
     else:
         shape = grid.shape + (n, n)
-        field = HermitianField(grid, rng.standard_normal(shape)
-                               + 1j * rng.standard_normal(shape))
+        field = HermitianField.from_matrices(grid, rng.standard_normal(shape)
+                                             + 1j * rng.standard_normal(shape))
     path = tmp_path / "f.hlf1"
     write_field(path, field)
     back = read_field(path)
@@ -198,7 +198,8 @@ def mutated_hlf1(draw):
     mask = draw(st.sampled_from([np.eye(n), np.ones((n, n))]))
     data = np.resize(np.array(values), grid.shape + (n, n)) * mask
     hermitian = draw(st.booleans())
-    field = HermitianField(grid, data) if hermitian else ScalarField(grid, data[..., 0, 0])
+    field = (HermitianField.from_matrices(grid, data) if hermitian
+             else ScalarField(grid, data[..., 0, 0]))
     # at most two header fields change, so many files stay readable
     names = draw(st.sets(st.sampled_from(sorted(HEADER_FIELDS)), max_size=2))
     mutations = {name: draw(st.sampled_from(HEADER_FIELDS[name][2])) for name in names}

@@ -1,0 +1,99 @@
+"""Metamorphic relations of the stage-t solve on an anisotropic metric.
+
+Each relation maps the data (omega, chi, f) of one problem to another whose
+solution is known from the first: a swap of two complex coordinates, the
+conjugation of every coordinate at once, a shift by whole grid points and a
+scaling of omega and chi.  They pin the plane layout of Hermitian fields: a
+plane read with the wrong sign or at the wrong index breaks one of them.
+"""
+
+import numpy as np
+import pytest
+
+from hessianlab import (
+    BackgroundData,
+    HermitianField,
+    ScalarField,
+    SolverConfig,
+    TorusGrid,
+    TrigPolynomial,
+    solve_nondegenerate,
+)
+
+from conftest import anisotropic_spd
+
+TOL = 1e-12
+
+
+def problem(n):
+    """omega, chi as complex matrices over the grid, and f, on an anisotropic metric.
+
+    chi = 2 omega plus a varying Hermitian field small enough that the stage
+    forms stay inside the degree-2 cone.
+    """
+    rng = np.random.default_rng(60 + n)
+    grid = TorusGrid(n=n, points_per_axis=6 if n == 2 else 4)
+    omega = anisotropic_spd(rng, n)
+    shape = grid.shape + (n, n)
+    noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    noise = 0.5 * (noise + np.conj(np.swapaxes(noise, -1, -2)))
+    chi = 2.0 * omega + 0.05 * np.abs(omega).min() * noise
+    f = TrigPolynomial.random(n, rng, amplitude=0.2, max_mode=1).sample(grid).data
+    return grid, omega, chi, f
+
+
+def solve(grid, omega, chi, f):
+    """(phi, b) of the stage t = 0.5 equation; phi has grid maximum zero."""
+    bg = BackgroundData(omega=omega, chi=HermitianField.from_matrices(grid, chi), kappa=0.5)
+    state, _ = solve_nondegenerate(bg, 0.5, ScalarField(grid, f), SolverConfig(m=2))
+    return state.phi.data, state.b
+
+
+def swap_first_two(grid, omega, chi, f):
+    """z_0 <-> z_1: the grid axes (x_0, y_0) and (x_1, y_1) and the matrix indices."""
+    n = grid.n
+    axes = [2, 3, 0, 1] + list(range(4, 2 * n))
+    idx = [1, 0] + list(range(2, n))
+    chi = np.transpose(chi, axes + [2 * n, 2 * n + 1])[..., idx, :][..., idx]
+    return omega[idx][:, idx], chi, np.transpose(f, axes)
+
+
+def conjugate_all(grid, omega, chi, f):
+    """y_i -> -y_i for every i: grid index j -> -j mod N on each y axis."""
+    def flip_y(a):
+        for axis in range(1, 2 * grid.n, 2):
+            a = np.roll(np.flip(a, axis), 1, axis)
+        return a
+
+    return np.conj(omega), np.conj(flip_y(chi)), flip_y(f)
+
+
+def shift(grid, omega, chi, f):
+    """A shift by 1, 2, ... grid points along the real axes."""
+    steps = tuple(range(1, 2 * grid.n + 1))
+    axes = tuple(range(2 * grid.n))
+    return omega, np.roll(chi, steps, axes), np.roll(f, steps, axes)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("relation", [swap_first_two, conjugate_all, shift])
+def test_symmetry_maps_solution(n, relation):
+    # each relation moves grid values only, so phi moves with f and b stays
+    grid, omega, chi, f = problem(n)
+    phi, b = solve(grid, omega, chi, f)
+    omega2, chi2, f2 = relation(grid, omega, chi, f)
+    phi2, b2 = solve(grid, omega2, chi2, f2)
+    _, _, want = relation(grid, omega, chi, phi)
+    assert np.abs(phi2 - want).max() <= TOL
+    assert abs(b2 - b) <= TOL
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_scaling_omega_and_chi_scales_phi(n):
+    # omega^(-1) (2 chi + (kappa + t) 2 omega + dd^c 2 phi) is the old W, and
+    # both masses of the compatibility constant gain the factor det(2 omega)
+    grid, omega, chi, f = problem(n)
+    phi, b = solve(grid, omega, chi, f)
+    phi2, b2 = solve(grid, 2.0 * omega, 2.0 * chi, f)
+    assert np.abs(phi2 - 2.0 * phi).max() <= TOL
+    assert abs(b2 - b) <= TOL

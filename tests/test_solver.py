@@ -23,7 +23,6 @@ from hessianlab import (
     bracket_bounds,
     decreasing_sequence,
     degenerate_brackets,
-    hessian_kernel,
     integrate,
     lq_spike,
     manufactured_solution,
@@ -34,7 +33,7 @@ from hessianlab import (
 )
 from hessianlab import solver
 from hessianlab.solver import _NewtonDriver, _chi_moments, _stage_mass, _stage_starts, gmres
-from hessianlab.symfunc import binom, hermitian_to_planes, planes_to_hermitian
+from hessianlab.symfunc import binom, hermitian_to_planes, planes_kernel, planes_to_hermitian
 
 from conftest import anisotropic_spd, random_hermitian
 
@@ -100,7 +99,7 @@ class TestCompatibilityConstant:
         omega = anisotropic_spd(rng, n)
         shape = grid.shape + (n, n)
         noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        chi = HermitianField(grid, 2.0 * omega + 0.05 * np.abs(omega).min() * noise)
+        chi = HermitianField.from_matrices(grid, 2.0 * omega + 0.05 * np.abs(omega).min() * noise)
         kappa, m = 0.7, 2
         bg = BackgroundData(omega=omega, chi=chi, kappa=kappa)
         f = TrigPolynomial.random(n, rng, amplitude=0.2, max_mode=1).sample(grid)
@@ -127,9 +126,9 @@ class TestCompatibilityConstant:
         shape = grid.shape + (n, n)
         off = np.triu(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), 1)
         noise = 0.3 * np.linalg.eigvalsh(omega)[0] * (off + np.conj(off.swapaxes(-1, -2)))
-        bg = BackgroundData(omega=omega, chi=HermitianField(grid, noise - 0.2 * omega),
-                            kappa=0.7)
-        S, _ = hessian_kernel(bg.chi.data, bg.omega_inv, 1)
+        chi = HermitianField.from_matrices(grid, noise - 0.2 * omega)
+        bg = BackgroundData(omega=omega, chi=chi, kappa=0.7)
+        S, _ = planes_kernel(bg.chi.data, bg.omega_inv, 1)
         assert S[..., 1].min() < 0
         f = TrigPolynomial.random(n, rng, amplitude=0.2, max_mode=1).sample(grid)
         vol_total = bg.volume * grid.period ** (2 * n)
@@ -205,8 +204,8 @@ class TestResidual:
 
 class TestKrylovOperators:
     def test_loop_planes_equal_complex_hessian_entries(self, rng, grid12):
-        # X = base form + complex Hessian, summed on planes in the Newton loop
-        # and as complex matrices outside it, agrees to the bit
+        # X = base form + complex Hessian, summed in the Newton loop and as
+        # HermitianField planes outside it, agrees to the bit
         omega = anisotropic_spd(rng, 2)
         bg = BackgroundData(omega=omega, kappa=1.0, chi=HermitianField.constant(
             grid12, 0.1 * random_hermitian(rng, 2)))
@@ -214,8 +213,7 @@ class TestKrylovOperators:
         driver = _NewtonDriver(bg, SolverConfig(m=2)).set_stage(
             0.5, constant_density(grid12, 0.0))
         want = bg.base_form(0.5).data + complex_hessian(phi).data
-        assert np.array_equal(driver.analyze(phi.data, 0.0)["x"],
-                              hermitian_to_planes(want).reshape(4, -1))
+        assert np.array_equal(driver.analyze(phi.data, 0.0)["x"], want.reshape(4, -1))
 
     @pytest.mark.parametrize("n, N", [(2, 6), (3, 4)])
     def test_stencil_matches_complex_hessian_trace(self, rng, n, N):
@@ -226,7 +224,7 @@ class TestKrylovOperators:
         a = a.reshape(grid.shape + (n, n))
         v = rng.standard_normal(grid.shape)
         want = np.einsum("...ij,...ji->...", a,
-                         complex_hessian(ScalarField(grid, v)).data).real
+                         planes_to_hermitian(complex_hessian(ScalarField(grid, v)).data)).real
         got = driver.apply_stencil(
             driver.stencil_coefficients(hermitian_to_planes(a).reshape(n * n, -1)), v)
         assert np.abs(got.reshape(grid.shape) - want).max() <= 1e-13 * np.abs(want).max()

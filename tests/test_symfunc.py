@@ -20,7 +20,6 @@ from hessianlab import (
     elem_sym_table,
     generalized_eigenvalues,
     grad_elem_sym,
-    hessian_kernel,
     hessian_operator_F,
     restricted_esp,
 )
@@ -349,8 +348,20 @@ KERNEL_CASES = settings(max_examples=25, deadline=None, derandomize=True,
 DEGREES = [(n, m) for n in (1, 2, 3) for m in range(1, n + 1)]
 
 
+def random_field(rng, n):
+    """A HermitianField of random complex matrices on a small grid, through ``from_matrices``."""
+    grid = TorusGrid(n=n, points_per_axis=4 if n < 3 else 2)
+    shape = grid.shape + (n, n)
+    return HermitianField.from_matrices(
+        grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
 class TestHessianKernel:
-    """The eigen-free kernel against the enumeration, roots and eigh oracles."""
+    """The kernel on the planes of a HermitianField, against the roots and eigh oracles.
+
+    Each case runs ``planes_kernel`` on a whole field, planes with one axis
+    per real grid axis, and reads 4 sampled points back as matrices.
+    """
 
     @pytest.mark.parametrize("n, m", DEGREES)
     @KERNEL_CASES
@@ -358,10 +369,12 @@ class TestHessianKernel:
     def test_S_matches_roots_oracle(self, n, m, seed):
         rng = np.random.default_rng(seed)
         omega = anisotropic_spd(rng, n)
-        batch = np.stack([random_hermitian(rng, n) for _ in range(4)])
-        S, _ = hessian_kernel(batch, hermitize(np.linalg.inv(omega)), m)
-        assert S.shape == (4, m + 1)
-        for a, got in zip(batch, S):
+        field = random_field(rng, n)
+        S, _ = planes_kernel(field.data, hermitize(np.linalg.inv(omega)), m)
+        assert S.shape == field.grid.shape + (m + 1,)
+        idx = rng.choice(field.grid.num_points, 4, replace=False)
+        batch = planes_to_hermitian(field.data).reshape(-1, n, n)[idx]
+        for a, got in zip(batch, S.reshape(-1, m + 1)[idx]):
             roots = pencil_roots_oracle(a, omega)
             scale = max(1.0, np.abs(roots).max())
             for k in range(m + 1):
@@ -375,14 +388,17 @@ class TestHessianKernel:
         # T = gis U diag(S_{m-1;i}(lam)) U* gis with (lam, U) from the frame eigh
         rng = np.random.default_rng(seed)
         omega = anisotropic_spd(rng, n)
-        batch = np.stack([random_hermitian(rng, n) for _ in range(4)])
-        _, T = hessian_kernel(batch, hermitize(np.linalg.inv(omega)), m)
-        assert np.array_equal(T, np.conj(np.swapaxes(T, -1, -2)))
+        field = random_field(rng, n)
+        _, T = planes_kernel(field.data, hermitize(np.linalg.inv(omega)), m)
+        assert T.shape == field.data.shape and T.dtype == float
+        idx = rng.choice(field.grid.num_points, 4, replace=False)
+        batch = planes_to_hermitian(field.data).reshape(-1, n, n)[idx]
         lam, U, gis = pencil_eigh(batch, omega)
         grads = restricted_esp(lam, m - 1)
         want = gis @ np.einsum("...ik,...k,...jk->...ij", U, grads, np.conj(U)) @ gis
         scale = max(1.0, np.abs(lam).max()) ** (m - 1) * np.abs(gis @ gis).max()
-        assert np.abs(T - want).max() <= 1e-12 * scale
+        got = T.reshape(n * n, -1)[:, idx]
+        assert np.abs(got - hermitian_to_planes(want)).max() <= 1e-12 * scale
 
     @pytest.mark.parametrize("n, m", DEGREES)
     @KERNEL_CASES
@@ -394,8 +410,9 @@ class TestHessianKernel:
         half = np.linalg.inv(metric_inv_sqrt(omega))
         q = random_unitary(rng, n)
         a = half @ q @ np.diag(lam_true) @ q.conj().T @ half
-        S, _ = hessian_kernel(a[None], hermitize(np.linalg.inv(omega)), m)
-        got = esp_margins(S, n)[0]
+        field = HermitianField.constant(TorusGrid(n=n, points_per_axis=2), a)
+        S, _ = planes_kernel(field.data, hermitize(np.linalg.inv(omega)), m)
+        got = esp_margins(S, n).flat[0]
         want = cone_margins(lam_true, m)
         assert abs(want) < 1e-8
         assert abs(got - want) < 1e-11
@@ -403,9 +420,10 @@ class TestHessianKernel:
             assert np.sign(got) == np.sign(want)
 
     def test_rejects_degree_outside_range(self):
+        identity = HermitianField.identity(TorusGrid(n=2, points_per_axis=2))
         for m in (0, 3):
             with pytest.raises(DomainError):
-                hessian_kernel(np.eye(2), np.eye(2), m)
+                planes_kernel(identity.data, np.eye(2), m)
 
 
 class TestPlanesKernel:
@@ -435,10 +453,11 @@ class TestPlanesKernel:
     def test_field_planes_round_trip_is_bit_exact(self, rng, n):
         grid = TorusGrid(n=n, points_per_axis=4)
         data = np.stack([random_hermitian(rng, n) for _ in range(grid.num_points)])
-        field = HermitianField(grid, data.reshape(grid.shape + (n, n)))
-        planes = hermitian_to_planes(field.data)
-        assert planes.shape == (n * n,) + grid.shape and planes.dtype == float
-        back = HermitianField(grid, planes_to_hermitian(planes))
+        field = HermitianField.from_matrices(grid, data.reshape(grid.shape + (n, n)))
+        assert field.data.shape == (n * n,) + grid.shape and field.data.dtype == float
+        matrices = planes_to_hermitian(field.data)
+        assert np.array_equal(matrices, data.reshape(matrices.shape))
+        back = HermitianField.from_matrices(grid, matrices)
         assert back.data.tobytes() == field.data.tobytes()
 
 

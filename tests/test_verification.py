@@ -28,7 +28,7 @@ from hessianlab import (
     uniqueness_energy,
     viscosity_check,
 )
-from hessianlab.symfunc import metric_inv_sqrt
+from hessianlab.symfunc import metric_inv_sqrt, planes_to_hermitian
 from hessianlab.verification import trace_field
 
 from conftest import anisotropic_spd
@@ -51,7 +51,7 @@ def anisotropic_background(n, seed):
     omega = anisotropic_spd(rng, n)
     noise = rng.standard_normal(grid.shape + (n, n)) + 1j * rng.standard_normal(
         grid.shape + (n, n))
-    chi = HermitianField(grid, 2.0 * omega + 0.05 * np.abs(omega).min() * noise)
+    chi = HermitianField.from_matrices(grid, 2.0 * omega + 0.05 * np.abs(omega).min() * noise)
     bg = BackgroundData(omega=omega, chi=chi, kappa=0.5)
     return bg, rng
 
@@ -64,7 +64,7 @@ def frame_energy(phi1, phi2, bg, t):
     """
     gis = metric_inv_sqrt(bg.omega)
     grad = complex_gradient(ScalarField(bg.grid, phi1.data - phi2.data))
-    a = gis @ bg.base_form(t).data @ gis
+    a = gis @ planes_to_hermitian(bg.base_form(t).data) @ gis
     tensor = np.einsum("...ii->...", a).real[..., None, None] * np.eye(bg.grid.n) - a
     grad_frame = np.einsum("ji,...j->...i", gis, grad)
     density = np.einsum("...ij,...i,...j->...", tensor, grad_frame,
@@ -146,6 +146,17 @@ class TestViscosity:
         phi_star, f_star, _ = make_exact_problem(grid12, bg)
         rep = viscosity_check(phi_star, 0.0, bg, 0.25, f_star, 2,
                               samples=grid12.num_points)
+        assert rep.total_violations == 0
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_anisotropic_discrete_solution_zero_violations(self, n):
+        bg, rng = anisotropic_background(n, seed=20 + n)
+        trig = TrigPolynomial.random(n, rng, max_mode=1).scaled_to_curvature(0.5)
+        phi_star, f_star, _ = manufactured_solution(bg, 0.25, 2, trig.sample(bg.grid),
+                                                    discrete=True)
+        rep = viscosity_check(phi_star, 0.0, bg, 0.25, f_star, 2,
+                              samples=bg.grid.num_points)
+        assert rep.samples == bg.grid.num_points
         assert rep.total_violations == 0
 
     def test_refinement_never_increases_violations(self):
@@ -290,6 +301,15 @@ class TestMonitor:
                 x = HermitianField(bg.grid, bg.base_form(t).data + complex_hessian(phi).data)
                 s1 = eigen_field(x, bg.omega).sum(axis=-1)
                 assert np.abs(w.data - s1).max() <= 1e-12 * np.abs(s1).max()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_bound_holds_on_anisotropic_metric(self, n):
+        bg, rng = anisotropic_background(n, seed=30 + n)
+        f = TrigPolynomial.random(n, rng, amplitude=0.2, max_mode=1).sample(bg.grid)
+        state, _ = solve_nondegenerate(bg, 0.5, f, SolverConfig(m=2))
+        rep = laplacian_monitor(state, bg, 0.5, f, 2)
+        assert not rep.skipped
+        assert rep.sup_w <= rep.bound_rhs
 
     def test_skipped_without_kappa(self, grid12):
         bg = BackgroundData.flat(grid12, kappa=0.0)
