@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .background import manufactured_solution
+from .background import gaussian_bump
 from .config import ExperimentConfig, load_config
 from .errors import ConeViolationError, ConfigError, DomainError, NonConvergenceError
 from .grid import HermitianField, ScalarField
@@ -76,9 +76,9 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
         for points in cfg.grid_sizes:
             grid = cfg.build_grid(points)
             bg = cfg.build_background(grid)
-            f, extras = cfg.build_density(grid, bg)
+            f, phi_star = cfg.build_density(grid, bg)
             state, rep = solve_nondegenerate(bg, cfg.t, f, solver_cfg)
-            err = float(np.abs(state.phi.data - extras["phi_star"].data).max())
+            err = float(np.abs(state.phi.data - phi_star.data).max())
             rows.append({
                 "N": points, "h": grid.spacing, "sup_error": err,
                 "iters": state.newton_iters,
@@ -88,13 +88,11 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     else:
         grid = cfg.build_grid()
         bg = cfg.build_background(grid)
-        f, extras = cfg.build_density(grid, bg)
+        f, phi_star = cfg.build_density(grid, bg)
         state, rep = solve_nondegenerate(bg, cfg.t, f, solver_cfg)
         report["stage"] = asdict(rep.stages[0])
-        if "phi_star" in extras:
-            report["sup_error"] = float(
-                np.abs(state.phi.data - extras["phi_star"].data).max()
-            )
+        if phi_star is not None:
+            report["sup_error"] = float(np.abs(state.phi.data - phi_star.data).max())
 
     write_field(out / "phi.hlf1", state.phi)
     report["b"] = state.b
@@ -173,8 +171,6 @@ def cmd_stability(cfg: ExperimentConfig) -> int:
     grid = cfg.build_grid()
     bg = cfg.build_background(grid)
     f_base, _ = cfg.build_density(grid, bg)
-    from .background import gaussian_bump
-
     # two balanced lobes so the response carries both signs at every scale
     lo = [0.3 * cfg.period] * (2 * cfg.n)
     hi = [0.7 * cfg.period] * (2 * cfg.n)
@@ -198,7 +194,11 @@ def cmd_stability(cfg: ExperimentConfig) -> int:
     payload["command"] = "stability"
     payload["seed"] = cfg.seed
     _write_json(out / "report.json", payload)
-    return EXIT_PARTIAL if result.partial else EXIT_OK
+    if result.partial:
+        failed = ", ".join(repr(r.eps_scale) for r in result.records if not r.converged)
+        print(f"nonconvergence: no solve converged at eps_scale {failed}", file=sys.stderr)
+        return EXIT_PARTIAL
+    return EXIT_OK
 
 
 def _inject_spike(phi: ScalarField) -> ScalarField:
@@ -243,7 +243,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
 
     grid = cfg.build_grid()
     bg = cfg.build_background(grid)
-    f, extras = cfg.build_density(grid, bg)
+    f, _ = cfg.build_density(grid, bg)
     solver_cfg = cfg.build_solver_config()
     energy, sup_diff, _, _ = twin_solve_uniqueness(
         bg, cfg.t, f, solver_cfg, rng, noise_amplitude=cfg.noise_amplitude
@@ -253,16 +253,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
         "normalized_energy": energy, "sup_difference": sup_diff,
     }
 
-    from .background import TrigPolynomial
-
-    trig = TrigPolynomial.random(
-        cfg.n, np.random.default_rng(cfg.seed + 3),
-        max_mode=cfg.f_max_mode, num_terms=cfg.f_terms,
-    ).scaled_to_curvature(cfg.manufactured_amplitude, cfg.period)
-    phi_star, f_star, _ = manufactured_solution(
-        bg, cfg.t, cfg.m, trig.sample(grid), margin_floor=cfg.margin_floor,
-        discrete=True,
-    )
+    phi_star, f_star = cfg.manufactured(bg, discrete=True)
     probe = _inject_spike(phi_star) if cfg.inject_spike else phi_star
     samples = grid.num_points
     if cfg.viscosity_samples > 0 and not cfg.inject_spike:
@@ -373,9 +364,17 @@ def main(argv=None) -> int:
             "stability": cmd_stability,
             "verify": cmd_verify,
         }[args.command]
-        return handler(cfg)
+        # a value that takes float64 arithmetic out of range is a config
+        # error, not a warning followed by inf or nan
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return handler(cfg)
     except (ConfigError, DomainError) as err:
         print(f"config error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (FloatingPointError, OverflowError) as err:
+        # the message is the last argument; a float power's OverflowError puts errno first
+        reason = err.args[-1] if err.args else type(err).__name__
+        print(f"config error: a setting is out of float64 range: {reason}", file=sys.stderr)
         return EXIT_CONFIG
     except ConeViolationError as err:
         print(f"cone violation: {err}", file=sys.stderr)

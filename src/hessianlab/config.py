@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, fields
 
 import numpy as np
 
@@ -26,86 +26,70 @@ from .background import (
     manufactured_solution,
 )
 from .errors import ConfigError
-from .grid import ScalarField, TorusGrid
+from .grid import HermitianField, ScalarField, TorusGrid
+from .hlf import read_field
 from .solver import ContinuationSchedule, SolverConfig
-
-_SCHEMA = {
-    "problem": {
-        "n": int, "m": int, "grid_points": int, "period": float, "kappa": float,
-        "chi": str, "chi_diag": str, "chi_potential_amplitude": float,
-        "chi_path": str,
-        "f": str, "f_value": float, "f_amplitude": float, "f_max_mode": int,
-        "f_terms": int, "f_width": float, "f_cap": float, "f_path": str,
-        "q": float, "q_prime": float, "entropy_p": float,
-    },
-    "solver": {
-        "t": float, "newton_tol": float, "max_newton": int, "cone_margin": float,
-        "damping": float, "krylov_rtol": float,
-    },
-    "schedule": {
-        "t_start": float, "ratio": float, "num_stages": int, "t_values": str,
-        "mollify_sigmas": str,
-    },
-    "experiment": {
-        "scales": str, "viscosity_samples": int, "grid_sizes": str,
-        "inject_spike": bool, "margin_floor": float, "lemma_families": int,
-        "noise_amplitude": float, "manufactured_amplitude": float,
-    },
-    "run": {"seed": int},
-    "output": {"directory": str},
-}
 
 _CHI_KINDS = ("zero", "diag", "potential", "hlf1")
 _F_KINDS = ("constant", "trig", "bump", "spike", "manufactured", "hlf1")
 
 
+def _setting(section: str, default):
+    """A setting of INI section ``section``; a list default is copied per config."""
+    if isinstance(default, list):
+        return dataclass_field(default_factory=default.copy, metadata={"section": section})
+    return dataclass_field(default=default, metadata={"section": section})
+
+
 @dataclass
 class ExperimentConfig:
-    n: int = 2
-    m: int = 2
-    grid_points: int = 12
-    period: float = 1.0
-    kappa: float = 1.0
-    chi: str = "zero"
-    chi_diag: list = dataclass_field(default_factory=list)
-    chi_potential_amplitude: float = 0.0
-    chi_path: str = ""
-    f: str = "constant"
-    f_value: float = 0.0
-    f_amplitude: float = 0.1
-    f_max_mode: int = 2
-    f_terms: int = 4
-    f_width: float = 0.1
-    f_cap: float = 1e4
-    f_path: str = ""
-    q: float = 2.0
-    q_prime: float = 1.0
-    entropy_p: float = 3.0
+    """Every setting, declared once: its annotation is its INI type."""
 
-    t: float = 0.25
-    newton_tol: float = 1e-9
-    max_newton: int = 60
-    cone_margin: float = 1e-8
-    damping: float = 1.0
-    krylov_rtol: float = 1e-2
+    n: int = _setting("problem", 2)
+    m: int = _setting("problem", 2)
+    grid_points: int = _setting("problem", 12)
+    period: float = _setting("problem", 1.0)
+    kappa: float = _setting("problem", 1.0)
+    chi: str = _setting("problem", "zero")
+    chi_diag: list[float] = _setting("problem", [])
+    chi_potential_amplitude: float = _setting("problem", 0.0)
+    chi_path: str = _setting("problem", "")
+    f: str = _setting("problem", "constant")
+    f_value: float = _setting("problem", 0.0)
+    f_amplitude: float = _setting("problem", 0.1)
+    f_max_mode: int = _setting("problem", 2)
+    f_terms: int = _setting("problem", 4)
+    f_width: float = _setting("problem", 0.1)
+    f_cap: float = _setting("problem", 1e4)
+    f_path: str = _setting("problem", "")
+    q: float = _setting("problem", 2.0)
+    q_prime: float = _setting("problem", 1.0)
+    entropy_p: float = _setting("problem", 3.0)
 
-    t_start: float = 1.0
-    ratio: float = 0.5
-    num_stages: int = 12
-    t_values: list = dataclass_field(default_factory=list)
-    mollify_sigmas: list = dataclass_field(default_factory=list)
+    t: float = _setting("solver", 0.25)
+    newton_tol: float = _setting("solver", SolverConfig.newton_tol)
+    max_newton: int = _setting("solver", SolverConfig.max_newton)
+    cone_margin: float = _setting("solver", SolverConfig.cone_margin)
+    damping: float = _setting("solver", SolverConfig.damping)
+    krylov_rtol: float = _setting("solver", SolverConfig.krylov_rtol)
 
-    scales: list = dataclass_field(default_factory=lambda: [2.0**-k for k in range(3, 9)])
-    viscosity_samples: int = 0  # 0 = every grid point
-    grid_sizes: list = dataclass_field(default_factory=list)
-    inject_spike: bool = False
-    margin_floor: float = 0.1
-    lemma_families: int = 100
-    noise_amplitude: float = 0.01
-    manufactured_amplitude: float = 0.05
+    t_start: float = _setting("schedule", 1.0)
+    ratio: float = _setting("schedule", 0.5)
+    num_stages: int = _setting("schedule", 12)
+    t_values: list[float] = _setting("schedule", [])
+    mollify_sigmas: list[float] = _setting("schedule", [])
 
-    seed: int = 1234
-    directory: str = "out"
+    scales: list[float] = _setting("experiment", [2.0**-k for k in range(3, 9)])
+    viscosity_samples: int = _setting("experiment", 0)  # 0 = every grid point
+    grid_sizes: list[int] = _setting("experiment", [])
+    inject_spike: bool = _setting("experiment", False)
+    margin_floor: float = _setting("experiment", 0.1)
+    lemma_families: int = _setting("experiment", 100)
+    noise_amplitude: float = _setting("experiment", 0.01)
+    manufactured_amplitude: float = _setting("experiment", 0.05)
+
+    seed: int = _setting("run", 1234)
+    directory: str = _setting("output", "out")
 
     # ------------------------------------------------------------------
 
@@ -170,9 +154,6 @@ class ExperimentConfig:
         if self.chi == "zero":
             bg = BackgroundData.flat(grid, kappa=self.kappa)
         elif self.chi == "hlf1":
-            from .grid import HermitianField
-            from .hlf import read_field
-
             chi = read_field(self.chi_path)
             if not isinstance(chi, HermitianField) or chi.grid != grid:
                 raise ConfigError(
@@ -187,17 +168,13 @@ class ExperimentConfig:
             pot = TrigPolynomial.random(self.n, rng).scaled_to_curvature(
                 self.chi_potential_amplitude, self.period
             ).sample(grid)
-            base = np.diag(self.chi_diag) if self.chi_diag else None
-            bg = BackgroundData.with_potential_chi(
-                grid, base if base is not None else np.zeros((self.n, self.n)),
-                pot, kappa=self.kappa,
-            )
+            base = np.diag(self.chi_diag) if self.chi_diag else np.zeros((self.n, self.n))
+            bg = BackgroundData.with_potential_chi(grid, base, pot, kappa=self.kappa)
         bg.validate(self.m)
         return bg
 
     def build_density(self, grid: TorusGrid, bg: BackgroundData):
-        """Returns (f, extras).  Manufactured data also yields the truth."""
-        extras = {}
+        """Returns (f, phi_star): the manufactured truth, else None."""
         if self.f == "constant":
             f = constant_density(grid, self.f_value)
         elif self.f == "trig":
@@ -211,22 +188,25 @@ class ExperimentConfig:
         elif self.f == "spike":
             f = lq_spike(grid, q=self.q, cap=self.f_cap)
         elif self.f == "hlf1":
-            from .hlf import read_field
-
             f = read_field(self.f_path)
             if not isinstance(f, ScalarField):
                 raise ConfigError("problem.f_path must hold a scalar field")
         else:  # manufactured
-            trig = TrigPolynomial.random(
-                self.n, np.random.default_rng(self.seed + 3),
-                max_mode=self.f_max_mode, num_terms=self.f_terms,
-            ).scaled_to_curvature(self.manufactured_amplitude, self.period)
-            potential = trig.sample(grid)
-            phi_star, f, margin = manufactured_solution(
-                bg, self.t, self.m, potential, margin_floor=self.margin_floor
-            )
-            extras = {"phi_star": phi_star, "potential": trig, "margin": margin}
-        return f, extras
+            phi_star, f = self.manufactured(bg)
+            return f, phi_star
+        return f, None
+
+    def manufactured(self, bg: BackgroundData, discrete: bool = False):
+        """The manufactured truth (phi_star, f_star) on bg's grid; see manufactured_solution."""
+        potential = TrigPolynomial.random(
+            self.n, np.random.default_rng(self.seed + 3),
+            max_mode=self.f_max_mode, num_terms=self.f_terms,
+        ).scaled_to_curvature(self.manufactured_amplitude, self.period).sample(bg.grid)
+        phi_star, f_star, _ = manufactured_solution(
+            bg, self.t, self.m, potential, margin_floor=self.margin_floor,
+            discrete=discrete,
+        )
+        return phi_star, f_star
 
     def build_solver_config(self) -> SolverConfig:
         return SolverConfig(
@@ -242,42 +222,35 @@ class ExperimentConfig:
         return ContinuationSchedule(t_values=ts, mollification_sigmas=sigmas)
 
 
+# section -> {key: the annotation of its ExperimentConfig field}
+_SCHEMA: dict = {}
+for _f in fields(ExperimentConfig):
+    _SCHEMA.setdefault(_f.metadata["section"], {})[_f.name] = _f.type
+
+
+def _number_list(kind):
+    return lambda raw: [kind(tok) for tok in raw.replace(",", " ").split()]
+
+
+# annotation -> parser; a bad value raises ValueError, or KeyError for a bool
+_PARSERS = {
+    "int": int, "float": float, "str": str,
+    "bool": lambda raw: configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()],
+    "list[float]": _number_list(float), "list[int]": _number_list(int),
+}
+
+
 def _parse_value(section: str, key: str, raw: str):
     kind = _SCHEMA[section][key]
     try:
-        if kind is bool:
-            lowered = raw.strip().lower()
-            if lowered in ("true", "yes", "1", "on"):
-                return True
-            if lowered in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(raw)
-        value = kind(raw)
-    except ValueError as err:
-        raise ConfigError(f"[{section}] {key} = {raw!r}: expected {kind.__name__}") from err
-    if kind is float and not math.isfinite(value):
+        value = _PARSERS[kind](raw)
+    except (ValueError, KeyError) as err:
+        expected = "a number list" if kind.startswith("list") else kind
+        raise ConfigError(f"[{section}] {key} = {raw!r}: expected {expected}") from err
+    values = value if isinstance(value, list) else [value]
+    if "float" in kind and not all(map(math.isfinite, values)):
         raise ConfigError(f"[{section}] {key} = {raw!r}: must be finite")
     return value
-
-
-def _parse_list(section: str, key: str, raw: str):
-    kind = _LIST_KEYS[(section, key)]
-    try:
-        values = [kind(tok) for tok in raw.replace(",", " ").split()]
-    except ValueError as err:
-        raise ConfigError(f"[{section}] {key} = {raw!r}: expected a number list") from err
-    if not all(math.isfinite(v) for v in values):
-        raise ConfigError(f"[{section}] {key} = {raw!r}: must be finite")
-    return values
-
-
-_LIST_KEYS = {
-    ("problem", "chi_diag"): float,
-    ("schedule", "t_values"): float,
-    ("schedule", "mollify_sigmas"): float,
-    ("experiment", "scales"): float,
-    ("experiment", "grid_sizes"): int,
-}
 
 
 def load_config(path) -> ExperimentConfig:
@@ -297,10 +270,6 @@ def load_config(path) -> ExperimentConfig:
         for key, raw in items:
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown config key [{section}] {key}")
-            if (section, key) in _LIST_KEYS:
-                value = _parse_list(section, key, raw)
-            else:
-                value = _parse_value(section, key, raw)
-            setattr(cfg, key, value)
+            setattr(cfg, key, _parse_value(section, key, raw))
     cfg.validate()
     return cfg

@@ -54,6 +54,8 @@ PREDICTOR_ORDER = 5
 # restart cycles of one Krylov solve, and the Arnoldi steps of one cycle
 KRYLOV_MAXITER = 20
 KRYLOV_RESTART = 30
+# the longest default schedule; at ratio 1/2, t underflows to 0 after 1075 stages
+MAX_STAGES = 1000
 
 
 @dataclass
@@ -116,6 +118,8 @@ class ContinuationSchedule:
         # checked before ratio**i is formed, which overflows for a huge ratio
         if not 0 < ratio < 1:
             raise ConfigError(f"ratio must lie in (0, 1), got {ratio!r}")
+        if num_stages > MAX_STAGES:  # checked before the list is built
+            raise ConfigError(f"num_stages must be at most {MAX_STAGES}, got {num_stages}")
         return cls([t_start * ratio**i for i in range(num_stages)])
 
 

@@ -75,7 +75,7 @@ def stability_floor(n: int, q: float, q_prime: float) -> float:
 def stability_experiment(bg: BackgroundData, t: float, f_base: ScalarField,
                          perturbation: ScalarField, scales, q: float,
                          q_prime: float, config: SolverConfig,
-                         max_workers: int | None = None) -> StabilityResult:
+                         max_workers: int = 1) -> StabilityResult:
     """Solve perturbed pairs and fit the sup-gap versus weak-gap exponent.
 
     For each scale the pair (f_base, f_base + scale * perturbation) is
@@ -96,20 +96,19 @@ def stability_experiment(bg: BackgroundData, t: float, f_base: ScalarField,
         return StabilityResult(records=records, floor=floor, fitted_exponent=None,
                                passed=False, required_constant=None, partial=True)
 
+    errstate = np.geterr()  # numpy's error state does not reach pool threads
+
     def run(scale):
-        f2 = ScalarField(f_base.grid, f_base.data + scale * perturbation.data)
-        try:
-            state2, _ = solve_nondegenerate(bg, t, f2, config)
-        except NonConvergenceError:
-            return scale, None, f2
+        with np.errstate(**errstate):
+            f2 = ScalarField(f_base.grid, f_base.data + scale * perturbation.data)
+            try:
+                state2, _ = solve_nondegenerate(bg, t, f2, config)
+            except NonConvergenceError:
+                return scale, None, f2
         return scale, state2, f2
 
-    scales = list(scales)
-    if max_workers is not None and max_workers > 1 and len(scales) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            outcomes = list(pool.map(run, scales))
-    else:
-        outcomes = [run(s) for s in scales]
+    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+        outcomes = list(pool.map(run, scales))
 
     records = []
     partial = False

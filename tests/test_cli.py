@@ -14,13 +14,13 @@ from hypothesis import example, given, settings, strategies as st
 
 import hessianlab
 from hessianlab.cli import _STAGE_COLUMNS, main
-from hessianlab.config import _LIST_KEYS, _SCHEMA, load_config
+from hessianlab.config import _SCHEMA, ExperimentConfig, load_config
 from hessianlab.errors import ConfigError
 from hessianlab.hlf import read_field
+from hessianlab.solver import MAX_STAGES
 
 FLOAT_KEYS = [(section, key) for section, keys in _SCHEMA.items()
-              for key, kind in keys.items() if kind is float]
-FLOAT_KEYS += [key for key, kind in _LIST_KEYS.items() if kind is float]
+              for key, kind in keys.items() if kind in ("float", "list[float]")]
 
 
 # floats from +-1e-320 to +-1e308, the extremes themselves, non-finite values,
@@ -32,6 +32,39 @@ TUPLE_TOKENS = st.one_of(
     st.text(alphabet="abe+-._", max_size=4),
 )
 TUPLE_SEPARATORS = [" ", ",", ", ", "[", "]", "(", ")", "] [", ""]
+
+# every settable key, and three that are not
+INI_KEYS = [(section, key) for section, keys in _SCHEMA.items() for key in keys]
+INI_KEYS += [("problem", "volcano"), ("run", "threads"), ("witchcraft", "spell")]
+# out-of-range and non-finite numbers, integers too large for any count,
+# other kinds' words, list and INI syntax, interpolation, any short text
+INI_VALUES = st.one_of(
+    st.sampled_from([
+        "nan", "inf", "-inf", "1e308", "-1e308", "1e300", "1e-308", "1e-320", "0",
+        "-1", "3", "1e999", "99999999999999999999", "0x10", "1_0", "abc", "", "true",
+        "off", "hlf1", "manufactured", "0.5, 0.25", "1 2 3", "1,,2", "%(n)s", "%",
+        "[x]", "1e300 1e300",
+    ]),
+    st.text(st.characters(codec="utf-8"), max_size=8),
+)
+
+# one float setting out of float64 range and a command it breaks: each ended
+# in a traceback, or in a RuntimeWarning that -W error turns into one
+OUT_OF_RANGE = [
+    ("problem.period", "1e300", "continuation"),
+    ("problem.period", "1e-308", "solve"),
+    ("problem.kappa", "1e300", "continuation"),
+    ("problem.f_amplitude", "1e300", "solve"),
+    ("problem.f_width", "1e-308", "stability"),
+    ("problem.entropy_p", "1e300", "continuation"),
+    ("problem.chi_diag", "1e308 0.0", "solve"),
+    ("solver.damping", "1e300", "solve"),
+    ("schedule.t_start", "1e300", "continuation"),
+    ("schedule.t_values", "1e300", "continuation"),
+    ("experiment.noise_amplitude", "1e300", "verify"),
+    ("experiment.manufactured_amplitude", "1e300", "verify"),
+    ("experiment.scales", "1e300", "stability"),
+]
 
 
 def write_config(tmp_path, name="cfg.ini", **overrides):
@@ -144,6 +177,41 @@ class TestConfig:
         path = write_config(tmp_path, **{f"problem.{key}": value})
         with pytest.raises(ConfigError, match=f"problem.{key}"):
             load_config(path)
+
+    def test_stage_count_capped(self, tmp_path):
+        # the default schedule's list is built at load, so a count such as
+        # 10**9 asked for tens of gigabytes before any check ran
+        path = write_config(tmp_path, **{"schedule.num_stages": MAX_STAGES + 1})
+        with pytest.raises(ConfigError, match=r"^\[schedule\] num_stages must be at most"):
+            load_config(path)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(items=st.lists(st.tuples(st.sampled_from(INI_KEYS), INI_VALUES), max_size=4))
+    def test_ini_text_ends_in_config_or_config_error(self, tmp_path_factory, items):
+        sections = {}
+        for (section, key), value in items:
+            sections.setdefault(section, {})[key] = value
+        path = tmp_path_factory.getbasetemp() / "fuzz.ini"
+        path.write_text("".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
+                                for section, kv in sections.items()), encoding="utf-8")
+        try:
+            cfg = load_config(path)
+        except ConfigError as err:
+            assert str(err)
+        else:
+            assert isinstance(cfg, ExperimentConfig)
+
+
+@pytest.mark.parametrize("setting, value, command", OUT_OF_RANGE)
+def test_out_of_range_setting_is_config_error(tmp_path, capsys, setting, value, command):
+    path = write_config(
+        tmp_path,
+        **{"problem.grid_points": 6, "problem.chi": "diag", "problem.chi_diag": "0.4 0.0",
+           "problem.f": "trig", "problem.f_amplitude": 0.3, "schedule.num_stages": 3,
+           "experiment.lemma_families": 2, setting: value},
+    )
+    assert main([command, "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 def _directory_as_chi(tmp_path):
@@ -360,7 +428,7 @@ class TestStabilityCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["passed"]
 
-    def test_partial_exit(self, tmp_path):
+    def test_partial_exit(self, tmp_path, capsys):
         path = write_config(
             tmp_path,
             **{"problem.f": "trig", "problem.f_amplitude": 0.2,
@@ -368,6 +436,8 @@ class TestStabilityCommand:
                "experiment.scales": "0.125"},
         )
         assert main(["stability", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("nonconvergence:") and "eps_scale 0.125" in err
 
     def test_non_integer_thread_cap_is_config_error(self, tmp_path, capsys,
                                                     monkeypatch):

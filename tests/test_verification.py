@@ -125,7 +125,8 @@ class TestStability:
         pert = dipole_bump(grid8)
         cfg = SolverConfig(m=2)
         scales = [0.125, 0.0625]
-        serial = stability_experiment(bg, 0.25, f, pert, scales, 2.0, 1.0, cfg)
+        serial = stability_experiment(bg, 0.25, f, pert, scales, 2.0, 1.0, cfg,
+                                      max_workers=1)
         threaded = stability_experiment(bg, 0.25, f, pert, scales, 2.0, 1.0, cfg,
                                         max_workers=2)
         for a, b in zip(serial.records, threaded.records):
