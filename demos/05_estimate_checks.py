@@ -70,11 +70,10 @@ print(f"\nstability: fitted exponent {result.fitted_exponent:.3f} "
 trig = TrigPolynomial.random(2, rng).scaled_to_curvature(0.5)
 phi_star, f_star, _ = manufactured_solution(bg, 0.25, 2, trig.sample(grid),
                                             discrete=True)
-clean = viscosity_check(phi_star, 0.0, bg, 0.25, f_star, 2, samples=grid.num_points)
+clean = viscosity_check(phi_star, 0.0, bg, 0.25, f_star, 2)
 spiked_data = phi_star.data.copy()
 spiked_data[tuple(n // 2 for n in grid.shape)] -= 30 * grid.spacing**2
-spiked = viscosity_check(ScalarField(grid, spiked_data), 0.0, bg, 0.25, f_star, 2,
-                         samples=grid.num_points)
+spiked = viscosity_check(ScalarField(grid, spiked_data), 0.0, bg, 0.25, f_star, 2)
 print(f"viscosity: exact solution {clean.total_violations} violations, "
       f"spiked solution {spiked.total_violations}")
 

@@ -78,10 +78,8 @@ from .symfunc import (
 from .verification import (
     MonitorReport,
     StabilityRecord,
-    UniformityReport,
     ViscosityReport,
     laplacian_monitor,
-    linf_uniformity_report,
     stability_experiment,
     stability_floor,
     twin_solve_uniqueness,

@@ -31,6 +31,8 @@ from .symfunc import (binom, esp_margins, hermitian_to_planes, hermitize,
                       metric_inv_sqrt, planes_kernel)
 
 OMEGA_MIN_MARGIN = 1e-8
+# the least cone margin of a manufactured problem's stage form
+MANUFACTURED_MARGIN_FLOOR = 0.1
 
 
 @dataclass
@@ -191,18 +193,18 @@ def gaussian_bump(grid: TorusGrid, amplitude: float = 1.0, width: float = 0.1,
     return ScalarField(grid, amplitude * np.exp(-0.5 * r2 / (width * width)))
 
 
-def lq_spike(grid: TorusGrid, q: float, cap: float = 1e4, center=None,
-             sharpness: float = 0.8) -> ScalarField:
+def lq_spike(grid: TorusGrid, q: float, cap: float = 1e4) -> ScalarField:
     """Rough density f with exp(n f) = min(cap, r^(-a)) just inside L^q.
 
-    The decay rate a = sharpness * 2n / q keeps exp(n f) q-integrable while
-    the capped spike keeps it far from L^inf.
+    r is the distance to the torus midpoint.  The decay rate
+    a = 0.8 * 2n / q keeps exp(n f) q-integrable while the capped spike
+    keeps it far from L^inf.
     """
     if q <= 1:
         raise DomainError("q must exceed 1")
     n = grid.n
-    r2 = _periodic_r2(grid, center)
-    a_exp = sharpness * (2.0 * n) / q
+    r2 = _periodic_r2(grid)
+    a_exp = 0.8 * (2.0 * n) / q
     with np.errstate(divide="ignore"):
         density = np.minimum(cap, np.power(np.sqrt(r2), -a_exp, where=r2 > 0,
                                            out=np.full(grid.shape, cap)))
@@ -210,8 +212,7 @@ def lq_spike(grid: TorusGrid, q: float, cap: float = 1e4, center=None,
 
 
 def manufactured_solution(bg: BackgroundData, t: float, m: int,
-                          potential: ScalarField, margin_floor: float = 0.1,
-                          discrete: bool = False):
+                          potential: ScalarField, discrete: bool = False):
     """Turn a potential into an exact test problem.
 
     Computes f so that the potential solves the degree-m equation with
@@ -222,17 +223,17 @@ def manufactured_solution(bg: BackgroundData, t: float, m: int,
 
     Returns ``(phi_star, f_star, worst_margin)`` with phi_star normalized
     to grid maximum zero.  Raises when the cone margin falls below
-    ``margin_floor``.
+    ``MANUFACTURED_MARGIN_FLOOR``.
     """
     grid = bg.grid
     hess = complex_hessian(potential) if discrete else complex_hessian_spectral(potential)
     S, _ = planes_kernel(bg.base_form(t).data + hess.data, bg.omega_inv, m)
     worst = esp_margins(S, grid.n)
     worst_min = float(worst.min())
-    if worst_min < margin_floor:
+    if worst_min < MANUFACTURED_MARGIN_FLOOR:
         idx = np.unravel_index(int(np.argmin(worst)), grid.shape)
         raise ConeViolationError(f"manufactured potential margin {worst_min:.3e} below "
-                                 f"{margin_floor}", point=idx, margin=worst_min)
+                                 f"{MANUFACTURED_MARGIN_FLOOR}", point=idx, margin=worst_min)
     f_star = ScalarField(grid, (np.log(S[..., m]) - np.log(binom(grid.n, m))) / m)
     phi_star = ScalarField(grid, potential.data - potential.data.max())
     return phi_star, f_star, worst_min

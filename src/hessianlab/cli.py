@@ -20,7 +20,7 @@ import numpy as np
 from .background import gaussian_bump
 from .config import ExperimentConfig, load_config
 from .errors import ConeViolationError, ConfigError, DomainError, NonConvergenceError
-from .grid import HermitianField, ScalarField
+from .grid import HermitianField, ScalarField, entropy_functional
 from .hlf import read_field, write_field
 from .iteration import (
     assert_degiorgi_family,
@@ -37,12 +37,7 @@ from .symfunc import (
     esp_margins,
     planes_kernel,
 )
-from .verification import (
-    linf_uniformity_report,
-    stability_experiment,
-    twin_solve_uniqueness,
-    viscosity_check,
-)
+from .verification import stability_experiment, twin_solve_uniqueness, viscosity_check
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -142,15 +137,14 @@ def cmd_continuation(cfg: ExperimentConfig) -> int:
                             err.diagnostics["states"])
         raise
     cert = decreasing_sequence(states)
-    uniformity = linf_uniformity_report(states, schedule.t_values, f=f,
-                                        p=cfg.entropy_p, volume=bg.volume)
+    entropy_mass = entropy_functional(f, cfg.entropy_p, bg.volume)
     write_field(out / "phi.hlf1", states[-1].phi)
     _write_continuation(out, cfg, report, states, certificate={
         "cap_constant": cert.cap_constant,
         "adjusted": cert.adjusted,
         "adjustment": cert.adjustment,
         "violation": cert.violation,
-    }, uniformity=asdict(uniformity))
+    }, entropy_mass=entropy_mass)
     return EXIT_OK
 
 
@@ -245,9 +239,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     bg = cfg.build_background(grid)
     f, _ = cfg.build_density(grid, bg)
     solver_cfg = cfg.build_solver_config()
-    energy, sup_diff, _, _ = twin_solve_uniqueness(
-        bg, cfg.t, f, solver_cfg, rng, noise_amplitude=cfg.noise_amplitude
-    )
+    energy, sup_diff, _, _ = twin_solve_uniqueness(bg, cfg.t, f, solver_cfg, rng)
     properties["uniqueness_energy"] = {
         "pass": energy < 1e-8 and sup_diff < 10.0 * cfg.newton_tol,
         "normalized_energy": energy, "sup_difference": sup_diff,
@@ -255,11 +247,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
 
     phi_star, f_star = cfg.manufactured(bg, discrete=True)
     probe = _inject_spike(phi_star) if cfg.inject_spike else phi_star
-    samples = grid.num_points
-    if cfg.viscosity_samples > 0 and not cfg.inject_spike:
-        samples = cfg.viscosity_samples
-    visc = viscosity_check(probe, 0.0, bg, cfg.t, f_star, cfg.m,
-                           samples=samples, rng=np.random.default_rng(cfg.seed))
+    visc = viscosity_check(probe, 0.0, bg, cfg.t, f_star, cfg.m)
     properties["viscosity"] = {
         "pass": visc.total_violations == 0,
         "injected_spike": cfg.inject_spike,

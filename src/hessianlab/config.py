@@ -25,10 +25,13 @@ from .background import (
     lq_spike,
     manufactured_solution,
 )
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .grid import HermitianField, ScalarField, TorusGrid
 from .hlf import read_field
 from .solver import ContinuationSchedule, SolverConfig
+
+# the most synthetic families verify certifies per iteration lemma
+MAX_LEMMA_FAMILIES = 10_000
 
 _CHI_KINDS = ("zero", "diag", "potential", "hlf1")
 _F_KINDS = ("constant", "trig", "bump", "spike", "manufactured", "hlf1")
@@ -55,12 +58,8 @@ class ExperimentConfig:
     chi_potential_amplitude: float = _setting("problem", 0.0)
     chi_path: str = _setting("problem", "")
     f: str = _setting("problem", "constant")
-    f_value: float = _setting("problem", 0.0)
     f_amplitude: float = _setting("problem", 0.1)
-    f_max_mode: int = _setting("problem", 2)
-    f_terms: int = _setting("problem", 4)
     f_width: float = _setting("problem", 0.1)
-    f_cap: float = _setting("problem", 1e4)
     f_path: str = _setting("problem", "")
     q: float = _setting("problem", 2.0)
     q_prime: float = _setting("problem", 1.0)
@@ -69,23 +68,15 @@ class ExperimentConfig:
     t: float = _setting("solver", 0.25)
     newton_tol: float = _setting("solver", SolverConfig.newton_tol)
     max_newton: int = _setting("solver", SolverConfig.max_newton)
-    cone_margin: float = _setting("solver", SolverConfig.cone_margin)
-    damping: float = _setting("solver", SolverConfig.damping)
-    krylov_rtol: float = _setting("solver", SolverConfig.krylov_rtol)
 
-    t_start: float = _setting("schedule", 1.0)
     ratio: float = _setting("schedule", 0.5)
     num_stages: int = _setting("schedule", 12)
     t_values: list[float] = _setting("schedule", [])
-    mollify_sigmas: list[float] = _setting("schedule", [])
 
     scales: list[float] = _setting("experiment", [2.0**-k for k in range(3, 9)])
-    viscosity_samples: int = _setting("experiment", 0)  # 0 = every grid point
     grid_sizes: list[int] = _setting("experiment", [])
     inject_spike: bool = _setting("experiment", False)
-    margin_floor: float = _setting("experiment", 0.1)
     lemma_families: int = _setting("experiment", 100)
-    noise_amplitude: float = _setting("experiment", 0.01)
     manufactured_amplitude: float = _setting("experiment", 0.05)
 
     seed: int = _setting("run", 1234)
@@ -98,10 +89,11 @@ class ExperimentConfig:
             raise ConfigError("problem.n must be >= 2")
         if not 1 <= self.m <= self.n:
             raise ConfigError("problem.m must satisfy 1 <= m <= n")
-        if self.grid_points < 4 or self.grid_points % 2:
-            raise ConfigError("problem.grid_points must be even and >= 4")
         if self.period <= 0:
             raise ConfigError("problem.period must be positive")
+        self._check_points("problem.grid_points", self.grid_points)
+        for points in self.grid_sizes:
+            self._check_points("experiment.grid_sizes", points)
         if self.kappa < 0:
             raise ConfigError("problem.kappa must be nonnegative")
         if self.chi not in _CHI_KINDS:
@@ -114,10 +106,9 @@ class ExperimentConfig:
             raise ConfigError(f"problem.f must be one of {_F_KINDS}")
         if self.f == "hlf1" and not self.f_path:
             raise ConfigError("problem.f_path required for f = hlf1")
-        # verify's manufactured probe reads the trig keys whatever f is
-        for key in ("f_max_mode", "f_terms", "f_width", "f_cap"):
-            if not getattr(self, key) > 0:
-                raise ConfigError(f"problem.{key} must be positive")
+        # stability's perturbation reads f_width whatever f is
+        if not self.f_width > 0:
+            raise ConfigError("problem.f_width must be positive")
         if self.q <= 1:
             raise ConfigError("problem.q must exceed 1")
         if self.q_prime <= 0:
@@ -134,12 +125,20 @@ class ExperimentConfig:
                 raise ConfigError(f"[{section}] {err}") from err
         if not self.scales:
             raise ConfigError("experiment.scales must list at least one scale")
-        if self.lemma_families < 1:
-            raise ConfigError("experiment.lemma_families must be >= 1")
-        if self.viscosity_samples < 0:
-            raise ConfigError("experiment.viscosity_samples must be nonnegative")
+        if not 1 <= self.lemma_families <= MAX_LEMMA_FAMILIES:
+            raise ConfigError(
+                f"experiment.lemma_families must lie in [1, {MAX_LEMMA_FAMILIES}]")
         if self.seed < 0:
             raise ConfigError("run.seed must be nonnegative")
+
+    def _check_points(self, key: str, points: int) -> None:
+        """Points per axis: even, >= 4 and within the grid's point budget at problem.n."""
+        if points < 4 or points % 2:
+            raise ConfigError(f"{key} must be even and >= 4, got {points}")
+        try:
+            TorusGrid(n=self.n, points_per_axis=points, period=self.period)
+        except DomainError as err:
+            raise ConfigError(f"problem.n = {self.n} with {key} = {points}: {err}") from err
 
     # -- builders ------------------------------------------------------
 
@@ -147,8 +146,8 @@ class ExperimentConfig:
         return np.random.default_rng(self.seed)
 
     def build_grid(self, points: int | None = None) -> TorusGrid:
-        return TorusGrid(n=self.n, points_per_axis=points or self.grid_points,
-                         period=self.period)
+        return TorusGrid(n=self.n, period=self.period,
+                         points_per_axis=self.grid_points if points is None else points)
 
     def build_background(self, grid: TorusGrid) -> BackgroundData:
         if self.chi == "zero":
@@ -176,17 +175,14 @@ class ExperimentConfig:
     def build_density(self, grid: TorusGrid, bg: BackgroundData):
         """Returns (f, phi_star): the manufactured truth, else None."""
         if self.f == "constant":
-            f = constant_density(grid, self.f_value)
+            f = constant_density(grid)
         elif self.f == "trig":
-            f = TrigPolynomial.random(
-                self.n, np.random.default_rng(self.seed + 2),
-                amplitude=self.f_amplitude, max_mode=self.f_max_mode,
-                num_terms=self.f_terms,
-            ).sample(grid)
+            f = TrigPolynomial.random(self.n, np.random.default_rng(self.seed + 2),
+                                      amplitude=self.f_amplitude).sample(grid)
         elif self.f == "bump":
             f = gaussian_bump(grid, amplitude=self.f_amplitude, width=self.f_width)
         elif self.f == "spike":
-            f = lq_spike(grid, q=self.q, cap=self.f_cap)
+            f = lq_spike(grid, q=self.q)
         elif self.f == "hlf1":
             f = read_field(self.f_path)
             if not isinstance(f, ScalarField):
@@ -199,27 +195,20 @@ class ExperimentConfig:
     def manufactured(self, bg: BackgroundData, discrete: bool = False):
         """The manufactured truth (phi_star, f_star) on bg's grid; see manufactured_solution."""
         potential = TrigPolynomial.random(
-            self.n, np.random.default_rng(self.seed + 3),
-            max_mode=self.f_max_mode, num_terms=self.f_terms,
+            self.n, np.random.default_rng(self.seed + 3)
         ).scaled_to_curvature(self.manufactured_amplitude, self.period).sample(bg.grid)
-        phi_star, f_star, _ = manufactured_solution(
-            bg, self.t, self.m, potential, margin_floor=self.margin_floor,
-            discrete=discrete,
-        )
+        phi_star, f_star, _ = manufactured_solution(bg, self.t, self.m, potential,
+                                                    discrete=discrete)
         return phi_star, f_star
 
     def build_solver_config(self) -> SolverConfig:
-        return SolverConfig(
-            m=self.m, newton_tol=self.newton_tol,
-            max_newton=self.max_newton, cone_margin=self.cone_margin,
-            damping=self.damping, krylov_rtol=self.krylov_rtol,
-        )
+        return SolverConfig(m=self.m, newton_tol=self.newton_tol,
+                            max_newton=self.max_newton)
 
     def build_schedule(self) -> ContinuationSchedule:
-        ts = self.t_values or ContinuationSchedule.default(
-            self.num_stages, self.ratio, self.t_start).t_values
-        sigmas = self.mollify_sigmas or None
-        return ContinuationSchedule(t_values=ts, mollification_sigmas=sigmas)
+        if self.t_values:
+            return ContinuationSchedule(self.t_values)
+        return ContinuationSchedule.default(self.num_stages, self.ratio)
 
 
 # section -> {key: the annotation of its ExperimentConfig field}

@@ -27,6 +27,8 @@ from .errors import DomainError
 
 KOLODZIEJ = "kolodziej"
 DEGIORGI = "degiorgi"
+# samples of a synthetic family, a multiple of 6 so its extremal pairs lie on the grid
+FAMILY_SAMPLES = 240
 
 
 def _require_positive(**values) -> None:
@@ -128,8 +130,7 @@ class SyntheticFamily:
     s0: float
 
 
-def synthetic_kolodziej_family(rng: np.random.Generator,
-                               num_samples: int = 240) -> SyntheticFamily:
+def synthetic_kolodziej_family(rng: np.random.Generator) -> SyntheticFamily:
     """Power family phi(s) = a s^theta on a uniform grid ending at s0.
 
     Half the draws sit exactly on the equality case theta * delta0 = 1
@@ -142,7 +143,7 @@ def synthetic_kolodziej_family(rng: np.random.Generator,
     theta = 1.0 / delta0 if tight else (1.0 / delta0) * float(rng.uniform(0.4, 0.8))
     a = float(rng.uniform(0.5, 2.0))
     s0 = float(rng.uniform(0.5, 2.0))
-    k = num_samples - num_samples % 6  # divisible by 2 and 3
+    k = FAMILY_SAMPLES
     s = s0 * np.arange(1, k + 1) / k
     phi = a * s**theta
     return SyntheticFamily(
@@ -152,8 +153,7 @@ def synthetic_kolodziej_family(rng: np.random.Generator,
     )
 
 
-def synthetic_degiorgi_family(rng: np.random.Generator,
-                              num_samples: int = 240) -> SyntheticFamily:
+def synthetic_degiorgi_family(rng: np.random.Generator) -> SyntheticFamily:
     """Family phi(s) = c max(0, s1 - s)^gamma sampled on [s0, s0 + 3 u0].
 
     Parameter triples keep alpha >= gamma * delta so the hypothesis holds
@@ -170,7 +170,7 @@ def synthetic_degiorgi_family(rng: np.random.Generator,
     c = float(rng.uniform(0.5, 2.0))
     s0 = float(rng.uniform(0.0, 1.0))
     u0 = float(rng.uniform(0.5, 1.5))
-    k = num_samples - num_samples % 6
+    k = FAMILY_SAMPLES
     s = s0 + 3.0 * u0 * np.arange(0, k + 1) / k
     s1 = s0 + u0
     # keep s1 and the extremal offset on the grid: 3 u0 / k steps divide u0
@@ -200,11 +200,11 @@ def assert_kolodziej_family(fam: SyntheticFamily):
     return phi_s0 - bound, c_min
 
 
-def assert_degiorgi_family(fam: SyntheticFamily, tol: float = 1e-12):
+def assert_degiorgi_family(fam: SyntheticFamily):
     """Certify the hypothesis and check vanishing beyond the threshold.
 
     Returns ``(max_phi_beyond, d, c_min)``; the first entry is the largest
-    sampled phi value at s >= s0 + d - tol and should be zero.
+    sampled phi value at s >= s0 + d - 1e-12 and should be zero.
     """
     alpha, delta = fam.params["alpha"], fam.params["delta"]
     c_min, feasible = certify_iteration_hypothesis(
@@ -214,6 +214,6 @@ def assert_degiorgi_family(fam: SyntheticFamily, tol: float = 1e-12):
         raise DomainError("synthetic family failed certification")
     phi_s0 = float(fam.phi[np.argmin(np.abs(fam.s - fam.s0))])
     d = degiorgi_threshold(c_min, alpha, delta, phi_s0)
-    beyond = fam.s >= fam.s0 + d - tol
+    beyond = fam.s >= fam.s0 + d - 1e-12
     max_beyond = float(fam.phi[beyond].max()) if np.any(beyond) else 0.0
     return max_beyond, d, c_min

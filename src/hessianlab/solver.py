@@ -48,14 +48,20 @@ from .grid import (
 )
 from .symfunc import binom, esp_margins, planes_kernel
 
+# the line search accepts a trial step whose worst cone margin is at least this
+CONE_MARGIN = 1e-8
 DAMPING_FLOOR = 2.0 ** -20
 # the extrapolated stage start interpolates at most this many previous stages
 PREDICTOR_ORDER = 5
+# the largest Krylov tolerance, relative to the right-hand side
+KRYLOV_RTOL = 1e-2
 # restart cycles of one Krylov solve, and the Arnoldi steps of one cycle
 KRYLOV_MAXITER = 20
 KRYLOV_RESTART = 30
 # the longest default schedule; at ratio 1/2, t underflows to 0 after 1075 stages
 MAX_STAGES = 1000
+# the most Newton steps a solve may be allowed
+MAX_NEWTON = 1000
 
 
 @dataclass
@@ -65,18 +71,14 @@ class SolverConfig:
     m: int
     newton_tol: float = 1e-9
     max_newton: int = 60
-    cone_margin: float = 1e-8
-    damping: float = 1.0
-    krylov_rtol: float = 1e-2
 
     def __post_init__(self):
         if self.m < 1:
             raise ConfigError("degree m must be >= 1")
-        for name in ("newton_tol", "cone_margin", "damping", "krylov_rtol"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ConfigError(f"{name} must be positive and finite")
-        if self.max_newton < 1:
-            raise ConfigError("max_newton must be >= 1")
+        if not 0 < self.newton_tol < np.inf:
+            raise ConfigError("newton_tol must be positive and finite")
+        if not 1 <= self.max_newton <= MAX_NEWTON:
+            raise ConfigError(f"max_newton must lie in [1, {MAX_NEWTON}], got {self.max_newton}")
 
 
 @dataclass
@@ -101,6 +103,8 @@ class ContinuationSchedule:
         ts = list(self.t_values)
         if not ts:
             raise ConfigError("schedule must be nonempty")
+        if len(ts) > MAX_STAGES:
+            raise ConfigError(f"t_values must list at most {MAX_STAGES} stages, got {len(ts)}")
         if not all(0 < t < np.inf for t in ts):
             raise ConfigError("t_values must be positive and finite")
         if any(b >= a for a, b in zip(ts, ts[1:])):
@@ -113,14 +117,14 @@ class ContinuationSchedule:
                 raise ConfigError("mollification_sigmas must be nonnegative and finite")
 
     @classmethod
-    def default(cls, num_stages: int = 12, ratio: float = 0.5,
-                t_start: float = 1.0) -> "ContinuationSchedule":
+    def default(cls, num_stages: int = 12, ratio: float = 0.5) -> "ContinuationSchedule":
+        """The schedule t = 1, ratio, ratio^2, ... of num_stages stages."""
         # checked before ratio**i is formed, which overflows for a huge ratio
         if not 0 < ratio < 1:
             raise ConfigError(f"ratio must lie in (0, 1), got {ratio!r}")
         if num_stages > MAX_STAGES:  # checked before the list is built
             raise ConfigError(f"num_stages must be at most {MAX_STAGES}, got {num_stages}")
-        return cls([t_start * ratio**i for i in range(num_stages)])
+        return cls([ratio**i for i in range(num_stages)])
 
 
 @dataclass
@@ -439,23 +443,26 @@ class _NewtonDriver:
     # -- one Newton step -----------------------------------------------------
 
     def step(self, phi_data: np.ndarray, b: float, analysis=None):
-        """Damped cone-safeguarded Newton update; returns the new iterate."""
-        cfg = self.config
+        """Cone-safeguarded Newton update; returns the new iterate.
+
+        The line search starts at the full step and halves it until the
+        trial's worst cone margin is at least ``CONE_MARGIN``.
+        """
         if analysis is None:
             analysis = self.analyze(phi_data, b)
         resid = analysis["residual"]
         resid_sup = float(np.abs(resid).max())
-        rtol = min(cfg.krylov_rtol, max(resid_sup, 1e-14))
+        rtol = min(KRYLOV_RTOL, max(resid_sup, 1e-14))
         dphi, db = self.solve_linear(analysis["a_over_s"], -resid, rtol)
         hess_step = self.hessian(dphi)
 
-        step_size = cfg.damping
+        step_size = 1.0
         x_now = analysis["x"]
         while True:
             x_trial = x_now + step_size * hess_step
             S, T = self.eigen(x_trial)
             worst = float(self.margins(S).min())
-            if worst >= cfg.cone_margin:
+            if worst >= CONE_MARGIN:
                 break
             step_size *= 0.5
             if step_size < DAMPING_FLOOR:
@@ -550,9 +557,9 @@ def solve_nondegenerate(bg: BackgroundData, t: float, f: ScalarField,
 
     t must be positive and finite (ConfigError otherwise).  Starts from zero
     (or a warm start), which must lie strictly inside the cone (worst
-    margin > 0; ConeViolationError otherwise).  config.cone_margin guards
-    the accepted steps: the line search keeps every later iterate's margin
-    >= config.cone_margin.  Stops when the sup-norm of the log-residual
+    margin > 0; ConeViolationError otherwise).  ``CONE_MARGIN`` guards the
+    accepted steps: the line search keeps every later iterate's margin
+    >= CONE_MARGIN.  Stops when the sup-norm of the log-residual
     drops below config.newton_tol.
     """
     if not 0 < t < np.inf:
@@ -647,23 +654,13 @@ def continuation_degenerate(bg: BackgroundData, f: ScalarField,
         report.stages.append(record)
         states.append(state)
 
-    sups, _, passed = uniformity_proxy(states)
+    sups = [float(np.abs(s.phi.data).max()) for s in states]
     report.meta["sup_norms"] = sups
-    report.meta["uniformity_pass"] = passed
+    # the t-uniformity proxy: max_t ||phi_t||_inf <= 3 median_t ||phi_t||_inf
+    report.meta["uniformity_pass"] = bool(max(sups) <= 3.0 * float(np.median(sups)) + 1e-12)
     report.meta["consecutive_sup_diffs"] = [float(np.max(b.phi.data - a.phi.data))
                                             for a, b in zip(states, states[1:])]
-    report.meta["b_values"] = [s.b for s in states]
     return states, report
-
-
-def uniformity_proxy(states: list):
-    """The t-uniformity proxy max_t ||phi_t||_inf <= 3 median_t ||phi_t||_inf.
-
-    Returns ``(sups, median, passed)`` with the per-state sup norms.
-    """
-    sups = [float(np.abs(s.phi.data).max()) for s in states]
-    med = float(np.median(sups))
-    return sups, med, bool(max(sups) <= 3.0 * med + 1e-12)
 
 
 @dataclass

@@ -3,9 +3,8 @@
 These routines turn a-priori estimates into measurable quantities at desk
 scale: a stability experiment fitting the sup-gap exponent against a weak
 norm of the data gap, a discrete touching-function test for the viscosity
-inequalities, the gradient energy whose vanishing certifies uniqueness, a
-maximum-principle monitor for the trace of the solution form, and the
-t-uniformity proxy for sup-norm bounds along a continuation schedule.
+inequalities, the gradient energy whose vanishing certifies uniqueness, and
+a maximum-principle monitor for the trace of the solution form.
 """
 
 from __future__ import annotations
@@ -17,15 +16,8 @@ import numpy as np
 
 from .background import BackgroundData
 from .errors import DomainError, NonConvergenceError
-from .grid import (
-    ScalarField,
-    complex_gradient,
-    complex_hessian,
-    integrate,
-    lp_norm,
-    entropy_functional,
-)
-from .solver import SolverConfig, SolverState, solve_nondegenerate, uniformity_proxy
+from .grid import ScalarField, complex_gradient, complex_hessian, integrate, lp_norm
+from .solver import SolverConfig, SolverState, solve_nondegenerate
 from .symfunc import binom, esp_margins, planes_kernel, planes_to_hermitian
 
 # the epsilon of the stability exponent floor q' / (n q* + q' + epsilon)
@@ -169,11 +161,10 @@ class ViscosityReport:
 
 
 def viscosity_check(phi: ScalarField, b: float, bg: BackgroundData, t: float,
-                    f: ScalarField, m: int, samples: int,
-                    rng: np.random.Generator | None = None) -> ViscosityReport:
-    """Touching-quadratic sub/supersolution test at sampled grid points.
+                    f: ScalarField, m: int) -> ViscosityReport:
+    """Touching-quadratic sub/supersolution test at every grid point.
 
-    At each sampled point the local quadratic model is the second-order
+    At each point the local quadratic model is the second-order
     fit of phi (its complex Hessian is the discrete Hessian there) plus or
     minus eta |z - z0|^2 for eta in {2 h^2, 4 h^2}, which touches phi from
     above resp. below.  A subsolution violation is F(X + eta I) falling
@@ -186,23 +177,16 @@ def viscosity_check(phi: ScalarField, b: float, bg: BackgroundData, t: float,
     tol = 10.0 * h * h
     etas = [2.0 * h * h, 4.0 * h * h]
     total = grid.num_points
-    if samples >= total:
-        flat_idx = np.arange(total)
-    else:
-        gen = rng if rng is not None else np.random.default_rng(0)
-        flat_idx = np.sort(gen.choice(total, size=samples, replace=False))
-
-    x_data = bg.base_form(t).data + complex_hessian(phi).data
-    x_flat = x_data.reshape(n * n, total)[:, flat_idx]
-    rhs = np.exp(b + f.data).reshape(total)[flat_idx]
+    x_flat = (bg.base_form(t).data + complex_hessian(phi).data).reshape(n * n, total)
+    rhs = np.exp(b + f.data).reshape(total)
     eye = np.eye(n).reshape(n * n, 1)
 
     def operator_f(S):
         sm = S[..., m]
         return np.where(sm > 0, sm, 0.0) ** (1.0 / m) / binom(n, m) ** (1.0 / m)
 
-    sub_bad = np.zeros(flat_idx.size, dtype=bool)
-    super_bad = np.zeros(flat_idx.size, dtype=bool)
+    sub_bad = np.zeros(total, dtype=bool)
+    super_bad = np.zeros(total, dtype=bool)
     skipped = 0
     for eta in etas:
         S_up, _ = planes_kernel(x_flat + eta * eye, bg.omega_inv, m)
@@ -213,11 +197,11 @@ def viscosity_check(phi: ScalarField, b: float, bg: BackgroundData, t: float,
         skipped += int(np.sum(~in_cone))
         super_bad |= in_cone & (operator_f(S_dn) > rhs + tol)
 
-    bad_flat = flat_idx[sub_bad | super_bad]
+    bad_flat = np.flatnonzero(sub_bad | super_bad)
     points = [tuple(map(int, np.unravel_index(int(i), grid.shape)))
               for i in bad_flat[:64]]
     return ViscosityReport(
-        samples=int(flat_idx.size), tol=float(tol), etas=etas,
+        samples=total, tol=float(tol), etas=etas,
         sub_violations=int(np.sum(sub_bad)),
         super_violations=int(np.sum(super_bad)),
         skipped_super=skipped, violation_points=points,
@@ -251,20 +235,20 @@ def uniqueness_energy(phi1: ScalarField, phi2: ScalarField, bg: BackgroundData,
 
 
 def twin_solve_uniqueness(bg: BackgroundData, t: float, f: ScalarField,
-                          config: SolverConfig, rng: np.random.Generator,
-                          noise_amplitude: float = 0.01):
-    """Solve twice (zero start and cone-safe noisy start) and compare.
+                          config: SolverConfig, rng: np.random.Generator):
+    """Solve twice, from zero and from a cone-safe noisy start, and compare.
 
-    Returns ``(energy_normalized, sup_difference, state_a, state_b)``.  The
-    energy is normalized by sup S_1 of the stage form relative to omega
-    times the omega-gradient energy of the first solution, the integral of
-    conj(du) omega^(-1) du (zero when that vanishes), so it does not depend
-    on how omega is scaled.
+    The noisy start is a random trig polynomial of amplitude 0.01 drawn
+    from ``rng``.  Returns ``(energy_normalized, sup_difference, state_a,
+    state_b)``.  The energy is normalized by sup S_1 of the stage form
+    relative to omega times the omega-gradient energy of the first
+    solution, the integral of conj(du) omega^(-1) du (zero when that
+    vanishes), so it does not depend on how omega is scaled.
     """
     from .background import TrigPolynomial
 
     state_a, _ = solve_nondegenerate(bg, t, f, config)
-    noise = TrigPolynomial.random(bg.grid.n, rng, amplitude=noise_amplitude)
+    noise = TrigPolynomial.random(bg.grid.n, rng, amplitude=0.01)
     start = noise.sample(bg.grid)
     state_b, _ = solve_nondegenerate(bg, t, f, config, warm_start=start)
 
@@ -284,7 +268,7 @@ def twin_solve_uniqueness(bg: BackgroundData, t: float, f: ScalarField,
 
 
 # ---------------------------------------------------------------------------
-# trace monitor and uniformity table
+# trace monitor
 
 
 @dataclass
@@ -334,27 +318,3 @@ def trace_field(state: SolverState, bg: BackgroundData, t: float) -> ScalarField
     S, _ = planes_kernel(x_data, bg.omega_inv, 1)
     return ScalarField(bg.grid, S[..., 1])
 
-
-@dataclass
-class UniformityReport:
-    rows: list
-    max_sup: float
-    median_sup: float
-    passed: bool
-
-
-def linf_uniformity_report(states: list, t_values: list,
-                           f: ScalarField | None = None, p: float = 3.0,
-                           volume: float = 1.0) -> UniformityReport:
-    """Table of (t, sup-norm of phi_t, entropy mass of f) with the proxy check.
-
-    The proxy asserts max_t ||phi_t||_inf <= 3 median_t ||phi_t||_inf, a
-    scale-free stand-in for a t-independent bound.
-    """
-    if not states:
-        raise DomainError("need at least one state")
-    entropy = entropy_functional(f, p, volume) if f is not None else np.nan
-    sups, med, passed = uniformity_proxy(states)
-    rows = [(float(t), s, entropy) for t, s in zip(t_values, sups)]
-    return UniformityReport(rows=rows, max_sup=max(sups), median_sup=med,
-                            passed=passed)

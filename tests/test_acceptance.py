@@ -159,7 +159,7 @@ def test_c03_manufactured_convergence():
             grid = TorusGrid(n=2, points_per_axis=points)
             bg = BackgroundData.flat(grid, kappa=1.0)
             phi_star, f_star, margin = manufactured_solution(
-                bg, 0.5, 2, trig.sample(grid), margin_floor=0.1, discrete=False
+                bg, 0.5, 2, trig.sample(grid), discrete=False
             )
             assert margin >= 0.1
             start = time.perf_counter()
@@ -238,9 +238,7 @@ def test_c09_uniqueness_twin_solves():
         rng = np.random.default_rng(4321)
         f = TrigPolynomial.random(2, rng, amplitude=0.25).sample(grid)
         cfg = SolverConfig(m=2)
-        energy, sup_diff, state_a, state_b = twin_solve_uniqueness(
-            bg, 0.25, f, cfg, rng, noise_amplitude=0.01
-        )
+        energy, sup_diff, state_a, state_b = twin_solve_uniqueness(bg, 0.25, f, cfg, rng)
         assert state_a.residual_sup < cfg.newton_tol
         assert state_b.residual_sup < cfg.newton_tol
         assert energy < 1e-8
@@ -258,14 +256,13 @@ def test_c10_viscosity_checks():
             phi_star, f_star, _ = manufactured_solution(
                 bg, 0.25, 2, trig.sample(grid), discrete=True
             )
-            rep = viscosity_check(phi_star, 0.0, bg, 0.25, f_star, 2,
-                                  samples=grid.num_points)
+            rep = viscosity_check(phi_star, 0.0, bg, 0.25, f_star, 2)
             assert rep.total_violations == 0
             if points == 12:
                 spiked = phi_star.data.copy()
                 spiked[tuple(s // 2 for s in grid.shape)] -= 30.0 * grid.spacing**2
                 bad = viscosity_check(ScalarField(grid, spiked), 0.0, bg, 0.25,
-                                      f_star, 2, samples=grid.num_points)
+                                      f_star, 2)
                 assert bad.total_violations >= 1
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -58,19 +59,36 @@ OUT_OF_RANGE = [
     ("problem.f_width", "1e-308", "stability"),
     ("problem.entropy_p", "1e300", "continuation"),
     ("problem.chi_diag", "1e308 0.0", "solve"),
-    ("solver.damping", "1e300", "solve"),
-    ("schedule.t_start", "1e300", "continuation"),
     ("schedule.t_values", "1e300", "continuation"),
-    ("experiment.noise_amplitude", "1e300", "verify"),
     ("experiment.manufactured_amplitude", "1e300", "verify"),
     ("experiment.scales", "1e300", "stability"),
+]
+
+# settings no workload varies, which are library constants: a config that
+# sets one fails by name
+DELETED_KEYS = [
+    ("problem", "f_value"), ("problem", "f_max_mode"), ("problem", "f_terms"),
+    ("problem", "f_cap"), ("solver", "cone_margin"), ("solver", "damping"),
+    ("solver", "krylov_rtol"), ("schedule", "t_start"), ("schedule", "mollify_sigmas"),
+    ("experiment", "viscosity_samples"), ("experiment", "margin_floor"),
+    ("experiment", "noise_amplitude"),
+]
+
+# every integer setting but the seed, at a size no run can afford, with the
+# command that reads it and the name its config error must carry
+HUGE_COUNTS = [
+    ("problem.n", "solve", "problem.n"),
+    ("problem.grid_points", "solve", "problem.grid_points"),
+    ("solver.max_newton", "solve", "max_newton"),
+    ("schedule.num_stages", "continuation", "num_stages"),
+    ("experiment.lemma_families", "verify", "experiment.lemma_families"),
+    ("experiment.grid_sizes", "solve", "experiment.grid_sizes"),
 ]
 
 
 def write_config(tmp_path, name="cfg.ini", **overrides):
     sections = {
-        "problem": {"n": 2, "m": 2, "grid_points": 8, "kappa": 1.0,
-                    "f": "constant", "f_value": 0.0},
+        "problem": {"n": 2, "m": 2, "grid_points": 8, "kappa": 1.0, "f": "constant"},
         "solver": {"t": 0.5},
         "run": {"seed": 11},
         "output": {"directory": str(tmp_path / "out")},
@@ -129,8 +147,7 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"{key} = '{value}': must be finite"):
             load_config(path)
 
-    @pytest.mark.parametrize("key, value", [("lemma_families", 0),
-                                            ("viscosity_samples", -1)])
+    @pytest.mark.parametrize("key, value", [("lemma_families", 0)])
     def test_experiment_counts_checked(self, tmp_path, key, value):
         path = write_config(tmp_path, **{f"experiment.{key}": value})
         with pytest.raises(ConfigError, match=f"experiment.{key}"):
@@ -138,7 +155,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("section, key, value", [
         ("schedule", "ratio", 2.0), ("schedule", "num_stages", 0),
-        ("schedule", "t_start", 0.0), ("solver", "damping", 0.0),
+        ("solver", "max_newton", 0),
     ])
     def test_library_checks_run_at_load(self, tmp_path, section, key, value):
         path = write_config(tmp_path, **{f"{section}.{key}": value})
@@ -168,15 +185,49 @@ class TestConfig:
     def test_missing_file(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.ini")]) == 1
 
-    @pytest.mark.parametrize("key, value", [
-        ("f_max_mode", 0), ("f_max_mode", -1), ("f_terms", 0), ("f_terms", -3),
-        ("f_width", 0.0), ("f_cap", 0.0), ("f_cap", -1.0),
-    ])
+    @pytest.mark.parametrize("key, value", [("f_width", 0.0)])
     def test_density_generator_ranges_checked(self, tmp_path, key, value):
-        # f = constant: verify's manufactured probe reads the trig keys anyway
+        # f = constant: stability's perturbation reads f_width anyway
         path = write_config(tmp_path, **{f"problem.{key}": value})
         with pytest.raises(ConfigError, match=f"problem.{key}"):
             load_config(path)
+
+    @pytest.mark.parametrize("section, key", DELETED_KEYS)
+    def test_deleted_key_is_unknown(self, tmp_path, capsys, section, key):
+        path = write_config(tmp_path, **{f"{section}.{key}": 1})
+        assert main(["solve", "--config", str(path)]) == 1
+        assert f"config error: unknown config key [{section}] {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sizes", ["0, 8", "2, 8", "8, 7"])
+    def test_grid_sizes_entries_checked(self, tmp_path, capsys, sizes):
+        # each entry is checked as grid_points is, and the error names the key
+        path = write_config(tmp_path, **{"problem.f": "manufactured",
+                                         "experiment.grid_sizes": sizes})
+        assert main(["solve", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: experiment.grid_sizes must be even and >= 4")
+
+    @pytest.mark.parametrize("setting, command, named", HUGE_COUNTS)
+    def test_huge_count_is_config_error(self, tmp_path, capsys, setting, command, named):
+        # each setting is bounded at load, before any work grows with it
+        path = write_config(tmp_path, **{setting: 10**20})
+        start = time.perf_counter()
+        assert main([command, "--config", str(path)]) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err
+
+    def test_readme_lists_every_key(self):
+        # the config block of README.md names the _SCHEMA keys, section by section
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        listed: dict = {}
+        for line in block.splitlines():
+            if line.startswith("["):
+                section = listed.setdefault(line[1:line.index("]")], [])
+            elif line.strip():
+                section.append(line.split("=", 1)[0].strip())
+        assert listed == {name: list(keys) for name, keys in _SCHEMA.items()}
 
     def test_stage_count_capped(self, tmp_path):
         # the default schedule's list is built at load, so a count such as
@@ -337,7 +388,8 @@ class TestContinuationCommand:
             assert float(row[0]) == t
             assert float(row[1]) == pytest.approx(np.log((2 + t) / 2), rel=1e-9)
         report = json.loads((out / "report.json").read_text())
-        assert report["uniformity"]["passed"]
+        assert report["meta"]["uniformity_pass"]
+        assert report["entropy_mass"] == pytest.approx(1.0)  # f = 0 on the unit torus
         assert report["certificate"]["violation"] == 0.0
         assert (out / "phi_stage_02.hlf1").exists()
 

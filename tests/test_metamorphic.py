@@ -2,9 +2,11 @@
 
 Each relation maps the data (omega, chi, f) of one problem to another whose
 solution is known from the first: a swap of two complex coordinates, the
-conjugation of every coordinate at once, a shift by whole grid points and a
-scaling of omega and chi.  They pin the plane layout of Hermitian fields: a
-plane read with the wrong sign or at the wrong index breaks one of them.
+conjugation of every coordinate at once, a shift by whole grid points, a
+scaling of omega and chi, and a change of the torus period.  They pin the
+plane layout of Hermitian fields (a plane read with the wrong sign or at
+the wrong index breaks one of them) and the way the period enters the
+difference Hessian and the masses.
 """
 
 import numpy as np
@@ -97,3 +99,17 @@ def test_scaling_omega_and_chi_scales_phi(n):
     phi2, b2 = solve(grid, 2.0 * omega, 2.0 * chi, f)
     assert np.abs(phi2 - 2.0 * phi).max() <= TOL
     assert abs(b2 - b) <= TOL
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("period", [2.0, 0.5, 3.0])
+def test_period_scales_phi(n, period):
+    # the same data at every grid index on a torus of period p: the spacing
+    # scales by p, so the discrete complex Hessian of p^2 phi is the old one,
+    # and both masses of the compatibility constant gain the factor p^(2n)
+    grid, omega, chi, f = problem(n)
+    phi, b = solve(grid, omega, chi, f)
+    scaled = TorusGrid(n=n, points_per_axis=grid.points_per_axis, period=period)
+    phi2, b2 = solve(scaled, omega, chi, f)
+    assert np.abs(phi2 - period**2 * phi).max() <= TOL * period**2 * np.abs(phi).max()
+    assert abs(b2 - b) <= TOL * abs(b)

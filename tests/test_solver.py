@@ -51,6 +51,11 @@ def count_matvecs(monkeypatch) -> list:
     return calls
 
 
+def rough_density(grid):
+    """Trig data rough enough that the first full Newton step from zero leaves the cone."""
+    return TrigPolynomial.random(grid.n, np.random.default_rng(0), amplitude=2.0).sample(grid)
+
+
 def make_manufactured(grid, bg, t, m, curvature=0.6, seed=7, discrete=True):
     rng = np.random.default_rng(seed)
     trig = TrigPolynomial.random(grid.n, rng).scaled_to_curvature(curvature, grid.period)
@@ -387,34 +392,32 @@ class TestNewtonStep:
             assert r_next <= 10.0 * r_k**2
 
     def test_safeguard_engages_on_huge_step(self, grid12):
-        # an oversized damping factor overshoots the cone; the line search
-        # must halve back and the accepted iterate keep its margin
+        # on rough data the full first step from zero overshoots the cone;
+        # the line search must halve back and the accepted iterate keep its margin
         bg = BackgroundData.flat(grid12, kappa=1.0)
-        phi_star, f_star, _ = make_manufactured(grid12, bg, 0.5, 2)
-        cfg = SolverConfig(m=2, cone_margin=1e-8, damping=64.0)
-        driver = _NewtonDriver(bg, cfg).set_stage(0.5, f_star)
+        driver = _NewtonDriver(bg, SolverConfig(m=2)).set_stage(0.5, rough_density(grid12))
         phi_new, b_new, post, info = driver.step(np.zeros(grid12.shape), 0.0)
-        assert info["step_size"] < 64.0
-        assert post["worst"] >= cfg.cone_margin
+        assert info["step_size"] == 0.25
+        assert post["worst"] >= solver.CONE_MARGIN
         assert np.isfinite(b_new) and np.all(np.isfinite(phi_new))
 
-    def test_damping_floor_raises(self, grid12):
+    def test_damping_floor_raises(self, grid12, monkeypatch):
         bg = BackgroundData.flat(grid12, kappa=1.0)
         phi_star, f_star, _ = make_manufactured(grid12, bg, 0.5, 2)
-        cfg = SolverConfig(m=2, cone_margin=1e9)  # unattainable safeguard
-        driver = _NewtonDriver(bg, cfg).set_stage(0.5, f_star)
+        monkeypatch.setattr(solver, "CONE_MARGIN", 1e9)  # unattainable safeguard
+        driver = _NewtonDriver(bg, SolverConfig(m=2)).set_stage(0.5, f_star)
         with pytest.raises(NonConvergenceError) as err:
             driver.step(np.zeros(grid12.shape), 0.0)
         assert "residual_sup" in err.value.diagnostics
 
-    @pytest.mark.parametrize("damping, steps", [(1.0, 3), (64.0, 1)])
-    def test_step_analysis_matches_fresh_analyze(self, grid12, damping, steps):
+    @pytest.mark.parametrize("data, steps", [("manufactured", 3), ("rough", 1)])
+    def test_step_analysis_matches_fresh_analyze(self, grid12, data, steps):
         # step builds the new iterate's analysis from the accepted line-search
         # trial; it must agree with analyzing the new iterate from scratch
         bg = BackgroundData.flat(grid12, kappa=1.0)
-        phi_star, f_star, _ = make_manufactured(grid12, bg, 0.5, 2)
-        cfg = SolverConfig(m=2, damping=damping)
-        driver = _NewtonDriver(bg, cfg).set_stage(0.5, f_star)
+        f = (make_manufactured(grid12, bg, 0.5, 2)[1] if data == "manufactured"
+             else rough_density(grid12))
+        driver = _NewtonDriver(bg, SolverConfig(m=2)).set_stage(0.5, f)
         phi, b, analysis = np.zeros(grid12.shape), 0.0, None
         for _ in range(steps):
             phi, b, analysis, info = driver.step(phi, b, analysis)
@@ -426,13 +429,13 @@ class TestNewtonStep:
                 scale = max(np.abs(fresh[key]).max(), 1.0)
                 assert np.abs(analysis[key] - fresh[key]).max() <= 1e-10 * scale, key
             assert analysis["worst"] == pytest.approx(fresh["worst"], rel=1e-10)
-        if damping > 1.0:
-            assert info["step_size"] < damping  # the line search backtracked
+        if data == "rough":
+            assert info["step_size"] < 1.0  # the line search backtracked
 
     def test_solve_evaluates_each_iterate_once(self, grid12, monkeypatch):
         # one analyze for the start; afterwards every kernel call is a
-        # line-search trial, and a step accepted at size s halved the
-        # damping factor log2(damping / s) times, so it made 1 + that trials
+        # line-search trial, and a step accepted at size s halved the full
+        # step log2(1 / s) times, so it made 1 + that trials
         bg = BackgroundData.flat(grid12, kappa=1.0)
         phi_star, f_star, _ = make_manufactured(grid12, bg, 0.5, 2)
         cfg = SolverConfig(m=2)
@@ -458,7 +461,7 @@ class TestNewtonStep:
         monkeypatch.setattr(_NewtonDriver, "analyze", counting_analyze)
         monkeypatch.setattr(_NewtonDriver, "step", recording_step)
         state, _ = solve_nondegenerate(bg, 0.5, f_star, cfg)
-        trials = sum(1 + round(np.log2(cfg.damping / s)) for s in step_sizes)
+        trials = sum(1 + round(np.log2(1.0 / s)) for s in step_sizes)
         assert state.newton_iters == len(step_sizes) > 0
         assert calls["analyze"] == 1
         assert calls["eigen"] == 1 + trials
@@ -612,7 +615,7 @@ class TestContinuation:
         for rec in report.stages:
             assert rec.bracket_lower - 1e-9 <= rec.bracket_mid <= rec.bracket_upper + 1e-9
             assert rec.margin_min >= 1e-8
-        b_vals = report.meta["b_values"]
+        b_vals = [rec.b for rec in report.stages]
         assert all(b2 < b1 for b1, b2 in zip(b_vals, b_vals[1:]))
 
     def test_brackets_match_per_stage_computation(self, grid12, rng, monkeypatch):
@@ -734,8 +737,7 @@ class TestContinuation:
             assert fallback.b == pytest.approx(state.b, abs=1e-10)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
-    @pytest.mark.parametrize("name", ["newton_tol", "cone_margin", "damping",
-                                      "krylov_rtol"])
+    @pytest.mark.parametrize("name", ["newton_tol"])
     def test_non_finite_solver_config_rejected(self, name, value):
         with pytest.raises(ConfigError, match=name):
             SolverConfig(m=2, **{name: value})
@@ -757,6 +759,7 @@ class TestContinuation:
          "mollification_sigmas"),
         ({"t_values": [1.0, 0.5], "mollification_sigmas": [0.1, -0.1]},
          "mollification_sigmas"),
+        ({"t_values": [2.0**-i for i in range(solver.MAX_STAGES + 1)]}, "t_values"),
     ])
     def test_schedule_names_bad_value(self, kwargs, name):
         with pytest.raises(ConfigError, match=name):
@@ -767,7 +770,8 @@ class TestContinuation:
         with pytest.raises(ConfigError, match="ratio"):
             ContinuationSchedule.default(num_stages=3, ratio=ratio)
 
-    @pytest.mark.parametrize("name, value", [("max_newton", -1)])
+    @pytest.mark.parametrize("name, value", [("max_newton", -1),
+                                             ("max_newton", solver.MAX_NEWTON + 1)])
     def test_iteration_caps_rejected(self, name, value):
         with pytest.raises(ConfigError, match=name):
             SolverConfig(m=2, **{name: value})
