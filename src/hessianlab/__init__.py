@@ -11,7 +11,6 @@ lemma numerics (``iteration``), estimate verification experiments
 from .background import (
     BackgroundData,
     TrigPolynomial,
-    constant_density,
     gaussian_bump,
     lq_spike,
     manufactured_solution,

@@ -26,6 +26,7 @@ from .grid import (
     TorusGrid,
     complex_hessian,
     complex_hessian_spectral,
+    worst_point,
 )
 from .symfunc import (binom, esp_margins, hermitian_to_planes, hermitize,
                       metric_inv_sqrt, planes_kernel)
@@ -33,6 +34,8 @@ from .symfunc import (binom, esp_margins, hermitian_to_planes, hermitize,
 OMEGA_MIN_MARGIN = 1e-8
 # the least cone margin of a manufactured problem's stage form
 MANUFACTURED_MARGIN_FLOOR = 0.1
+# the terms of a random trigonometric polynomial
+TRIG_TERMS = 4
 
 
 @dataclass
@@ -69,13 +72,11 @@ class BackgroundData:
         return self.chi.grid
 
     def validate(self, m: int) -> None:
-        grid = self.grid
         S, _ = planes_kernel(self.chi.data, self.omega_inv, m)
-        worst = esp_margins(S, grid.n)
-        if worst.min() < -1e-10:
-            idx = np.unravel_index(int(np.argmin(worst)), grid.shape)
-            raise ConeViolationError(f"chi leaves the closed degree-{m} cone at {idx}",
-                                     point=idx, margin=float(worst.min()))
+        worst, point = worst_point(esp_margins(S, self.grid.n), self.grid.shape)
+        if worst < -1e-10:
+            raise ConeViolationError(f"chi leaves the closed degree-{m} cone at {point}",
+                                     point=point, margin=worst)
 
     def base_form(self, t: float) -> HermitianField:
         """chi + chi_tilde + t * omega = chi + (kappa + t) * omega, summed on planes."""
@@ -123,18 +124,18 @@ class TrigPolynomial:
 
     @classmethod
     def random(cls, n: int, rng: np.random.Generator, amplitude: float = 1.0,
-               max_mode: int = 2, num_terms: int = 4) -> "TrigPolynomial":
-        """Seeded random polynomial with sum of |coefficients| = amplitude."""
-        if max_mode < 1 or num_terms < 1:
-            raise DomainError(f"max_mode and num_terms must be >= 1, got {max_mode}, {num_terms}")
+               max_mode: int = 2) -> "TrigPolynomial":
+        """Seeded random polynomial of ``TRIG_TERMS`` terms, sum of |coefficients| = amplitude."""
+        if max_mode < 1:
+            raise DomainError(f"max_mode must be >= 1, got {max_mode}")
         modes = []
-        while len(modes) < num_terms:
+        while len(modes) < TRIG_TERMS:
             k = rng.integers(-max_mode, max_mode + 1, size=2 * n)
             if np.any(k):
                 modes.append(k)
         modes = np.array(modes)
-        cc = rng.standard_normal(num_terms)
-        cs = rng.standard_normal(num_terms)
+        cc = rng.standard_normal(TRIG_TERMS)
+        cs = rng.standard_normal(TRIG_TERMS)
         total = np.abs(cc).sum() + np.abs(cs).sum()
         scale = amplitude / total if total > 0 else 0.0
         return cls(modes=modes, coeff_cos=cc * scale, coeff_sin=cs * scale)
@@ -168,10 +169,6 @@ class TrigPolynomial:
                     phase = phase + (2.0 * np.pi * k[a] / grid.period) * grid.axis_coords(a)
             vals += cc * np.cos(phase) + cs * np.sin(phase)
         return ScalarField(grid, vals)
-
-
-def constant_density(grid: TorusGrid, value: float = 0.0) -> ScalarField:
-    return ScalarField.constant(grid, value)
 
 
 def _periodic_r2(grid: TorusGrid, center=None) -> np.ndarray:
@@ -228,12 +225,10 @@ def manufactured_solution(bg: BackgroundData, t: float, m: int,
     grid = bg.grid
     hess = complex_hessian(potential) if discrete else complex_hessian_spectral(potential)
     S, _ = planes_kernel(bg.base_form(t).data + hess.data, bg.omega_inv, m)
-    worst = esp_margins(S, grid.n)
-    worst_min = float(worst.min())
+    worst_min, point = worst_point(esp_margins(S, grid.n), grid.shape)
     if worst_min < MANUFACTURED_MARGIN_FLOOR:
-        idx = np.unravel_index(int(np.argmin(worst)), grid.shape)
         raise ConeViolationError(f"manufactured potential margin {worst_min:.3e} below "
-                                 f"{MANUFACTURED_MARGIN_FLOOR}", point=idx, margin=worst_min)
+                                 f"{MANUFACTURED_MARGIN_FLOOR}", point=point, margin=worst_min)
     f_star = ScalarField(grid, (np.log(S[..., m]) - np.log(binom(grid.n, m))) / m)
     phi_star = ScalarField(grid, potential.data - potential.data.max())
     return phi_star, f_star, worst_min

@@ -2,7 +2,8 @@
 
 Commands: solve | continuation | stability | verify | conecheck, each taking
 --config PATH (conecheck also accepts an inline tuple).  Exit codes: 0 ok,
-1 config error, 2 nonconvergence, 3 partial results, 4 verification failure.
+1 config error, 2 nonconvergence or cone violation, 3 partial results,
+4 verification failure.
 Diagnostics go to stderr; results land in the configured output directory.
 """
 
@@ -50,6 +51,14 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
+def _write_csv(path: Path, columns: list, records) -> None:
+    """One header line of ``columns``, then one line of their reprs per record."""
+    lines = [",".join(columns)]
+    for rec in records:
+        lines.append(",".join(repr(getattr(rec, c)) for c in columns))
+    path.write_text("\n".join(lines) + "\n")
+
+
 def _outdir(cfg: ExperimentConfig) -> Path:
     out = Path(cfg.directory)
     out.mkdir(parents=True, exist_ok=True)
@@ -72,20 +81,20 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
             grid = cfg.build_grid(points)
             bg = cfg.build_background(grid)
             f, phi_star = cfg.build_density(grid, bg)
-            state, rep = solve_nondegenerate(bg, cfg.t, f, solver_cfg)
+            state, record = solve_nondegenerate(bg, cfg.t, f, solver_cfg)
             err = float(np.abs(state.phi.data - phi_star.data).max())
             rows.append({
                 "N": points, "h": grid.spacing, "sup_error": err,
                 "iters": state.newton_iters,
-                "seconds": rep.stages[0].seconds,
+                "seconds": record.seconds,
             })
         report["error_vs_h"] = rows
     else:
         grid = cfg.build_grid()
         bg = cfg.build_background(grid)
         f, phi_star = cfg.build_density(grid, bg)
-        state, rep = solve_nondegenerate(bg, cfg.t, f, solver_cfg)
-        report["stage"] = asdict(rep.stages[0])
+        state, record = solve_nondegenerate(bg, cfg.t, f, solver_cfg)
+        report["stage"] = asdict(record)
         if phi_star is not None:
             report["sup_error"] = float(np.abs(state.phi.data - phi_star.data).max())
 
@@ -99,17 +108,14 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
 
 _STAGE_COLUMNS = [
     "t", "b", "sup_phi", "inf_phi", "margin_min", "iters", "seconds",
-    "bracket_lower", "bracket_mid", "bracket_upper", "mollify_sigma", "start",
+    "bracket_lower", "bracket_mid", "bracket_upper", "start",
 ]
 
 
 def _write_continuation(out: Path, cfg: ExperimentConfig, report, states: list,
                         **extra) -> None:
     """stages.csv, phi_stage_NN.hlf1 per state and report.json of a continuation."""
-    lines = [",".join(_STAGE_COLUMNS)]
-    for rec in report.stages:
-        lines.append(",".join(repr(getattr(rec, c)) for c in _STAGE_COLUMNS))
-    (out / "stages.csv").write_text("\n".join(lines) + "\n")
+    _write_csv(out / "stages.csv", _STAGE_COLUMNS, report.stages)
 
     for i, state in enumerate(states):
         write_field(out / f"phi_stage_{i:02d}.hlf1", state.phi)
@@ -177,12 +183,9 @@ def cmd_stability(cfg: ExperimentConfig) -> int:
         solver_cfg, max_workers=workers,
     )
 
-    header = ["eps_scale", "l1_gap", "lq_gap_plus", "sup_gap", "centered_gap",
-              "sym_lq_gap", "predicted_exponent", "converged"]
-    lines = [",".join(header)]
-    for rec in result.records:
-        lines.append(",".join(repr(getattr(rec, c)) for c in header))
-    (out / "records.csv").write_text("\n".join(lines) + "\n")
+    _write_csv(out / "records.csv", [
+        "eps_scale", "l1_gap", "lq_gap_plus", "sup_gap", "centered_gap",
+        "sym_lq_gap", "predicted_exponent", "converged"], result.records)
 
     payload = asdict(result)
     payload["command"] = "stability"

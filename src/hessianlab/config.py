@@ -20,7 +20,6 @@ import numpy as np
 from .background import (
     BackgroundData,
     TrigPolynomial,
-    constant_density,
     gaussian_bump,
     lq_spike,
     manufactured_solution,
@@ -175,7 +174,7 @@ class ExperimentConfig:
     def build_density(self, grid: TorusGrid, bg: BackgroundData):
         """Returns (f, phi_star): the manufactured truth, else None."""
         if self.f == "constant":
-            f = constant_density(grid)
+            f = ScalarField.constant(grid, 0.0)
         elif self.f == "trig":
             f = TrigPolynomial.random(self.n, np.random.default_rng(self.seed + 2),
                                       amplitude=self.f_amplitude).sample(grid)

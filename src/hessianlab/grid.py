@@ -123,10 +123,6 @@ class HermitianField:
     def constant(cls, grid: TorusGrid, matrix) -> "HermitianField":
         return cls.from_matrices(grid, np.broadcast_to(matrix, grid.shape + np.shape(matrix)))
 
-    @classmethod
-    def identity(cls, grid: TorusGrid, scale: float = 1.0) -> "HermitianField":
-        return cls.constant(grid, scale * np.eye(grid.n))
-
 
 # ---------------------------------------------------------------------------
 # finite differences
@@ -340,6 +336,12 @@ def tree_sum(values: np.ndarray) -> float:
         if tail is not None:
             a = np.concatenate([a, tail])
     return float(a[0])
+
+
+def worst_point(values: np.ndarray, shape: tuple) -> tuple:
+    """The least of ``values`` and its index in a grid of ``shape``, as a float and ints."""
+    i = int(np.argmin(values))
+    return float(np.ravel(values)[i]), tuple(int(k) for k in np.unravel_index(i, shape))
 
 
 def integrate(g: ScalarField, volume: float = 1.0) -> float:

@@ -44,7 +44,7 @@ from .grid import (
     hessian_planes,
     hessian_scale,
     integrate,
-    mollify,
+    worst_point,
 )
 from .symfunc import binom, esp_margins, planes_kernel
 
@@ -94,10 +94,9 @@ class SolverState:
 
 @dataclass
 class ContinuationSchedule:
-    """Decreasing regularization parameters with optional smoothing widths."""
+    """Decreasing regularization parameters."""
 
     t_values: list
-    mollification_sigmas: list | None = None
 
     def __post_init__(self):
         ts = list(self.t_values)
@@ -109,12 +108,6 @@ class ContinuationSchedule:
             raise ConfigError("t_values must be positive and finite")
         if any(b >= a for a, b in zip(ts, ts[1:])):
             raise ConfigError("schedule must be strictly decreasing")
-        if self.mollification_sigmas is not None:
-            sigmas = list(self.mollification_sigmas)
-            if len(sigmas) != len(ts):
-                raise ConfigError("mollification_sigmas length must match t_values")
-            if not all(0 <= s < np.inf for s in sigmas):
-                raise ConfigError("mollification_sigmas must be nonnegative and finite")
 
     @classmethod
     def default(cls, num_stages: int = 12, ratio: float = 0.5) -> "ContinuationSchedule":
@@ -140,7 +133,6 @@ class StageRecord:
     bracket_lower: float | None = None
     bracket_mid: float | None = None
     bracket_upper: float | None = None
-    mollify_sigma: float = 0.0
     start: str = "zero"
 
 
@@ -249,17 +241,17 @@ def degenerate_brackets(bg: BackgroundData, t: float, b_t: float, m: int,
 # Krylov solve
 
 
-def gmres(A, b, x0, M, rtol, atol, maxiter):
+def gmres(A, b, x0, M, rtol, maxiter):
     """Restarted right-preconditioned GMRES (Saad & Schultz 1986) for A x = b.
 
     ``A.matvec`` applies A, ``M.matvec`` the preconditioner M^-1.  Cycles of
     ``KRYLOV_RESTART`` CGS2 Arnoldi steps minimize the true residual until it
-    is at most max(atol, rtol ||b||).  Returns ``(x, info)``, info 0 on
-    convergence, else the cycles run.
+    is at most rtol ||b||.  Returns ``(x, info)``, info 0 on convergence,
+    else the cycles run.
     """
     matvec, precondition = A.matvec, M.matvec
     x, k = np.array(x0, dtype=float), KRYLOV_RESTART
-    target = max(atol, rtol * float(np.linalg.norm(b)))
+    target = rtol * float(np.linalg.norm(b))
     V = np.empty((k + 1, b.size))
     for _ in range(maxiter):
         r = b - matvec(x)
@@ -351,9 +343,9 @@ class _NewtonDriver:
         margins = self.margins(S)
         worst = float(margins.min())
         if not worst > 0.0:
-            idx = np.unravel_index(int(np.argmin(margins)), self.grid.shape)
-            raise ConeViolationError(f"cone margin {worst:.3e} at grid point {idx}",
-                                     point=idx, margin=worst)
+            worst, point = worst_point(margins, self.grid.shape)
+            raise ConeViolationError(f"cone margin {worst:.3e} at grid point {point}",
+                                     point=point, margin=worst)
         return self._linearize(x, S, T, worst, b)
 
     def _linearize(self, x: np.ndarray, S: np.ndarray, T: np.ndarray,
@@ -435,7 +427,7 @@ class _NewtonDriver:
         op = spla.LinearOperator((P + 1, P + 1), matvec=matvec, dtype=float)
         mop = spla.LinearOperator((P + 1, P + 1), matvec=precondition, dtype=float)
         sol, _ = spla.lgmres(op, rhs, x0=precondition(rhs), M=mop, rtol=rtol,
-                             atol=0.0, maxiter=KRYLOV_MAXITER)
+                             maxiter=KRYLOV_MAXITER)
         dphi = sol[:P].reshape(shape)
         dphi = dphi - dphi.mean()
         return dphi, float(sol[P])
@@ -553,7 +545,7 @@ def residual(phi: ScalarField, b: float, bg: BackgroundData, t: float,
 
 def solve_nondegenerate(bg: BackgroundData, t: float, f: ScalarField,
                         config: SolverConfig, warm_start: ScalarField | None = None):
-    """Newton iteration to the stage-t solution; returns (state, report).
+    """Newton iteration to the stage-t solution; returns (state, record).
 
     t must be positive and finite (ConfigError otherwise).  Starts from zero
     (or a warm start), which must lie strictly inside the cone (worst
@@ -568,7 +560,7 @@ def solve_nondegenerate(bg: BackgroundData, t: float, f: ScalarField,
     phi0 = None if warm_start is None else warm_start.data
     state, record = driver.solve(t, f, phi0)
     record.start = "zero" if warm_start is None else "warm"
-    return state, SolveReport(stages=[record])
+    return state, record
 
 
 def _stage_starts(states: list, ts: list, i: int) -> list:
@@ -619,19 +611,11 @@ def continuation_degenerate(bg: BackgroundData, f: ScalarField,
     driver = _NewtonDriver(bg, config)
     states = []
     for i, t in enumerate(schedule.t_values):
-        sigma = 0.0
-        f_stage = f_norm
-        if schedule.mollification_sigmas is not None:
-            sigma = float(schedule.mollification_sigmas[i])
-            if sigma > 0.0:
-                density = ScalarField(f_norm.grid, np.exp(config.m * f_norm.data))
-                smooth = mollify(density, sigma)
-                f_stage = ScalarField(f_norm.grid, np.log(smooth.data) / config.m)
         t_start = time.perf_counter()
         try:
             for start, phi0 in _stage_starts(states, schedule.t_values, i):
                 try:
-                    state, record = driver.solve(t, f_stage, phi0)
+                    state, record = driver.solve(t, f_norm, phi0)
                     break
                 except (ConeViolationError, NonConvergenceError):
                     # a failed start hands over to the next; zero is the last
@@ -645,9 +629,8 @@ def continuation_degenerate(bg: BackgroundData, f: ScalarField,
                 diagnostics={"partial_report": report, "states": states},
             ) from err
         record.seconds = time.perf_counter() - t_start
-        record.mollify_sigma = sigma
         record.start = start
-        # f_norm has mass _stage_mass(0) by construction and mollify keeps it
+        # f_norm has mass _stage_mass(0) by construction
         b_t = float(np.log(_stage_mass(bg, t, config.m, moments) / mass_0) / config.m)
         lower, mid, upper = degenerate_brackets(bg, t, b_t, config.m, bounds)
         record.bracket_lower, record.bracket_mid, record.bracket_upper = lower, mid, upper

@@ -87,14 +87,14 @@ def elem_sym(values, k: int) -> float:
     return float(elem_sym_table(lam)[k])
 
 
-def hermitize(matrix, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
+def hermitize(matrix) -> np.ndarray:
     """Symmetrize a square matrix, rejecting inputs that are far from Hermitian."""
     a = np.asarray(matrix, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DomainError("expected a square matrix")
     ah = np.conj(np.swapaxes(a, -1, -2))
     scale = np.abs(a).max()
-    if scale > 0 and np.abs(a - ah).max() > rtol * max(scale, 1.0) * 10:
+    if scale > 0 and np.abs(a - ah).max() > HERMITIAN_RTOL * max(scale, 1.0) * 10:
         raise DomainError("matrix is not Hermitian within tolerance")
     return 0.5 * (a + ah)
 
@@ -335,7 +335,7 @@ def planes_kernel(x: np.ndarray, omega_inv: np.ndarray, m: int):
     return S.reshape(x.shape[1:] + (m + 1,)), np.broadcast_to(b, xf.shape).reshape(x.shape)
 
 
-def pencil_eigh(A: np.ndarray, G: np.ndarray, min_eig: float = METRIC_MIN_EIG):
+def pencil_eigh(A: np.ndarray, G: np.ndarray):
     """Eigen-decomposition of a Hermitian pencil, batched.
 
     Returns ``(lam, U, g_inv_sqrt)`` where ``lam`` holds the eigenvalues of
@@ -345,7 +345,7 @@ def pencil_eigh(A: np.ndarray, G: np.ndarray, min_eig: float = METRIC_MIN_EIG):
     of the failing point for batched input.  Backs the tuple API and serves
     as the oracle for ``planes_kernel``.
     """
-    gis = metric_inv_sqrt(G, min_eig)
+    gis = metric_inv_sqrt(G)
     mat = gis @ np.asarray(A, dtype=complex) @ gis
     mat = 0.5 * (mat + np.conj(np.swapaxes(mat, -1, -2)))
     w, U = np.linalg.eigh(mat)

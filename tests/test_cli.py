@@ -393,6 +393,13 @@ class TestContinuationCommand:
         assert report["certificate"]["violation"] == 0.0
         assert (out / "phi_stage_02.hlf1").exists()
 
+    def test_chi_outside_cone_exits_2(self, tmp_path, capsys):
+        # a cone violation shares exit 2 with nonconvergence; the point prints as ints
+        path = write_config(tmp_path, **{"problem.chi": "diag", "problem.chi_diag": "-0.5 0.0"})
+        assert main(["continuation", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "cone violation: chi leaves the closed degree-2 cone at (0, 0, 0, 0)\n")
+
     def test_single_stage_matches_solve(self, tmp_path):
         cont = write_config(tmp_path, "c.ini", **{"schedule.t_values": "0.5"})
         assert main(["continuation", "--config", str(cont)]) == 0
@@ -556,7 +563,7 @@ class TestConecheck:
         from hessianlab import HermitianField, TorusGrid, write_field
 
         grid = TorusGrid(n=2, points_per_axis=6)
-        field = HermitianField.identity(grid, 1.5)
+        field = HermitianField.constant(grid, 1.5 * np.eye(2))
         write_field(tmp_path / "x.hlf1", field)
         assert main(["conecheck", "--field", str(tmp_path / "x.hlf1"),
                      "--m", "2"]) == 0
@@ -568,7 +575,7 @@ class TestConecheck:
         from hessianlab import HermitianField, TorusGrid, write_field
 
         path = tmp_path / "x.hlf1"
-        write_field(path, HermitianField.identity(TorusGrid(n=2, points_per_axis=4)))
+        write_field(path, HermitianField.constant(TorusGrid(n=2, points_per_axis=4), np.eye(2)))
         path.write_bytes(path.read_bytes()[:-trim])
         assert main(["conecheck", "--field", str(path), "--m", "2"]) == 1
         assert "config error:" in capsys.readouterr().err
@@ -576,7 +583,7 @@ class TestConecheck:
     def test_non_finite_field_is_config_error(self, tmp_path, capsys):
         from hessianlab import HermitianField, TorusGrid, write_field
 
-        field = HermitianField.identity(TorusGrid(n=2, points_per_axis=4))
+        field = HermitianField.constant(TorusGrid(n=2, points_per_axis=4), np.eye(2))
         field.data[0, 1, 2, 3, 0] = np.nan  # entry (0, 0) at grid point (1, 2, 3, 0)
         write_field(tmp_path / "x.hlf1", field)
         assert main(["conecheck", "--field", str(tmp_path / "x.hlf1"),
@@ -592,7 +599,7 @@ class TestConecheck:
             args = ["--tuple", "1,1,1"]
         else:
             write_field(tmp_path / "x.hlf1",
-                        HermitianField.identity(TorusGrid(n=2, points_per_axis=4)))
+                        HermitianField.constant(TorusGrid(n=2, points_per_axis=4), np.eye(2)))
             args = ["--field", str(tmp_path / "x.hlf1")]
         assert main(["conecheck", *args, "--m", "0"]) == 1
         assert "config error:" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import pytest
 
 from hessianlab import (
     BackgroundData,
+    ConeViolationError,
     DomainError,
     HermitianField,
     ScalarField,
@@ -19,6 +20,7 @@ from hessianlab import (
     generalized_eigenvalues,
     integrate,
     lp_norm,
+    manufactured_solution,
     mollify,
     tree_sum,
 )
@@ -162,7 +164,7 @@ class TestLaplacianInverse:
 
 class TestEigenField:
     def test_identity(self, grid8):
-        a = HermitianField.identity(grid8, 2.0)
+        a = HermitianField.constant(grid8, 2.0 * np.eye(2))
         lam = eigen_field(a, 2.0 * np.eye(2))
         assert np.allclose(lam, 1.0)
 
@@ -189,10 +191,11 @@ class TestEigenField:
     def test_metric_must_be_one_matrix(self, grid8):
         # omega is one constant matrix: a per-point field is rejected by shape,
         # a singular matrix by the metric check
+        one = HermitianField.constant(grid8, np.eye(2))
         with pytest.raises(DomainError, match="omega must be one"):
-            eigen_field(HermitianField.identity(grid8), HermitianField.identity(grid8).data)
+            eigen_field(one, one.data)
         with pytest.raises(SingularMetricError):
-            eigen_field(HermitianField.identity(grid8), np.diag([1.0, 0.0]))
+            eigen_field(one, np.diag([1.0, 0.0]))
 
 
 class TestBackgroundOmega:
@@ -226,10 +229,32 @@ class TestBackgroundOmega:
         assert np.allclose(base, 0.5 * omega)
 
 
+def assert_int_point(point):
+    assert point == (0, 0, 0, 0) and all(type(k) is int for k in point)
+
+
+def test_chi_outside_cone_names_worst_point(grid8):
+    # chi = diag(-0.5, 0): S_1 / 2 = -0.25 at every point, so the first is the worst
+    bg = BackgroundData.flat(grid8, chi_matrix=np.diag([-0.5, 0.0]))
+    with pytest.raises(ConeViolationError) as err:
+        bg.validate(2)
+    assert_int_point(err.value.point)
+    assert err.value.margin == pytest.approx(-0.25, rel=1e-12)
+
+
+def test_manufactured_margin_floor_names_worst_point(grid8):
+    # a zero potential on the base form t omega: S_2 = t^2 is the least margin
+    bg = BackgroundData.flat(grid8)
+    with pytest.raises(ConeViolationError, match="below 0.1") as err:
+        manufactured_solution(bg, 0.05, 2, ScalarField.constant(grid8, 0.0))
+    assert_int_point(err.value.point)
+    assert err.value.margin == pytest.approx(0.05 ** 2, rel=1e-12)
+
+
 def test_hermitian_field_holds_planes(grid8):
     # complex matrices enter through from_matrices only; the planes of the
     # identity are 1 on the diagonal planes and 0 elsewhere
-    field = HermitianField.identity(grid8, 2.0)
+    field = HermitianField.constant(grid8, 2.0 * np.eye(2))
     assert field.data.shape == (4,) + grid8.shape and field.data.dtype == float
     assert np.array_equal(field.data[:, 0, 0, 0, 0], [2.0, 0.0, 0.0, 2.0])
     with pytest.raises(DomainError, match="plane data shape"):
@@ -238,10 +263,10 @@ def test_hermitian_field_holds_planes(grid8):
         HermitianField.from_matrices(grid8, np.zeros((4,) + grid8.shape))
 
 
-@pytest.mark.parametrize("max_mode, num_terms", [(-1, 4), (2, 0), (2, -3)])
-def test_trig_polynomial_rejects_empty_ranges(rng, max_mode, num_terms):
-    with pytest.raises(DomainError, match="max_mode and num_terms"):
-        TrigPolynomial.random(2, rng, max_mode=max_mode, num_terms=num_terms)
+@pytest.mark.parametrize("max_mode", [-1, 0])
+def test_trig_polynomial_rejects_empty_ranges(rng, max_mode):
+    with pytest.raises(DomainError, match="max_mode"):
+        TrigPolynomial.random(2, rng, max_mode=max_mode)
 
 
 class TestIntegration:

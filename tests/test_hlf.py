@@ -109,7 +109,7 @@ def test_bad_header_period_names_file(grid, tmp_path, period):
 def test_version_1_rejected(grid, tmp_path, capsys):
     # the version-1 layout: reserved zero bytes where the period now sits
     path = tmp_path / "f.hlf1"
-    write_field(path, HermitianField.identity(grid))
+    write_field(path, HermitianField.constant(grid, np.eye(grid.n)))
     raw = bytearray(path.read_bytes())
     struct.pack_into("<I", raw, 4, 1)
     raw[8:16] = b"\x00" * 8
@@ -140,7 +140,7 @@ def test_rejects_garbage(tmp_path):
 @pytest.mark.parametrize("kind", ["scalar", "hermitian"])
 def test_truncated_payload_names_byte_counts(grid, tmp_path, trim, kind):
     field = (ScalarField.constant(grid, 1.0) if kind == "scalar"
-             else HermitianField.identity(grid))
+             else HermitianField.constant(grid, np.eye(grid.n)))
     path = tmp_path / "f.hlf1"
     write_field(path, field)
     raw = path.read_bytes()
@@ -154,7 +154,7 @@ def test_truncated_payload_names_byte_counts(grid, tmp_path, trim, kind):
 @pytest.mark.parametrize("kind", ["scalar", "hermitian"])
 def test_non_finite_payload_names_file(grid, tmp_path, kind, value):
     field = (ScalarField.constant(grid, 1.0) if kind == "scalar"
-             else HermitianField.identity(grid))
+             else HermitianField.constant(grid, np.eye(grid.n)))
     path = tmp_path / "f.hlf1"
     write_field(path, field)
     raw = bytearray(path.read_bytes())
@@ -238,7 +238,8 @@ def test_conecheck_near_float_limit(tmp_path, capsys, diagonal, code):
     # S_1 = 2e308 overflows: a named error; S_1 = 2e200 is finite and every
     # margin equals 1e200, a range too narrow for ten bins, so one bin prints
     path = tmp_path / "x.hlf1"
-    write_field(path, HermitianField.identity(TorusGrid(n=2, points_per_axis=4), diagonal))
+    write_field(path, HermitianField.constant(TorusGrid(n=2, points_per_axis=4),
+                                           diagonal * np.eye(2)))
     assert main(["conecheck", "--field", str(path), "--m", "2"]) == code
     out, err = capsys.readouterr()
     if code == 0:

@@ -420,7 +420,7 @@ class TestHessianKernel:
             assert np.sign(got) == np.sign(want)
 
     def test_rejects_degree_outside_range(self):
-        identity = HermitianField.identity(TorusGrid(n=2, points_per_axis=2))
+        identity = HermitianField.constant(TorusGrid(n=2, points_per_axis=2), np.eye(2))
         for m in (0, 3):
             with pytest.raises(DomainError):
                 planes_kernel(identity.data, np.eye(2), m)

@@ -13,7 +13,6 @@ from hessianlab import (
     TrigPolynomial,
     complex_gradient,
     complex_hessian,
-    constant_density,
     eigen_field,
     gaussian_bump,
     integrate,
@@ -84,7 +83,7 @@ class TestStability:
 
     def test_zero_perturbation_skips_fit(self, grid12):
         bg = BackgroundData.flat(grid12, kappa=1.0)
-        f = constant_density(grid12, 0.0)
+        f = ScalarField.constant(grid12, 0.0)
         pert = ScalarField.constant(grid12, 0.0)
         cfg = SolverConfig(m=2)
         result = stability_experiment(bg, 0.25, f, pert, [0.5, 0.25], 2.0, 1.0, cfg)
@@ -135,7 +134,7 @@ class TestStability:
 class TestViscosity:
     def test_exact_constant_solution(self, grid12):
         bg = BackgroundData.flat(grid12, kappa=1.0)
-        f = constant_density(grid12, 0.0)
+        f = ScalarField.constant(grid12, 0.0)
         rep = viscosity_check(ScalarField.constant(grid12, 0.0), np.log(1.5), bg,
                               0.5, f, 2)
         assert rep.total_violations == 0
@@ -239,7 +238,7 @@ class TestUniquenessEnergy:
             bg = BackgroundData.flat(grid, chi_matrix=c * chi0, kappa=1.0,
                                      omega_matrix=c * np.eye(n))
             energy, _, _, _ = twin_solve_uniqueness(
-                bg, 0.25, constant_density(grid, 0.0), SolverConfig(m=2),
+                bg, 0.25, ScalarField.constant(grid, 0.0), SolverConfig(m=2),
                 np.random.default_rng(0),
             )
             return energy
@@ -253,7 +252,7 @@ class TestMonitor:
     def test_constant_state_trace(self, grid12):
         # X = 1.5 omega pointwise: the trace w is exactly n * 1.5
         bg = BackgroundData.flat(grid12, kappa=1.0)
-        f = constant_density(grid12, 0.0)
+        f = ScalarField.constant(grid12, 0.0)
         cfg = SolverConfig(m=2)
         state, _ = solve_nondegenerate(bg, 0.5, f, cfg)
         rep = laplacian_monitor(state, bg, 0.5, f, 2)
@@ -296,7 +295,7 @@ class TestMonitor:
 
     def test_skipped_without_kappa(self, grid12):
         bg = BackgroundData.flat(grid12, kappa=0.0)
-        f = constant_density(grid12, 0.0)
+        f = ScalarField.constant(grid12, 0.0)
         state, _ = solve_nondegenerate(bg, 0.5, f, SolverConfig(m=2))
         rep = laplacian_monitor(state, bg, 0.5, f, 2)
         assert rep.skipped
