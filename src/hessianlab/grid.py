@@ -8,7 +8,8 @@ Hermitian matrix X per point, is held as the n * n real planes of
 the diagonal, Im X_ji below it), so it is Hermitian by construction;
 complex matrices enter only through ``HermitianField.from_matrices``.
 
-Centered second-order finite differences are the working derivative scheme.
+Centered second-order finite differences, each an (N, N) circulant applied
+along one axis as one matmul, are the working derivative scheme.
 A spectral route is provided as well; it is exact on trigonometric
 polynomials and serves as the test oracle and the manufactured-data
 generator, never as the solver's operator.
@@ -128,65 +129,61 @@ class HermitianField:
 # finite differences
 
 
-def diff1(data: np.ndarray, axis: int, h: float) -> np.ndarray:
-    return (np.roll(data, -1, axis) - np.roll(data, 1, axis)) / (2.0 * h)
-
-
-def _wrap_pad(data: np.ndarray) -> np.ndarray:
-    """``data`` with one periodic ghost layer at both ends of every axis."""
-    out = np.empty(tuple(s + 2 for s in data.shape))
-    out[(slice(1, -1),) * data.ndim] = data
-    for a in range(data.ndim):
-        lead = (slice(None),) * a
-        out[lead + (0,)] = out[lead + (-2,)]
-        out[lead + (-1,)] = out[lead + (1,)]
-    return out
-
-
 @functools.lru_cache(maxsize=None)
-def _neighbour_slice(N: int, n: int, steps: tuple) -> tuple:
-    """Wrap-pad index of the neighbour the (axis, +-1) ``steps`` reach, built once."""
-    idx = [slice(1, N + 1)] * (2 * n)
-    for axis, step in steps:
-        idx[axis] = slice(1 + step, N + 1 + step)
-    return tuple(idx)
+def _difference_matrices(N: int) -> tuple:
+    """Read-only circulants on N periodic points: the first difference
+    v[j+1] - v[j-1] and the second difference v[j+1] + v[j-1] - 2 v[j]."""
+    eye = np.eye(N)
+    up, down = np.roll(eye, 1, axis=1), np.roll(eye, -1, axis=1)
+    delta, delta2 = up - down, up + down - 2.0 * eye
+    delta.flags.writeable = delta2.flags.writeable = False
+    return delta, delta2
+
+
+def _along(M: np.ndarray, data: np.ndarray, axis: int, out=None) -> np.ndarray:
+    """(N, N) M applied along one axis of ``data`` by one matmul, into C-contiguous ``out``."""
+    N = M.shape[0]
+    out = np.empty(data.shape) if out is None else out
+    if axis == data.ndim - 1:
+        np.matmul(data.reshape(-1, N), M.T, out=out.reshape(-1, N))
+    else:
+        stack = (N ** axis, N, -1)
+        np.matmul(M, data.reshape(stack), out=out.reshape(stack))
+    return out
 
 
 def hessian_planes(data: np.ndarray, n: int) -> np.ndarray:
     """Unscaled difference planes of the discrete complex Hessian.
 
-    Shape (n, n) + data.shape.  Plane (i, i) is the five-point stencil in
-    the (x_i, y_i) plane, 4 h^2 times the discrete Laplacian there.  For
-    i < j, plane (i, j) is mixed(x_i, x_j) + mixed(y_i, y_j) and plane
-    (j, i) is mixed(x_i, y_j) - mixed(y_i, x_j), where mixed(a, b) is 4 h^2
-    times the centered mixed difference along axes a and b.  Every
-    neighbour is read as a slice of one periodic wrap-pad of ``data``.
-    This is the one discretization.  Times ``hessian_scale`` the planes are
-    those of the complex Hessian in the layout of
+    Shape (n, n) + data.shape.  With d and d2 the periodic first and second
+    differences of ``_difference_matrices`` along one axis, each one matmul,
+    plane (i, i) is d2_{x_i} + d2_{y_i}, 4 h^2 times the discrete Laplacian
+    in the (x_i, y_i) plane.  For i < j, plane (i, j) is
+    d_{x_j} d_{x_i} + d_{y_j} d_{y_i} and plane (j, i) is
+    d_{y_j} d_{x_i} - d_{x_j} d_{y_i}, 4 h^2 times the centered mixed
+    differences.  This is the one discretization.  Times ``hessian_scale``
+    the planes are those of the complex Hessian in the layout of
     ``symfunc.hermitian_to_planes``, that of ``HermitianField.data``
     (``complex_hessian``).  The Krylov matvec contracts them with the
     coefficients of its linearization.
     """
-    N = data.shape[0]
-    padded = _wrap_pad(data)
-
-    def at(*steps):
-        """data at the neighbour reached by the (axis, +-1) ``steps``."""
-        return padded[_neighbour_slice(N, n, steps)]
-
-    def mixed(a, b):
-        return (at((a, 1), (b, 1)) - at((a, -1), (b, 1))
-                - at((a, 1), (b, -1)) + at((a, -1), (b, -1)))
-
+    delta, delta2 = _difference_matrices(data.shape[0])
     out = np.empty((n, n) + data.shape)
-    four_f = 4.0 * data
+    # matmuls write in place: a fresh temporary each page-faults on large grids
+    tmp = np.empty(data.shape)
     for i in range(n):
         xi, yi = 2 * i, 2 * i + 1
-        out[i, i] = at((xi, 1)) + at((xi, -1)) + at((yi, 1)) + at((yi, -1)) - four_f
+        _along(delta2, data, xi, out[i, i])
+        out[i, i] += _along(delta2, data, yi, tmp)
+        if i == n - 1:
+            break
+        dxi, dyi = _along(delta, data, xi), _along(delta, data, yi)
         for j in range(i + 1, n):
             xj, yj = 2 * j, 2 * j + 1
-            out[i, j] = mixed(xi, xj) + mixed(yi, yj)
-            out[j, i] = mixed(xi, yj) - mixed(yi, xj)
+            _along(delta, dxi, xj, out[i, j])
+            out[i, j] += _along(delta, dyi, yj, tmp)
+            _along(delta, dxi, yj, out[j, i])
+            out[j, i] -= _along(delta, dyi, xj, tmp)
     return out
 
 
@@ -202,8 +199,9 @@ def complex_hessian(phi: ScalarField) -> HermitianField:
     Entry (i, j) realizes
     (1/4)(d_{x_i x_j} + d_{y_i y_j}) + (i/4)(d_{x_i y_j} - d_{y_i x_j})
     with centered periodic differences: the three-point second difference
-    on the diagonal and ``diff1`` composed with itself off it, read from
-    ``hessian_planes`` times ``hessian_scale``.
+    on the diagonal and the centered first difference (v[j+1] - v[j-1]) / 2h
+    composed with itself off it, read from ``hessian_planes`` times
+    ``hessian_scale``.
     """
     grid = phi.grid
     n = grid.n
@@ -256,11 +254,10 @@ def fd_laplacian_inverse(grid: TorusGrid):
 def complex_gradient(phi: ScalarField) -> np.ndarray:
     """Holomorphic gradient (d/dz_i) phi = (d_x - i d_y)/2, shape grid + (n,)."""
     grid = phi.grid
-    n, h = grid.n, grid.spacing
-    out = np.zeros(grid.shape + (n,), dtype=complex)
-    for i in range(n):
-        out[..., i] = 0.5 * (diff1(phi.data, 2 * i, h) - 1j * diff1(phi.data, 2 * i + 1, h))
-    return out
+    delta, _ = _difference_matrices(grid.points_per_axis)
+    d = np.stack([_along(delta, phi.data, a) for a in range(2 * grid.n)], axis=-1)
+    d /= 2.0 * grid.spacing
+    return 0.5 * (d[..., 0::2] - 1j * d[..., 1::2])
 
 
 # ---------------------------------------------------------------------------

@@ -252,11 +252,10 @@ def metric_inv_sqrt(G: np.ndarray, min_eig: float = METRIC_MIN_EIG) -> np.ndarra
     wg, Vg = np.linalg.eigh(np.asarray(G, dtype=complex))
     bad = wg[..., 0] <= min_eig
     if np.any(bad):
-        point = tuple(np.argwhere(bad)[0]) if wg.ndim > 1 else None
-        raise SingularMetricError(
-            f"metric not positive definite (min eigenvalue {wg[..., 0].min():.3e})",
-            point=point,
-        )
+        point = tuple(int(k) for k in np.argwhere(bad)[0]) if wg.ndim > 1 else None
+        where = "" if point is None else f" at point {point}"
+        raise SingularMetricError(f"metric not positive definite{where} (min eigenvalue "
+                                  f"{wg[..., 0].min():.3e})", point=point)
     return np.einsum("...ik,...k,...jk->...ij", Vg, 1.0 / np.sqrt(wg), np.conj(Vg))
 
 

@@ -1,8 +1,14 @@
 """Torus calculus: differences against analytic and spectral oracles."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import hessianlab
 from hessianlab import (
     BackgroundData,
     ConeViolationError,
@@ -12,6 +18,7 @@ from hessianlab import (
     SingularMetricError,
     TorusGrid,
     TrigPolynomial,
+    complex_gradient,
     complex_hessian,
     complex_hessian_spectral,
     eigen_field,
@@ -24,10 +31,15 @@ from hessianlab import (
     mollify,
     tree_sum,
 )
-from hessianlab.grid import diff1, fd_laplacian_inverse
+from hessianlab.grid import fd_laplacian_inverse
 from hessianlab.symfunc import planes_kernel, planes_to_hermitian
 
 from conftest import fd_laplacian_inverse_fft, random_spd
+
+
+def diff1(data, axis, h):
+    """Centered periodic first difference along one axis, built on np.roll."""
+    return (np.roll(data, -1, axis) - np.roll(data, 1, axis)) / (2.0 * h)
 
 
 def diff2(data, axis, h):
@@ -106,10 +118,11 @@ class TestComplexHessian:
         means = hess.reshape(-1, 2, 2).mean(axis=0)
         assert np.abs(means).max() < 1e-10
 
-    @pytest.mark.parametrize("n, N", [(1, 8), (2, 6), (3, 4)])
+    @pytest.mark.parametrize("n, N", [(1, 8), (2, 2), (2, 6), (2, 16), (3, 4), (3, 6)])
     def test_matches_roll_composition(self, n, N):
-        # the wrap-pad stencils against the diff1/diff2 composition built
-        # from np.roll, on rough random fields
+        # the circulant-matmul differences against the diff1/diff2
+        # composition built from np.roll, on rough random fields; at N = 2
+        # the first difference folds to zero
         grid = TorusGrid(n=n, points_per_axis=N)
         h = grid.spacing
         for seed in range(3):
@@ -148,6 +161,34 @@ class TestComplexHessian:
         left = integrate(ScalarField(grid, u.data * laplacian(v)))
         right = integrate(ScalarField(grid, v.data * laplacian(u)))
         assert left == pytest.approx(right, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("n, N", [(1, 2), (2, 6), (2, 16), (3, 6)])
+    def test_gradient_equals_roll_difference(self, n, N):
+        # the circulant first difference adds the same two neighbours as
+        # diff1, so the gradient is bit for bit the np.roll one
+        grid = TorusGrid(n=n, points_per_axis=N)
+        f, h = np.random.default_rng(3).standard_normal(grid.shape), grid.spacing
+        want = np.stack([0.5 * (diff1(f, 2 * i, h) - 1j * diff1(f, 2 * i + 1, h))
+                         for i in range(n)], axis=-1)
+        assert np.array_equal(complex_gradient(ScalarField(grid, f)), want)
+
+    @pytest.mark.parametrize("n, N", [(2, 16), (3, 6)])
+    def test_planes_same_bytes_across_blas_threads(self, tmp_path, n, N):
+        # the differences are BLAS matmuls, so the planes must not depend on
+        # how many threads the BLAS splits them over
+        src = str(Path(hessianlab.__file__).resolve().parents[1])
+        code = ("import sys, numpy as np; from hessianlab.grid import hessian_planes; "
+                f"f = np.random.default_rng(5).standard_normal(({N},) * {2 * n}); "
+                f"np.save(sys.argv[1], hessian_planes(f, {n}))")
+        saved = []
+        for threads in ("1", "2"):
+            path = tmp_path / f"planes{threads}.npy"
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads)
+            subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                           timeout=60, check=True)
+            saved.append(path.read_bytes())
+        assert saved[0] == saved[1]
 
 
 class TestLaplacianInverse:

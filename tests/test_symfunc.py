@@ -279,6 +279,8 @@ class TestGeneralizedEigenvalues:
         with pytest.raises(SingularMetricError) as err:
             pencil_eigh(np.ones_like(g), g)
         assert err.value.point == (1, 2)
+        assert all(type(k) is int for k in err.value.point)
+        assert "(1, 2)" in str(err.value)
 
 
 def random_unitary(rng, n):
