@@ -32,10 +32,10 @@ for N in (8, 12, 16, 24):
     phi_star, f_star, margin = manufactured_solution(
         bg, 0.5, 2, trig.sample(grid), discrete=False
     )
-    state, _ = solve_nondegenerate(bg, 0.5, f_star, cfg)
+    state, record = solve_nondegenerate(bg, 0.5, f_star, cfg)
     errors[N] = np.abs(state.phi.data - phi_star.data).max()
     print(
-        f"  N={N:3d}: sup error {errors[N]:.3e}  iters {state.newton_iters}"
+        f"  N={N:3d}: sup error {errors[N]:.3e}  iters {record.iters}"
         f"  margin {margin:.2f}  b {state.b:+.2e}"
     )
 print("error ratios:", {f"{a}->{b}": round(errors[a] / errors[b], 2)

@@ -36,7 +36,7 @@ for rec in report.stages:
         f"     {rec.bracket_lower:.4f} <= {rec.bracket_mid:.4f} <= {rec.bracket_upper:.4f}"
     )
 
-sups = report.meta["sup_norms"]
+sups = [-rec.inf_phi for rec in report.stages]  # sup phi_t = 0
 print(f"\nuniformity proxy: max {max(sups):.4f} <= 3 * median {3 * np.median(sups):.4f}"
       f" -> {report.meta['uniformity_pass']}")
 print("consecutive sup-differences:",

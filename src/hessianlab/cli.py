@@ -85,7 +85,7 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
             err = float(np.abs(state.phi.data - phi_star.data).max())
             rows.append({
                 "N": points, "h": grid.spacing, "sup_error": err,
-                "iters": state.newton_iters,
+                "iters": record.iters,
                 "seconds": record.seconds,
             })
         report["error_vs_h"] = rows
@@ -100,14 +100,14 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
 
     write_field(out / "phi.hlf1", state.phi)
     report["b"] = state.b
-    report["residual_sup"] = state.residual_sup
-    report["cone_margin_min"] = state.cone_margin_min
+    report["residual_sup"] = record.residual_history[-1]
+    report["cone_margin_min"] = record.margin_min
     _write_json(out / "report.json", report)
     return EXIT_OK
 
 
 _STAGE_COLUMNS = [
-    "t", "b", "sup_phi", "inf_phi", "margin_min", "iters", "seconds",
+    "t", "b", "inf_phi", "margin_min", "iters", "seconds",
     "bracket_lower", "bracket_mid", "bracket_upper", "start",
 ]
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError
 from .grid import HermitianField, ScalarField, TorusGrid
-from .symfunc import planes_to_hermitian
+from .symfunc import hermitian_to_planes, planes_to_hermitian
 
 MAGIC = b"HLF1"
 VERSION = 2
@@ -76,4 +76,11 @@ def read_field(path):
     if kind == KIND_SCALAR:
         return ScalarField(grid, payload.reshape(grid.shape).copy())
     shaped = payload.reshape(grid.shape + (n, n, 2))
-    return HermitianField.from_matrices(grid, shaped[..., 0] + 1j * shaped[..., 1])
+    a = shaped[..., 0] + 1j * shaped[..., 1]
+    # exact, as write_field writes exactly Hermitian matrices: no arithmetic to
+    # overflow, and the planes are then read off a with no symmetrizing to round
+    bad = np.any(a != np.conj(np.swapaxes(a, -1, -2)), axis=(-2, -1))
+    if bad.any():
+        point = tuple(int(k) for k in np.argwhere(bad)[0])
+        raise DomainError(f"{path}: the matrix at grid point {point} is not Hermitian")
+    return HermitianField(grid, hermitian_to_planes(a))

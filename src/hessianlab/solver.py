@@ -5,8 +5,9 @@ The stage-t equation on the torus reads, in log-residual form,
     log S_m(lam(X)) - log C(n, m) - m (f + b) = 0,
     X = chi + (kappa + t) * omega + (complex Hessian of phi),
 
-with the compatibility constant b solved jointly with a mean-zero update of
-phi.  The Newton loop holds X, its line-search step and T / S_m as n * n
+with the compatibility constant b read off X as the mean of
+log S_m - log C(n, m) - m f, divided by m, so the Newton iterate is phi
+alone.  The Newton loop holds X, its line-search step and T / S_m as n * n
 real planes (the layout of ``grid.hessian_planes``) and evaluates them with
 the real-arithmetic ``planes_kernel``.  Each step linearizes the log of the
 operator, solves the bordered system by ``gmres``, restarted
@@ -83,13 +84,10 @@ class SolverConfig:
 
 @dataclass
 class SolverState:
-    """One admissible iterate: potential, constant, and diagnostics."""
+    """A solution: the potential, with sup phi = 0, and its constant b."""
 
     phi: ScalarField
     b: float
-    residual_sup: float
-    cone_margin_min: float
-    newton_iters: int
 
 
 @dataclass
@@ -125,7 +123,6 @@ class StageRecord:
     t: float
     b: float
     residual_history: list
-    sup_phi: float
     inf_phi: float
     margin_min: float
     iters: int
@@ -336,8 +333,8 @@ class _NewtonDriver:
     def margins(self, S: np.ndarray) -> np.ndarray:
         return esp_margins(S, self.n)
 
-    def analyze(self, phi_data: np.ndarray, b: float):
-        """Kernel data, residual and linearization coefficients at an iterate."""
+    def analyze(self, phi_data: np.ndarray):
+        """b, residual and linearization coefficients at an iterate."""
         x = self.base + self.hessian(phi_data)
         S, T = self.eigen(x)
         margins = self.margins(S)
@@ -346,23 +343,15 @@ class _NewtonDriver:
             worst, point = worst_point(margins, self.grid.shape)
             raise ConeViolationError(f"cone margin {worst:.3e} at grid point {point}",
                                      point=point, margin=worst)
-        return self._linearize(x, S, T, worst, b)
+        return self._linearize(x, S, T, worst)
 
-    def _linearize(self, x: np.ndarray, S: np.ndarray, T: np.ndarray,
-                   worst: float, b: float) -> dict:
-        """Residual and linearization at X from its kernel output (S, T)."""
+    def _linearize(self, x: np.ndarray, S: np.ndarray, T: np.ndarray, worst: float) -> dict:
+        """b, residual g - mean(g) and linearization at X from its kernel output (S, T)."""
         sm = S[..., self.m]
-        resid = np.log(sm) - np.log(self.binom) - self.m * (self.f.data.ravel() + b)
-        return {
-            "x": x, "S": S, "sm": sm, "worst": worst,
-            "residual": resid, "a_over_s": T / sm,
-        }
-
-    def _recenter(self, analysis: dict, b: float) -> float:
-        """Move the residual mean into the constant; returns the new b."""
-        mean = float(analysis["residual"].mean())
-        analysis["residual"] = analysis["residual"] - mean
-        return b + mean / self.m
+        g = np.log(sm) - np.log(self.binom) - self.m * self.f.data.ravel()
+        mean = float(g.mean())
+        return {"x": x, "worst": worst, "b": mean / self.m, "residual": g - mean,
+                "a_over_s": T / sm}
 
     # -- linear solve --------------------------------------------------------
 
@@ -417,7 +406,9 @@ class _NewtonDriver:
                      rtol: float):
         """Bordered Krylov solve for (delta phi, delta b) with mean(delta phi)=0.
 
-        ``gmres`` starts at M^-1 rhs, not at 0, and stops at rtol ||rhs||.
+        The delta b unknown keeps the system square on mean-zero delta phi;
+        the step reads b off its new X instead.  ``gmres`` starts at
+        M^-1 rhs, not at 0, and stops at rtol ||rhs||.
         """
         P, shape = self.num_points, self.grid.shape
         rhs = np.concatenate([rhs_field.ravel(), [0.0]])
@@ -434,18 +425,18 @@ class _NewtonDriver:
 
     # -- one Newton step -----------------------------------------------------
 
-    def step(self, phi_data: np.ndarray, b: float, analysis=None):
-        """Cone-safeguarded Newton update; returns the new iterate.
+    def step(self, phi_data: np.ndarray, analysis=None):
+        """Cone-safeguarded Newton update; returns ``(phi, analysis, step_size)``.
 
         The line search starts at the full step and halves it until the
         trial's worst cone margin is at least ``CONE_MARGIN``.
         """
         if analysis is None:
-            analysis = self.analyze(phi_data, b)
+            analysis = self.analyze(phi_data)
         resid = analysis["residual"]
         resid_sup = float(np.abs(resid).max())
         rtol = min(KRYLOV_RTOL, max(resid_sup, 1e-14))
-        dphi, db = self.solve_linear(analysis["a_over_s"], -resid, rtol)
+        dphi, _ = self.solve_linear(analysis["a_over_s"], -resid, rtol)
         hess_step = self.hessian(dphi)
 
         step_size = 1.0
@@ -470,26 +461,17 @@ class _NewtonDriver:
         phi_new = phi_new - phi_new.max()
         # X of phi_new is the accepted trial X (subtracting the max leaves the
         # Hessian unchanged), so the trial's kernel output is reused as is
-        b_trial = b + step_size * db
-        post = self._linearize(x_trial, S, T, worst, b_trial)
-        b_new = self._recenter(post, b_trial)
-        info = {
-            "step_size": step_size,
-            "dphi_sup": float(np.abs(dphi).max()) * step_size,
-            "db": (b_new - b),
-        }
-        return phi_new, b_new, post, info
+        return phi_new, self._linearize(x_trial, S, T, worst), step_size
 
     # -- one solve -----------------------------------------------------------
 
     def solve(self, t: float, f: ScalarField, phi0: np.ndarray | None):
         """Newton iteration for stage t from phi0 (zero if None).
 
-        Returns ``(state, record)``.  b starts at 0, as the first recentering
-        sets it to mean(residual) / m whatever its start.  The start must lie
-        strictly inside the cone (ConeViolationError otherwise); the solve
-        stops when the sup of the log-residual drops below config.newton_tol,
-        so a start that already meets it takes no step.
+        Returns ``(state, record)``, with b read off the last X.  The start
+        must lie strictly inside the cone (ConeViolationError otherwise); the
+        solve stops when the sup of the log-residual drops below
+        config.newton_tol, so a start that already meets it takes no step.
         """
         t0 = time.perf_counter()
         config = self.config
@@ -497,35 +479,28 @@ class _NewtonDriver:
         phi = np.zeros(self.grid.shape) if phi0 is None else phi0
         phi = phi - phi.max()
         try:
-            analysis = self.analyze(phi, 0.0)
+            analysis = self.analyze(phi)
         except ConeViolationError as err:
             raise ConeViolationError(
                 f"cone violation at initialization: {err}", point=err.point,
                 margin=err.margin,
             ) from err
-        b = self._recenter(analysis, 0.0)
 
         history = [float(np.abs(analysis["residual"]).max())]
-        iters = 0
         while history[-1] >= config.newton_tol:
-            if iters >= config.max_newton:
+            if len(history) > config.max_newton:
                 raise NonConvergenceError(
                     f"no convergence in {config.max_newton} Newton steps "
                     f"(residual {history[-1]:.3e})",
                     diagnostics={"residual_history": history},
                 )
-            phi, b, analysis, _ = self.step(phi, b, analysis)
-            iters += 1
+            phi, analysis, _ = self.step(phi, analysis)
             history.append(float(np.abs(analysis["residual"]).max()))
 
-        state = SolverState(
-            phi=ScalarField(self.grid, phi), b=float(b), residual_sup=history[-1],
-            cone_margin_min=analysis["worst"], newton_iters=iters,
-        )
+        state = SolverState(phi=ScalarField(self.grid, phi), b=analysis["b"])
         record = StageRecord(
-            t=float(t), b=state.b, residual_history=history,
-            sup_phi=float(phi.max()), inf_phi=float(phi.min()),
-            margin_min=state.cone_margin_min, iters=iters,
+            t=float(t), b=state.b, residual_history=history, inf_phi=float(phi.min()),
+            margin_min=analysis["worst"], iters=len(history) - 1,
             seconds=time.perf_counter() - t0,
         )
         return state, record
@@ -539,8 +514,9 @@ def residual(phi: ScalarField, b: float, bg: BackgroundData, t: float,
              f: ScalarField, m: int) -> ScalarField:
     """Pointwise log-residual log S_m(lam(X)) - log C(n, m) - m (f + b)."""
     driver = _NewtonDriver(bg, SolverConfig(m=m)).set_stage(t, f)
-    analysis = driver.analyze(phi.data, b)
-    return ScalarField(phi.grid, analysis["residual"].reshape(phi.grid.shape))
+    analysis = driver.analyze(phi.data)
+    g = analysis["residual"] + m * (analysis["b"] - b)
+    return ScalarField(phi.grid, g.reshape(phi.grid.shape))
 
 
 def solve_nondegenerate(bg: BackgroundData, t: float, f: ScalarField,
@@ -598,8 +574,8 @@ def continuation_degenerate(bg: BackgroundData, f: ScalarField,
 
     The density is shifted once to match the degenerate-limit mass
     identity.  Per stage the report records b_t, the residual history, the
-    sup/inf of phi_t, the cone margin, the start used and the bracket on
-    V_t / exp(n b_t); it also carries the t-uniformity proxy and the
+    inf of phi_t (its sup is 0), the cone margin, the start used and the
+    bracket on V_t / exp(n b_t); it also carries the t-uniformity proxy and the
     consecutive sup-differences of the decreasing-sequence certificate.
     """
     bg.validate(config.m)
@@ -637,9 +613,9 @@ def continuation_degenerate(bg: BackgroundData, f: ScalarField,
         report.stages.append(record)
         states.append(state)
 
-    sups = [float(np.abs(s.phi.data).max()) for s in states]
-    report.meta["sup_norms"] = sups
-    # the t-uniformity proxy: max_t ||phi_t||_inf <= 3 median_t ||phi_t||_inf
+    # the t-uniformity proxy: max_t ||phi_t||_inf <= 3 median_t ||phi_t||_inf,
+    # where ||phi_t||_inf = -inf phi_t as sup phi_t = 0
+    sups = [-rec.inf_phi for rec in report.stages]
     report.meta["uniformity_pass"] = bool(max(sups) <= 3.0 * float(np.median(sups)) + 1e-12)
     report.meta["consecutive_sup_diffs"] = [float(np.max(b.phi.data - a.phi.data))
                                             for a, b in zip(states, states[1:])]

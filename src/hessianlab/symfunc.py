@@ -173,7 +173,11 @@ def restricted_esp(values: np.ndarray, k: int) -> np.ndarray:
     n = vals.shape[-1]
     if not 0 <= k <= n:
         raise DomainError(f"k={k} outside 0..{n}")
-    e = elem_sym_table(vals)
+    return _deflate(vals, elem_sym_table(vals), k)
+
+
+def _deflate(vals: np.ndarray, e: np.ndarray, k: int) -> np.ndarray:
+    """``restricted_esp(vals, k)`` from the ``elem_sym_table`` e of vals."""
     s = np.ones_like(vals)
     for j in range(1, k + 1):
         s = e[..., j : j + 1] - vals * s
@@ -207,11 +211,13 @@ def check_maclaurin(values, m: int) -> float:
     """
     lam, scale = _unit_sup(as_eigentuple(values))
     n = lam.size
-    member, _ = cone_membership(lam, m)
-    if not member:
+    if not 1 <= m <= n:
+        raise DomainError(f"m={m} outside 1..{n}")
+    # the test of cone_membership(lam, m), whose _unit_sup scale is 1 on this lam
+    normalized = [s / binom(n, k) for k, s in enumerate(elem_sym_table(lam)[1:m + 1], 1)]
+    if not all(u > 0.0 for u in normalized):
         raise DomainError("tuple is outside the degree-m cone")
-    e = elem_sym_table(lam)
-    means = [(e[k] / binom(n, k)) ** (1.0 / k) for k in range(1, m + 1)]
+    means = [u ** (1.0 / k) for k, u in enumerate(normalized, 1)]
     if m == 1:
         return 0.0
     return scale * float(min(means[j] - means[i] for j in range(m) for i in range(j + 1, m)))
@@ -230,13 +236,14 @@ def check_garding(lam_values, eta_values, m: int) -> float:
     n = lam.size
     if eta.size != n:
         raise DomainError("tuple dimensions differ")
-    for name, t in (("lam", lam), ("eta", eta)):
-        e = elem_sym_table(t)
+    if not 1 <= m <= n:
+        raise DomainError(f"m={m} outside 1..{n}")
+    e_lam, e_eta = elem_sym_table(lam), elem_sym_table(eta)
+    for name, e in (("lam", e_lam), ("eta", e_eta)):
         if any(e[k] < 0.0 for k in range(1, m + 1)):
             raise DomainError(f"{name} is outside the closed degree-m cone")
-    sm_lam = float(elem_sym_table(lam)[m])
-    sm_eta = float(elem_sym_table(eta)[m])
-    pairing = float(np.dot(eta, restricted_esp(lam, m - 1)))
+    sm_lam, sm_eta = float(e_lam[m]), float(e_eta[m])
+    pairing = float(np.dot(eta, _deflate(lam, e_lam, m - 1)))
     rhs = m * sm_eta ** (1.0 / m) * sm_lam ** ((m - 1.0) / m)
     gap = pairing - rhs
     # float products overflow to inf where ** raises; a zero gap stays zero

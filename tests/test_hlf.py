@@ -165,6 +165,50 @@ def test_non_finite_payload_names_file(grid, tmp_path, kind, value):
     assert "f.hlf1" in str(err.value)
 
 
+def _write_patched(path, grid, point, entries):
+    """A Hermitian HLF1 file with entries ``(i, j, part) -> value`` set at one point."""
+    write_field(path, HermitianField.constant(grid, np.diag([0.4, 0.0])))
+    raw = bytearray(path.read_bytes())
+    flat = int(np.ravel_multi_index(point, grid.shape))
+    for (i, j, part), value in entries.items():
+        struct.pack_into("<d", raw, 32 + 8 * (8 * flat + 2 * (2 * i + j) + part), value)
+    path.write_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize("entries", [
+    {(0, 1, 0): 5.0, (1, 0, 0): 0.0, (0, 0, 1): 3.0},  # read back once as X_01 = 2.5
+    {(0, 1, 0): 5.0},  # X_01 != conj(X_10) in the real part
+    {(1, 0, 1): 0.5},  # and in the imaginary part
+])
+def test_non_hermitian_payload_names_file_and_point(grid, tmp_path, capsys, entries):
+    # the reader rejects such a payload instead of symmetrizing it
+    path, point = tmp_path / "chi.hlf1", (1, 2, 3, 4)
+    _write_patched(path, grid, point, entries)
+    with pytest.raises(DomainError, match="not Hermitian") as err:
+        read_field(path)
+    assert "chi.hlf1" in str(err.value) and str(point) in str(err.value)
+    assert main(["conecheck", "--field", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "chi.hlf1" in err
+
+
+def test_signed_zero_imaginary_diagonal_is_hermitian(grid, tmp_path):
+    path = tmp_path / "chi.hlf1"
+    _write_patched(path, grid, (1, 2, 3, 4), {(1, 1, 1): -0.0, (0, 1, 1): -0.0})
+    assert isinstance(read_field(path), HermitianField)
+
+
+def test_subnormal_hermitian_entries_read_back_exactly(grid, tmp_path):
+    # a Hermitian payload is taken as it is: halving 3 * 2^-1074 to symmetrize
+    # it once read back as 4 * 2^-1074
+    path, again = tmp_path / "chi.hlf1", tmp_path / "again.hlf1"
+    tiny = 3 * 5e-324
+    _write_patched(path, grid, (0, 1, 2, 3), {(0, 1, 0): tiny, (1, 0, 0): tiny,
+                                              (0, 1, 1): -tiny, (1, 0, 1): tiny})
+    write_field(again, read_field(path))
+    assert again.read_bytes() == path.read_bytes()
+
+
 def test_bad_header_kind(grid, tmp_path):
     path = tmp_path / "f.hlf1"
     write_field(path, ScalarField.constant(grid, 1.0))

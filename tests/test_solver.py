@@ -186,7 +186,7 @@ class TestResidual:
         phi_star, f_star, _ = make_manufactured(grid12, bg, 0.5, 2)
         direction = TrigPolynomial.random(2, rng, amplitude=1.0).sample(grid12)
         driver = _NewtonDriver(bg, SolverConfig(m=2)).set_stage(0.5, f_star)
-        analysis = driver.analyze(phi_star.data, 0.0)
+        analysis = driver.analyze(phi_star.data)
         coeff = driver.stencil_coefficients(analysis["a_over_s"])
         lin = driver.apply_stencil(coeff, direction.data).reshape(grid12.shape)
         errs = []
@@ -217,7 +217,7 @@ class TestKrylovOperators:
         driver = _NewtonDriver(bg, SolverConfig(m=2)).set_stage(
             0.5, ScalarField.constant(grid12, 0.0))
         want = bg.base_form(0.5).data + complex_hessian(phi).data
-        assert np.array_equal(driver.analyze(phi.data, 0.0)["x"], want.reshape(4, -1))
+        assert np.array_equal(driver.analyze(phi.data)["x"], want.reshape(4, -1))
 
     @pytest.mark.parametrize("n, N", [(2, 6), (3, 4)])
     def test_stencil_matches_complex_hessian_trace(self, rng, n, N):
@@ -257,8 +257,8 @@ class TestKrylovOperators:
         grid = TorusGrid(n=2, points_per_axis=8)
         bg = BackgroundData.flat(grid, kappa=1.0)
         matvecs = count_matvecs(monkeypatch)
-        state, _ = solve_nondegenerate(bg, 0.25, lq_spike(grid, q=2.0), SolverConfig(m=2))
-        assert state.newton_iters == 8
+        _, record = solve_nondegenerate(bg, 0.25, lq_spike(grid, q=2.0), SolverConfig(m=2))
+        assert record.iters == 8
         assert len(matvecs) <= 75
 
     def test_krylov_solution_meets_forcing(self, monkeypatch):
@@ -374,9 +374,9 @@ class TestNewtonStep:
         cfg = SolverConfig(m=2)
         state, _ = solve_nondegenerate(bg, 0.5, f_star, cfg)
         driver = _NewtonDriver(bg, cfg).set_stage(0.5, f_star)
-        phi, b, _, _ = driver.step(state.phi.data, state.b)
+        phi, analysis, _ = driver.step(state.phi.data)
         assert np.abs(phi - state.phi.data).max() < 1e-12
-        assert abs(b - state.b) < 1e-12
+        assert abs(analysis["b"] - state.b) < 1e-12
 
     def test_quadratic_tail(self):
         grid = TorusGrid(n=2, points_per_axis=16)
@@ -395,10 +395,10 @@ class TestNewtonStep:
         # the line search must halve back and the accepted iterate keep its margin
         bg = BackgroundData.flat(grid12, kappa=1.0)
         driver = _NewtonDriver(bg, SolverConfig(m=2)).set_stage(0.5, rough_density(grid12))
-        phi_new, b_new, post, info = driver.step(np.zeros(grid12.shape), 0.0)
-        assert info["step_size"] == 0.25
+        phi_new, post, step_size = driver.step(np.zeros(grid12.shape))
+        assert step_size == 0.25
         assert post["worst"] >= solver.CONE_MARGIN
-        assert np.isfinite(b_new) and np.all(np.isfinite(phi_new))
+        assert np.isfinite(post["b"]) and np.all(np.isfinite(phi_new))
 
     def test_damping_floor_raises(self, grid12, monkeypatch):
         bg = BackgroundData.flat(grid12, kappa=1.0)
@@ -406,7 +406,7 @@ class TestNewtonStep:
         monkeypatch.setattr(solver, "CONE_MARGIN", 1e9)  # unattainable safeguard
         driver = _NewtonDriver(bg, SolverConfig(m=2)).set_stage(0.5, f_star)
         with pytest.raises(NonConvergenceError) as err:
-            driver.step(np.zeros(grid12.shape), 0.0)
+            driver.step(np.zeros(grid12.shape))
         assert "residual_sup" in err.value.diagnostics
 
     @pytest.mark.parametrize("data, steps", [("manufactured", 3), ("rough", 1)])
@@ -417,19 +417,21 @@ class TestNewtonStep:
         f = (make_manufactured(grid12, bg, 0.5, 2)[1] if data == "manufactured"
              else rough_density(grid12))
         driver = _NewtonDriver(bg, SolverConfig(m=2)).set_stage(0.5, f)
-        phi, b, analysis = np.zeros(grid12.shape), 0.0, None
+        phi, analysis = np.zeros(grid12.shape), None
         for _ in range(steps):
-            phi, b, analysis, info = driver.step(phi, b, analysis)
-            fresh = driver.analyze(phi, b)
-            driver._recenter(fresh, b)
-            for key in ("x", "S", "residual", "a_over_s"):
+            phi, analysis, step_size = driver.step(phi, analysis)
+            fresh = driver.analyze(phi)
+            pairs = {key: (analysis[key], fresh[key])
+                     for key in ("x", "b", "residual", "a_over_s")}
+            pairs["S"] = (driver.eigen(analysis["x"])[0], driver.eigen(fresh["x"])[0])
+            for key, (got, want) in pairs.items():
                 # relative, floored at 1: near convergence the log-residual
                 # is itself at roundoff, the scale newton_tol is set on
-                scale = max(np.abs(fresh[key]).max(), 1.0)
-                assert np.abs(analysis[key] - fresh[key]).max() <= 1e-10 * scale, key
+                scale = max(np.abs(want).max(), 1.0)
+                assert np.abs(got - want).max() <= 1e-10 * scale, key
             assert analysis["worst"] == pytest.approx(fresh["worst"], rel=1e-10)
         if data == "rough":
-            assert info["step_size"] < 1.0  # the line search backtracked
+            assert step_size < 1.0  # the line search backtracked
 
     def test_solve_evaluates_each_iterate_once(self, grid12, monkeypatch):
         # one analyze for the start; afterwards every kernel call is a
@@ -453,15 +455,15 @@ class TestNewtonStep:
 
         def recording_step(self, *args, **kwargs):
             out = step(self, *args, **kwargs)
-            step_sizes.append(out[3]["step_size"])
+            step_sizes.append(out[2])
             return out
 
         monkeypatch.setattr(_NewtonDriver, "eigen", counting_eigen)
         monkeypatch.setattr(_NewtonDriver, "analyze", counting_analyze)
         monkeypatch.setattr(_NewtonDriver, "step", recording_step)
-        state, _ = solve_nondegenerate(bg, 0.5, f_star, cfg)
+        _, record = solve_nondegenerate(bg, 0.5, f_star, cfg)
         trials = sum(1 + round(np.log2(1.0 / s)) for s in step_sizes)
-        assert state.newton_iters == len(step_sizes) > 0
+        assert record.iters == len(step_sizes) > 0
         assert calls["analyze"] == 1
         assert calls["eigen"] == 1 + trials
 
@@ -471,10 +473,10 @@ class TestSolve:
         bg = BackgroundData.flat(grid12, kappa=1.0)
         f = ScalarField.constant(grid12, 0.0)
         cfg = SolverConfig(m=2)
-        state, _ = solve_nondegenerate(bg, 0.5, f, cfg)
+        state, record = solve_nondegenerate(bg, 0.5, f, cfg)
         assert np.abs(state.phi.data).max() == 0.0
         assert state.b == pytest.approx(np.log(1.5), rel=1e-12)
-        assert state.newton_iters == 0
+        assert record.iters == 0
 
     def test_manufactured_convergence_order(self):
         rng = np.random.default_rng(11)
@@ -515,11 +517,11 @@ class TestSolve:
         cfg = SolverConfig(m=2)
         state, _ = solve_nondegenerate(bg, 0.5, f_star, cfg)
         driver = _NewtonDriver(bg, cfg).set_stage(0.5, f_star)
-        analysis = driver.analyze(state.phi.data, state.b)
+        analysis = driver.analyze(state.phi.data)
         coeff_eigs = np.linalg.eigvalsh(planes_to_hermitian(analysis["a_over_s"]))
         assert coeff_eigs[..., 0].min() > 0.0
 
-        S = analysis["S"]
+        S, _ = driver.eigen(analysis["x"])
         n, m = 2, 2
         f_op = (S[..., m] / binom(n, m)) ** (1.0 / m)
         s1_mean = S[..., 1] / n
@@ -527,7 +529,7 @@ class TestSolve:
 
         vol = bg.volume
         lhs = float(
-            np.sum(analysis["sm"] * vol) * grid12.spacing ** (2 * grid12.n)
+            np.sum(S[..., m] * vol) * grid12.spacing ** (2 * grid12.n)
         )
         rhs = binom(n, m) * np.exp(m * state.b) * float(
             np.sum(np.exp(m * f_star.data) * vol)
@@ -589,6 +591,21 @@ class TestSolve:
         state, _ = solve_nondegenerate(bg, 0.5, f_star, SolverConfig(m=2))
         assert state.phi.data.max() == pytest.approx(0.0, abs=1e-14)
 
+    def test_every_solution_has_sup_exactly_zero(self, grid12):
+        # a solve returns phi - max(phi), whose max is 0.0 to the bit; the
+        # stage records keep inf phi alone on that account
+        bg = BackgroundData.flat(grid12, kappa=1.0)
+        phi_star, f_star, _ = make_manufactured(grid12, bg, 0.5, 2)
+        cfg = SolverConfig(m=2)
+        warm = ScalarField(grid12, phi_star.data + 3.0)
+        states = [solve_nondegenerate(bg, 0.5, f, cfg, warm_start=start)[0]
+                  for f in (f_star, rough_density(grid12)) for start in (None, warm)]
+        degenerate = BackgroundData.flat(grid12, chi_matrix=np.diag([0.4, 0.0]), kappa=1.0)
+        states += continuation_degenerate(
+            degenerate, f_star, ContinuationSchedule.default(num_stages=4), cfg)[0]
+        for state in states:
+            assert state.phi.data.max() == 0.0
+
 
 class TestContinuation:
     def test_trivial_stages(self, grid12):
@@ -606,7 +623,7 @@ class TestContinuation:
         f = TrigPolynomial.random(2, rng, amplitude=0.3).sample(grid12)
         sched = ContinuationSchedule.default(num_stages=8)
         states, report = continuation_degenerate(bg, f, sched, SolverConfig(m=2))
-        sups = report.meta["sup_norms"]
+        sups = [-rec.inf_phi for rec in report.stages]
         assert max(sups) <= 3.0 * np.median(sups)
         diffs = report.meta["consecutive_sup_diffs"]
         assert diffs[-1] < diffs[0]

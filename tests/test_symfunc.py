@@ -207,6 +207,13 @@ class TestInequalities:
         with pytest.raises(DomainError):
             check_garding([3, -1, -1], [1, 1, 1], 2)
 
+    @pytest.mark.parametrize("m", [0, 4])
+    def test_gaps_reject_degree_outside_range(self, m):
+        with pytest.raises(DomainError, match=f"m={m} outside 1..3"):
+            check_maclaurin([1, 2, 3], m)
+        with pytest.raises(DomainError, match=f"m={m} outside 1..3"):
+            check_garding([1, 2, 3], [1, 1, 1], m)
+
     @pytest.mark.parametrize("lam, m", [
         ([1e300, 1e300, 1e300], 2), ([1e308, 1e308], 2), ([1.79e308, 1.0, 0.5], 2),
         ([3e300, -1e300, 2e300], 2), ([1e300, 1e300, 1e300], 3), ([1e300, 2e300, 3e300], 3),

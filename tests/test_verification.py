@@ -18,6 +18,7 @@ from hessianlab import (
     integrate,
     laplacian_monitor,
     manufactured_solution,
+    residual,
     solve_nondegenerate,
     stability_experiment,
     stability_floor,
@@ -214,8 +215,9 @@ class TestUniquenessEnergy:
         energy, sup_diff, state_a, state_b = twin_solve_uniqueness(bg, 0.25, f, cfg, rng)
         assert energy < 1e-8
         assert sup_diff < 10.0 * cfg.newton_tol
-        assert state_a.residual_sup < cfg.newton_tol
-        assert state_b.residual_sup < cfg.newton_tol
+        for state in (state_a, state_b):
+            resid = residual(state.phi, state.b, bg, 0.25, f, cfg.m)
+            assert np.abs(resid.data).max() < cfg.newton_tol
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_twin_energy_independent_of_metric_scale(self, n, monkeypatch):
@@ -229,9 +231,7 @@ class TestUniquenessEnergy:
         def normalized_energy(c):
             def fake_solve(bg, t, f, config, warm_start=None):
                 u = u1 if warm_start is None else u2
-                return SolverState(phi=ScalarField(bg.grid, c * u), b=0.0,
-                                   residual_sup=0.0, cone_margin_min=1.0,
-                                   newton_iters=0), None
+                return SolverState(phi=ScalarField(bg.grid, c * u), b=0.0), None
 
             monkeypatch.setattr("hessianlab.verification.solve_nondegenerate",
                                 fake_solve)
@@ -276,8 +276,7 @@ class TestMonitor:
         for n in (2, 3):
             bg, rng = anisotropic_background(n, seed=n)
             phi = ScalarField(bg.grid, 1e-3 * rng.standard_normal(bg.grid.shape))
-            state = SolverState(phi=phi, b=0.0, residual_sup=0.0,
-                                cone_margin_min=0.0, newton_iters=0)
+            state = SolverState(phi=phi, b=0.0)
             for t in (0.0, 0.3):
                 w = trace_field(state, bg, t)
                 x = HermitianField(bg.grid, bg.base_form(t).data + complex_hessian(phi).data)
