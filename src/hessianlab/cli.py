@@ -143,6 +143,7 @@ def cmd_continuation(cfg: ExperimentConfig) -> int:
                             err.diagnostics["states"])
         raise
     cert = decreasing_sequence(states)
+    report.meta["consecutive_sup_diffs"] = cert.consecutive_sup_diffs
     entropy_mass = entropy_functional(f, cfg.entropy_p, bg.volume)
     write_field(out / "phi.hlf1", states[-1].phi)
     _write_continuation(out, cfg, report, states, certificate={

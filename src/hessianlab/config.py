@@ -31,6 +31,8 @@ from .solver import ContinuationSchedule, SolverConfig
 
 # the most synthetic families verify certifies per iteration lemma
 MAX_LEMMA_FAMILIES = 10_000
+# the most entries [experiment] scales or grid_sizes may list; each entry is one solve
+MAX_LIST_SOLVES = 100
 
 _CHI_KINDS = ("zero", "diag", "potential", "hlf1")
 _F_KINDS = ("constant", "trig", "bump", "spike", "manufactured", "hlf1")
@@ -91,6 +93,8 @@ class ExperimentConfig:
         if self.period <= 0:
             raise ConfigError("problem.period must be positive")
         self._check_points("problem.grid_points", self.grid_points)
+        if len(self.grid_sizes) > MAX_LIST_SOLVES:
+            raise ConfigError(f"experiment.grid_sizes must list at most {MAX_LIST_SOLVES} sizes")
         for points in self.grid_sizes:
             self._check_points("experiment.grid_sizes", points)
         if self.kappa < 0:
@@ -122,8 +126,8 @@ class ExperimentConfig:
                 build()
             except ConfigError as err:
                 raise ConfigError(f"[{section}] {err}") from err
-        if not self.scales:
-            raise ConfigError("experiment.scales must list at least one scale")
+        if not 1 <= len(self.scales) <= MAX_LIST_SOLVES:
+            raise ConfigError(f"experiment.scales must list 1 to {MAX_LIST_SOLVES} scales")
         if not 1 <= self.lemma_families <= MAX_LEMMA_FAMILIES:
             raise ConfigError(
                 f"experiment.lemma_families must lie in [1, {MAX_LEMMA_FAMILIES}]")

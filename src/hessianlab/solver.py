@@ -15,15 +15,16 @@ right-preconditioned GMRES started at M^-1 rhs, and guards the cone margin
 with a damped line search.  The matvec contracts the planes of T / S_m,
 scaled per plane, with the difference planes of the Krylov vector; the
 preconditioner divides the residual by c = tr(T / S_m) / (4n) and applies
-the inverse difference Laplacian.  The degenerate problem is approached
-along a decreasing schedule of t, with one Newton driver and one table of
-the wedge moments of chi for the whole family: every stage mass is a
-polynomial in kappa + t over that table.  Each stage keeps the first start
-whose solve converges: from stage 2 on the Lagrange extrapolation in t
-through the last min(i, 5) solutions, then the previous solution, then
-zero, whose X is the base form and so inside the cone once ``bg.validate``
-passes (``StageRecord.start``).  The weak-solution certificate is the
-decreasing sequence phi_t + C / 2^i.
+the inverse difference Laplacian.  A Newton driver holds the fixed data of
+one (bg, config) problem and takes the stage (t, f) as an argument, so all
+solves of one problem share it.  The degenerate problem is approached along
+a decreasing schedule of t, with one table of the wedge moments of chi for
+the whole family: every stage mass is a polynomial in kappa + t over that
+table.  Each stage keeps the first start whose solve converges: from stage
+2 on the Lagrange extrapolation in t through the last min(i, 5) solutions,
+then the previous solution, then zero, whose X is the base form and so
+inside the cone once ``bg.validate`` passes (``StageRecord.start``).  The
+weak-solution certificate is the decreasing sequence phi_t + C / 2^i.
 """
 
 from __future__ import annotations
@@ -298,10 +299,12 @@ spla = SimpleNamespace(
 class _NewtonDriver:
     """Workspace holding the fixed data of one (bg, config) problem.
 
-    The stage, t and the density f, is an input of each ``solve``, so one
-    driver serves every stage and start of a continuation.  Hermitian
-    fields, X, its line-search step and T / S_m, are held as real planes of
-    shape (n * n, num_points) in the layout of ``hessian_planes``.
+    Its attributes are set in ``__init__`` only.  The stage, t and the
+    density f, is an argument: ``analyze`` takes a ``stage(t, f)`` and each
+    analysis carries it on to ``step``, so one driver serves every solve of
+    the problem, also from several threads.  Hermitian fields, X, its
+    line-search step and T / S_m, are held as real planes of shape
+    (n * n, num_points) in the layout of ``hessian_planes``.
     """
 
     def __init__(self, bg: BackgroundData, config: SolverConfig):
@@ -309,16 +312,12 @@ class _NewtonDriver:
         self.bg, self.grid, self.config = bg, grid, config
         self.m, self.n = config.m, grid.n
         self.binom = binom(grid.n, config.m)
-        self.omega_inv = bg.omega_inv
         self.laplacian_inverse = fd_laplacian_inverse(grid)
-        self.num_points = grid.num_points
         self.hess_scale = hessian_scale(grid)[:, None]
 
-    def set_stage(self, t: float, f: ScalarField) -> "_NewtonDriver":
-        """Pose the stage-t equation with density f; returns the driver."""
-        self.base = self.bg.base_form(float(t)).data.reshape(self.n ** 2, -1)
-        self.f = f
-        return self
+    def stage(self, t: float, f: ScalarField) -> tuple:
+        """The stage-t equation with density f: base-form planes and m * f, flattened."""
+        return self.bg.base_form(float(t)).data.reshape(self.n ** 2, -1), self.m * f.data.ravel()
 
     def hessian(self, data: np.ndarray) -> np.ndarray:
         """Planes of the complex Hessian of grid values: ``hessian_planes`` scaled."""
@@ -328,14 +327,14 @@ class _NewtonDriver:
 
     def eigen(self, x_data: np.ndarray):
         """Kernel output (S_0..S_m, Newton tensor) of X, see ``planes_kernel``."""
-        return planes_kernel(x_data, self.omega_inv, self.m)
+        return planes_kernel(x_data, self.bg.omega_inv, self.m)
 
     def margins(self, S: np.ndarray) -> np.ndarray:
         return esp_margins(S, self.n)
 
-    def analyze(self, phi_data: np.ndarray):
-        """b, residual and linearization coefficients at an iterate."""
-        x = self.base + self.hessian(phi_data)
+    def analyze(self, phi_data: np.ndarray, stage: tuple):
+        """b, residual and linearization coefficients at an iterate of a ``stage``."""
+        x = stage[0] + self.hessian(phi_data)
         S, T = self.eigen(x)
         margins = self.margins(S)
         worst = float(margins.min())
@@ -343,15 +342,16 @@ class _NewtonDriver:
             worst, point = worst_point(margins, self.grid.shape)
             raise ConeViolationError(f"cone margin {worst:.3e} at grid point {point}",
                                      point=point, margin=worst)
-        return self._linearize(x, S, T, worst)
+        return self._linearize(stage, x, S, T, worst)
 
-    def _linearize(self, x: np.ndarray, S: np.ndarray, T: np.ndarray, worst: float) -> dict:
+    def _linearize(self, stage: tuple, x: np.ndarray, S: np.ndarray, T: np.ndarray,
+                   worst: float) -> dict:
         """b, residual g - mean(g) and linearization at X from its kernel output (S, T)."""
         sm = S[..., self.m]
-        g = np.log(sm) - np.log(self.binom) - self.m * self.f.data.ravel()
+        g = np.log(sm) - np.log(self.binom) - stage[1]
         mean = float(g.mean())
-        return {"x": x, "worst": worst, "b": mean / self.m, "residual": g - mean,
-                "a_over_s": T / sm}
+        return {"stage": stage, "x": x, "worst": worst, "b": mean / self.m,
+                "residual": g - mean, "a_over_s": T / sm}
 
     # -- linear solve --------------------------------------------------------
 
@@ -378,7 +378,7 @@ class _NewtonDriver:
         preconditioner inverts the model operator c(x) Laplacian_h with
         c = tr(a_over_s) / (4n) pointwise, which is exact for a_over_s = c I.
         """
-        P = self.num_points
+        P = self.grid.num_points
         m, shape = self.m, self.grid.shape
         coeff = self.stencil_coefficients(a_over_s)
 
@@ -410,7 +410,7 @@ class _NewtonDriver:
         the step reads b off its new X instead.  ``gmres`` starts at
         M^-1 rhs, not at 0, and stops at rtol ||rhs||.
         """
-        P, shape = self.num_points, self.grid.shape
+        P, shape = self.grid.num_points, self.grid.shape
         rhs = np.concatenate([rhs_field.ravel(), [0.0]])
         if not np.any(rhs):
             return np.zeros(shape), 0.0
@@ -425,14 +425,13 @@ class _NewtonDriver:
 
     # -- one Newton step -----------------------------------------------------
 
-    def step(self, phi_data: np.ndarray, analysis=None):
-        """Cone-safeguarded Newton update; returns ``(phi, analysis, step_size)``.
+    def step(self, phi_data: np.ndarray, analysis: dict):
+        """Cone-safeguarded Newton update from the ``analyze`` of phi.
 
-        The line search starts at the full step and halves it until the
-        trial's worst cone margin is at least ``CONE_MARGIN``.
+        Returns ``(phi, analysis, step_size)``.  The line search starts at
+        the full step and halves it until the trial's worst cone margin is
+        at least ``CONE_MARGIN``.
         """
-        if analysis is None:
-            analysis = self.analyze(phi_data)
         resid = analysis["residual"]
         resid_sup = float(np.abs(resid).max())
         rtol = min(KRYLOV_RTOL, max(resid_sup, 1e-14))
@@ -461,25 +460,27 @@ class _NewtonDriver:
         phi_new = phi_new - phi_new.max()
         # X of phi_new is the accepted trial X (subtracting the max leaves the
         # Hessian unchanged), so the trial's kernel output is reused as is
-        return phi_new, self._linearize(x_trial, S, T, worst), step_size
+        return phi_new, self._linearize(analysis["stage"], x_trial, S, T, worst), step_size
 
     # -- one solve -----------------------------------------------------------
 
-    def solve(self, t: float, f: ScalarField, phi0: np.ndarray | None):
+    def solve(self, t: float, f: ScalarField, phi0: np.ndarray | None = None):
         """Newton iteration for stage t from phi0 (zero if None).
 
-        Returns ``(state, record)``, with b read off the last X.  The start
-        must lie strictly inside the cone (ConeViolationError otherwise); the
+        Returns ``(state, record)``, b read off the last X, the start "zero"
+        or "warm".  t must be positive and finite (ConfigError otherwise), the
+        start strictly inside the cone (ConeViolationError otherwise).  The
         solve stops when the sup of the log-residual drops below
         config.newton_tol, so a start that already meets it takes no step.
         """
+        if not 0 < t < np.inf:
+            raise ConfigError(f"t must be positive and finite (got {t})")
         t0 = time.perf_counter()
         config = self.config
-        self.set_stage(t, f)
         phi = np.zeros(self.grid.shape) if phi0 is None else phi0
         phi = phi - phi.max()
         try:
-            analysis = self.analyze(phi)
+            analysis = self.analyze(phi, self.stage(t, f))
         except ConeViolationError as err:
             raise ConeViolationError(
                 f"cone violation at initialization: {err}", point=err.point,
@@ -501,7 +502,7 @@ class _NewtonDriver:
         record = StageRecord(
             t=float(t), b=state.b, residual_history=history, inf_phi=float(phi.min()),
             margin_min=analysis["worst"], iters=len(history) - 1,
-            seconds=time.perf_counter() - t0,
+            seconds=time.perf_counter() - t0, start="zero" if phi0 is None else "warm",
         )
         return state, record
 
@@ -513,8 +514,8 @@ class _NewtonDriver:
 def residual(phi: ScalarField, b: float, bg: BackgroundData, t: float,
              f: ScalarField, m: int) -> ScalarField:
     """Pointwise log-residual log S_m(lam(X)) - log C(n, m) - m (f + b)."""
-    driver = _NewtonDriver(bg, SolverConfig(m=m)).set_stage(t, f)
-    analysis = driver.analyze(phi.data)
+    driver = _NewtonDriver(bg, SolverConfig(m=m))
+    analysis = driver.analyze(phi.data, driver.stage(t, f))
     g = analysis["residual"] + m * (analysis["b"] - b)
     return ScalarField(phi.grid, g.reshape(phi.grid.shape))
 
@@ -530,13 +531,7 @@ def solve_nondegenerate(bg: BackgroundData, t: float, f: ScalarField,
     >= CONE_MARGIN.  Stops when the sup-norm of the log-residual
     drops below config.newton_tol.
     """
-    if not 0 < t < np.inf:
-        raise ConfigError(f"t must be positive and finite (got {t})")
-    driver = _NewtonDriver(bg, config)
-    phi0 = None if warm_start is None else warm_start.data
-    state, record = driver.solve(t, f, phi0)
-    record.start = "zero" if warm_start is None else "warm"
-    return state, record
+    return _NewtonDriver(bg, config).solve(t, f, None if warm_start is None else warm_start.data)
 
 
 def _stage_starts(states: list, ts: list, i: int) -> list:
@@ -575,8 +570,7 @@ def continuation_degenerate(bg: BackgroundData, f: ScalarField,
     The density is shifted once to match the degenerate-limit mass
     identity.  Per stage the report records b_t, the residual history, the
     inf of phi_t (its sup is 0), the cone margin, the start used and the
-    bracket on V_t / exp(n b_t); it also carries the t-uniformity proxy and the
-    consecutive sup-differences of the decreasing-sequence certificate.
+    bracket on V_t / exp(n b_t); it also carries the t-uniformity proxy.
     """
     bg.validate(config.m)
     moments = _chi_moments(bg, config.m)
@@ -617,8 +611,6 @@ def continuation_degenerate(bg: BackgroundData, f: ScalarField,
     # where ||phi_t||_inf = -inf phi_t as sup phi_t = 0
     sups = [-rec.inf_phi for rec in report.stages]
     report.meta["uniformity_pass"] = bool(max(sups) <= 3.0 * float(np.median(sups)) + 1e-12)
-    report.meta["consecutive_sup_diffs"] = [float(np.max(b.phi.data - a.phi.data))
-                                            for a, b in zip(states, states[1:])]
     return states, report
 
 
@@ -629,7 +621,8 @@ class DecreasingSequenceResult:
     caps: list
     adjusted: bool
     adjustment: float
-    violation: float = 0.0
+    violation: float
+    consecutive_sup_diffs: list
 
 
 def decreasing_sequence(states: list) -> DecreasingSequenceResult:
@@ -638,7 +631,8 @@ def decreasing_sequence(states: list) -> DecreasingSequenceResult:
     C is seeded from the measured consecutive oscillations.  If the
     pointwise ordering psi_{i+1} <= psi_i fails anywhere, C is enlarged once
     to the minimal admissible constant max_i 2^(i+1) sup(phi_{i+1} - phi_i)
-    and the adjustment is reported.
+    and the adjustment is reported.  The result keeps the consecutive
+    sup-differences sup(phi_{i+1} - phi_i).
     """
     phis = [s.phi for s in states]
     diffs = [float(np.max(b.data - a.data)) for a, b in zip(phis, phis[1:])]
@@ -660,4 +654,5 @@ def decreasing_sequence(states: list) -> DecreasingSequenceResult:
     return DecreasingSequenceResult(
         fields=fields, cap_constant=cap_c, caps=cap_list,
         adjusted=adjusted, adjustment=adjustment, violation=worst,
+        consecutive_sup_diffs=diffs,
     )

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .background import BackgroundData
+from .background import BackgroundData, TrigPolynomial
 from .errors import DomainError, NonConvergenceError
 from .grid import ScalarField, complex_gradient, complex_hessian, integrate, lp_norm
-from .solver import SolverConfig, SolverState, solve_nondegenerate
+from .solver import SolverConfig, SolverState, _NewtonDriver
 from .symfunc import binom, esp_margins, planes_kernel, planes_to_hermitian
 
 # the epsilon of the stability exponent floor q' / (n q* + q' + epsilon)
@@ -76,12 +76,14 @@ def stability_experiment(bg: BackgroundData, t: float, f_base: ScalarField,
     oscillation (both readings of the sup distance are reported).  The fit
     of log sup-gap against log weak-gap must stay above the floor minus 0.1;
     the experiment checks the guaranteed direction only, never sharpness.
+    All solves run on one Newton driver, shared by the pool threads.
     """
     m = config.m
     floor = stability_floor(bg.grid.n, q, q_prime)
     vol = bg.volume
+    driver = _NewtonDriver(bg, config)
     try:
-        base_state, _ = solve_nondegenerate(bg, t, f_base, config)
+        base_state, _ = driver.solve(t, f_base)
     except NonConvergenceError:
         records = [StabilityRecord(float(s), np.nan, np.nan, np.nan, np.nan,
                                    np.nan, floor, converged=False) for s in scales]
@@ -94,10 +96,9 @@ def stability_experiment(bg: BackgroundData, t: float, f_base: ScalarField,
         with np.errstate(**errstate):
             f2 = ScalarField(f_base.grid, f_base.data + scale * perturbation.data)
             try:
-                state2, _ = solve_nondegenerate(bg, t, f2, config)
+                return scale, driver.solve(t, f2)[0], f2
             except NonConvergenceError:
                 return scale, None, f2
-        return scale, state2, f2
 
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
         outcomes = list(pool.map(run, scales))
@@ -236,7 +237,7 @@ def uniqueness_energy(phi1: ScalarField, phi2: ScalarField, bg: BackgroundData,
 
 def twin_solve_uniqueness(bg: BackgroundData, t: float, f: ScalarField,
                           config: SolverConfig, rng: np.random.Generator):
-    """Solve twice, from zero and from a cone-safe noisy start, and compare.
+    """Solve twice on one Newton driver, from zero and from a cone-safe noisy start.
 
     The noisy start is a random trig polynomial of amplitude 0.01 drawn
     from ``rng``.  Returns ``(energy_normalized, sup_difference, state_a,
@@ -245,12 +246,10 @@ def twin_solve_uniqueness(bg: BackgroundData, t: float, f: ScalarField,
     solution, the integral of conj(du) omega^(-1) du (zero when that
     vanishes), so it does not depend on how omega is scaled.
     """
-    from .background import TrigPolynomial
-
-    state_a, _ = solve_nondegenerate(bg, t, f, config)
-    noise = TrigPolynomial.random(bg.grid.n, rng, amplitude=0.01)
-    start = noise.sample(bg.grid)
-    state_b, _ = solve_nondegenerate(bg, t, f, config, warm_start=start)
+    driver = _NewtonDriver(bg, config)
+    state_a, _ = driver.solve(t, f)
+    start = TrigPolynomial.random(bg.grid.n, rng, amplitude=0.01).sample(bg.grid)
+    state_b, _ = driver.solve(t, f, start.data)
 
     energy = uniqueness_energy(state_a.phi, state_b.phi, bg, t)
     sup_diff = float(np.abs(state_a.phi.data - state_b.phi.data).max())

@@ -15,10 +15,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import hessianlab
 from hessianlab.cli import _STAGE_COLUMNS, main
-from hessianlab.config import _SCHEMA, ExperimentConfig, load_config
+from hessianlab.config import _SCHEMA, MAX_LIST_SOLVES, ExperimentConfig, load_config
 from hessianlab.errors import ConfigError
 from hessianlab.hlf import read_field
-from hessianlab.solver import MAX_STAGES
+from hessianlab.solver import MAX_STAGES, _NewtonDriver
 
 FLOAT_KEYS = [(section, key) for section, keys in _SCHEMA.items()
               for key, kind in keys.items() if kind in ("float", "list[float]")]
@@ -216,6 +216,26 @@ class TestConfig:
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
         assert err.startswith("config error:") and named in err
+
+    @pytest.mark.parametrize("key, entry, command", [("scales", "0.5", "stability"),
+                                                     ("grid_sizes", "8", "solve")])
+    def test_solve_lists_bounded(self, tmp_path, capsys, monkeypatch, key, entry, command):
+        # each entry is one solve: a longer list fails at load, by name,
+        # before any driver is built
+        at_bound = write_config(tmp_path, "at.ini", **{
+            f"experiment.{key}": " ".join([entry] * MAX_LIST_SOLVES)})
+        assert len(getattr(load_config(at_bound), key)) == MAX_LIST_SOLVES
+
+        def no_driver(*args):
+            raise AssertionError("a solve started")
+
+        monkeypatch.setattr(_NewtonDriver, "__init__", no_driver)
+        for count in (MAX_LIST_SOLVES + 1, 100_000):
+            path = write_config(tmp_path, **{f"experiment.{key}": " ".join([entry] * count)})
+            assert main([command, "--config", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: experiment.{key} must list")
+            assert f" {MAX_LIST_SOLVES} " in err
 
     def test_readme_lists_every_key(self):
         # the config block of README.md names the _SCHEMA keys, section by section

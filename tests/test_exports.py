@@ -5,7 +5,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hessianlab"
-# perfbench's tracer wraps these by name; ROADMAP item 8 moves them into
+# perfbench's tracer wraps these by name; ROADMAP item 10 moves them into
 # tests/conftest.py as oracles once the tracer no longer needs them
 PERFBENCH_PINNED = {"eigen_field", "cone_margins"}
 

@@ -185,8 +185,8 @@ class TestResidual:
         bg = BackgroundData.flat(grid12, kappa=1.0)
         phi_star, f_star, _ = make_manufactured(grid12, bg, 0.5, 2)
         direction = TrigPolynomial.random(2, rng, amplitude=1.0).sample(grid12)
-        driver = _NewtonDriver(bg, SolverConfig(m=2)).set_stage(0.5, f_star)
-        analysis = driver.analyze(phi_star.data)
+        driver = _NewtonDriver(bg, SolverConfig(m=2))
+        analysis = driver.analyze(phi_star.data, driver.stage(0.5, f_star))
         coeff = driver.stencil_coefficients(analysis["a_over_s"])
         lin = driver.apply_stencil(coeff, direction.data).reshape(grid12.shape)
         errs = []
@@ -214,10 +214,10 @@ class TestKrylovOperators:
         bg = BackgroundData(omega=omega, kappa=1.0, chi=HermitianField.constant(
             grid12, 0.1 * random_hermitian(rng, 2)))
         phi = TrigPolynomial.random(2, rng, amplitude=0.01).sample(grid12)
-        driver = _NewtonDriver(bg, SolverConfig(m=2)).set_stage(
-            0.5, ScalarField.constant(grid12, 0.0))
+        driver = _NewtonDriver(bg, SolverConfig(m=2))
+        stage = driver.stage(0.5, ScalarField.constant(grid12, 0.0))
         want = bg.base_form(0.5).data + complex_hessian(phi).data
-        assert np.array_equal(driver.analyze(phi.data)["x"], want.reshape(4, -1))
+        assert np.array_equal(driver.analyze(phi.data, stage)["x"], want.reshape(4, -1))
 
     @pytest.mark.parametrize("n, N", [(2, 6), (3, 4)])
     def test_stencil_matches_complex_hessian_trace(self, rng, n, N):
@@ -373,8 +373,9 @@ class TestNewtonStep:
         phi_star, f_star, _ = make_manufactured(grid12, bg, 0.5, 2)
         cfg = SolverConfig(m=2)
         state, _ = solve_nondegenerate(bg, 0.5, f_star, cfg)
-        driver = _NewtonDriver(bg, cfg).set_stage(0.5, f_star)
-        phi, analysis, _ = driver.step(state.phi.data)
+        driver = _NewtonDriver(bg, cfg)
+        analysis = driver.analyze(state.phi.data, driver.stage(0.5, f_star))
+        phi, analysis, _ = driver.step(state.phi.data, analysis)
         assert np.abs(phi - state.phi.data).max() < 1e-12
         assert abs(analysis["b"] - state.b) < 1e-12
 
@@ -394,8 +395,10 @@ class TestNewtonStep:
         # on rough data the full first step from zero overshoots the cone;
         # the line search must halve back and the accepted iterate keep its margin
         bg = BackgroundData.flat(grid12, kappa=1.0)
-        driver = _NewtonDriver(bg, SolverConfig(m=2)).set_stage(0.5, rough_density(grid12))
-        phi_new, post, step_size = driver.step(np.zeros(grid12.shape))
+        driver = _NewtonDriver(bg, SolverConfig(m=2))
+        phi = np.zeros(grid12.shape)
+        phi_new, post, step_size = driver.step(
+            phi, driver.analyze(phi, driver.stage(0.5, rough_density(grid12))))
         assert step_size == 0.25
         assert post["worst"] >= solver.CONE_MARGIN
         assert np.isfinite(post["b"]) and np.all(np.isfinite(phi_new))
@@ -404,9 +407,11 @@ class TestNewtonStep:
         bg = BackgroundData.flat(grid12, kappa=1.0)
         phi_star, f_star, _ = make_manufactured(grid12, bg, 0.5, 2)
         monkeypatch.setattr(solver, "CONE_MARGIN", 1e9)  # unattainable safeguard
-        driver = _NewtonDriver(bg, SolverConfig(m=2)).set_stage(0.5, f_star)
+        driver = _NewtonDriver(bg, SolverConfig(m=2))
+        phi = np.zeros(grid12.shape)
+        analysis = driver.analyze(phi, driver.stage(0.5, f_star))
         with pytest.raises(NonConvergenceError) as err:
-            driver.step(np.zeros(grid12.shape))
+            driver.step(phi, analysis)
         assert "residual_sup" in err.value.diagnostics
 
     @pytest.mark.parametrize("data, steps", [("manufactured", 3), ("rough", 1)])
@@ -416,11 +421,13 @@ class TestNewtonStep:
         bg = BackgroundData.flat(grid12, kappa=1.0)
         f = (make_manufactured(grid12, bg, 0.5, 2)[1] if data == "manufactured"
              else rough_density(grid12))
-        driver = _NewtonDriver(bg, SolverConfig(m=2)).set_stage(0.5, f)
-        phi, analysis = np.zeros(grid12.shape), None
+        driver = _NewtonDriver(bg, SolverConfig(m=2))
+        stage = driver.stage(0.5, f)
+        phi = np.zeros(grid12.shape)
+        analysis = driver.analyze(phi, stage)
         for _ in range(steps):
             phi, analysis, step_size = driver.step(phi, analysis)
-            fresh = driver.analyze(phi)
+            fresh = driver.analyze(phi, stage)
             pairs = {key: (analysis[key], fresh[key])
                      for key in ("x", "b", "residual", "a_over_s")}
             pairs["S"] = (driver.eigen(analysis["x"])[0], driver.eigen(fresh["x"])[0])
@@ -467,6 +474,39 @@ class TestNewtonStep:
         assert calls["analyze"] == 1
         assert calls["eigen"] == 1 + trials
 
+
+class TestOneDriverPerProblem:
+    """The stage is an argument: a driver holds only the fixed data of (bg, config)."""
+
+    def test_driver_attributes_unchanged_by_solve_analyze_and_step(self, grid12):
+        bg = BackgroundData.flat(grid12, kappa=1.0)
+        _, f_star, _ = make_manufactured(grid12, bg, 0.5, 2)
+        driver = _NewtonDriver(bg, SolverConfig(m=2))
+        before = dict(vars(driver))
+        arrays = {k: v.copy() for k, v in before.items() if isinstance(v, np.ndarray)}
+        driver.solve(0.5, f_star)
+        phi = np.zeros(grid12.shape)
+        driver.step(phi, driver.analyze(phi, driver.stage(0.25, rough_density(grid12))))
+        assert vars(driver).keys() == before.keys()
+        assert all(vars(driver)[key] is value for key, value in before.items())
+        assert all(np.array_equal(before[key], value) for key, value in arrays.items())
+
+    def test_step_unchanged_by_a_solve_at_another_stage(self, grid12):
+        # a stage-0.5 step taken after a stage-0.125 solve on the same driver
+        # equals the step of a driver that never solved
+        bg = BackgroundData.flat(grid12, kappa=1.0)
+        _, f_star, _ = make_manufactured(grid12, bg, 0.5, 2)
+        cfg = SolverConfig(m=2)
+        phi = np.zeros(grid12.shape)
+        fresh = _NewtonDriver(bg, cfg)
+        want = fresh.step(phi, fresh.analyze(phi, fresh.stage(0.5, f_star)))
+        driver = _NewtonDriver(bg, cfg)
+        analysis = driver.analyze(phi, driver.stage(0.5, f_star))
+        driver.solve(0.125, rough_density(grid12))
+        got = driver.step(phi, analysis)
+        assert np.array_equal(got[0], want[0]) and got[2] == want[2]
+        for key in ("x", "residual", "a_over_s", "b", "worst"):
+            assert np.array_equal(got[1][key], want[1][key]), key
 
 class TestSolve:
     def test_constant_case(self, grid12):
@@ -516,8 +556,8 @@ class TestSolve:
         phi_star, f_star, _ = make_manufactured(grid12, bg, 0.5, 2)
         cfg = SolverConfig(m=2)
         state, _ = solve_nondegenerate(bg, 0.5, f_star, cfg)
-        driver = _NewtonDriver(bg, cfg).set_stage(0.5, f_star)
-        analysis = driver.analyze(state.phi.data)
+        driver = _NewtonDriver(bg, cfg)
+        analysis = driver.analyze(state.phi.data, driver.stage(0.5, f_star))
         coeff_eigs = np.linalg.eigvalsh(planes_to_hermitian(analysis["a_over_s"]))
         assert coeff_eigs[..., 0].min() > 0.0
 
@@ -625,7 +665,7 @@ class TestContinuation:
         states, report = continuation_degenerate(bg, f, sched, SolverConfig(m=2))
         sups = [-rec.inf_phi for rec in report.stages]
         assert max(sups) <= 3.0 * np.median(sups)
-        diffs = report.meta["consecutive_sup_diffs"]
+        diffs = decreasing_sequence(states).consecutive_sup_diffs
         assert diffs[-1] < diffs[0]
         assert diffs[-1] < 1e-3
         for rec in report.stages:

@@ -1,5 +1,7 @@
 """Verification experiments: stability, viscosity, uniqueness, monitor."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from hessianlab import (
     uniqueness_energy,
     viscosity_check,
 )
+from hessianlab.solver import _NewtonDriver
 from hessianlab.symfunc import metric_inv_sqrt, planes_to_hermitian
 from hessianlab.verification import trace_field
 
@@ -118,18 +121,23 @@ class TestStability:
         assert not result.passed
 
     def test_parallel_matches_serial(self, grid8, rng):
+        # the pool threads share one Newton driver; with more threads than
+        # cores, switching often, every record still equals the serial one
         bg = BackgroundData.flat(grid8, kappa=1.0)
         f = TrigPolynomial.random(2, rng, amplitude=0.2).sample(grid8)
         pert = dipole_bump(grid8)
         cfg = SolverConfig(m=2)
-        scales = [0.125, 0.0625]
+        scales = [0.125, 0.0625, 0.03125, 0.015625]
         serial = stability_experiment(bg, 0.25, f, pert, scales, 2.0, 1.0, cfg,
                                       max_workers=1)
-        threaded = stability_experiment(bg, 0.25, f, pert, scales, 2.0, 1.0, cfg,
-                                        max_workers=2)
-        for a, b in zip(serial.records, threaded.records):
-            assert a.sup_gap == b.sup_gap
-            assert a.lq_gap_plus == b.lq_gap_plus
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = stability_experiment(bg, 0.25, f, pert, scales, 2.0, 1.0, cfg,
+                                            max_workers=len(scales))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded.records == serial.records
 
 
 class TestViscosity:
@@ -229,12 +237,11 @@ class TestUniquenessEnergy:
         chi0 = np.diag(np.linspace(0.4, 0.1, n))
 
         def normalized_energy(c):
-            def fake_solve(bg, t, f, config, warm_start=None):
-                u = u1 if warm_start is None else u2
-                return SolverState(phi=ScalarField(bg.grid, c * u), b=0.0), None
+            def fake_solve(self, t, f, phi0=None):
+                u = u1 if phi0 is None else u2
+                return SolverState(phi=ScalarField(self.grid, c * u), b=0.0), None
 
-            monkeypatch.setattr("hessianlab.verification.solve_nondegenerate",
-                                fake_solve)
+            monkeypatch.setattr(_NewtonDriver, "solve", fake_solve)
             bg = BackgroundData.flat(grid, chi_matrix=c * chi0, kappa=1.0,
                                      omega_matrix=c * np.eye(n))
             energy, _, _, _ = twin_solve_uniqueness(
@@ -246,6 +253,27 @@ class TestUniquenessEnergy:
         base = normalized_energy(1.0)
         assert base > 0.0
         assert normalized_energy(4.0) == pytest.approx(base, rel=1e-12)
+
+    def test_twin_and_stability_build_one_driver(self, grid8, rng, monkeypatch):
+        # every solve of one (bg, config) problem, threaded or not, shares a driver
+        bg = BackgroundData.flat(grid8, kappa=1.0)
+        f = TrigPolynomial.random(2, rng, amplitude=0.2).sample(grid8)
+        cfg = SolverConfig(m=2)
+        builds = []
+        init = _NewtonDriver.__init__
+
+        def counting(self, *args):
+            builds.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(_NewtonDriver, "__init__", counting)
+        twin_solve_uniqueness(bg, 0.25, f, cfg, rng)
+        assert len(builds) == 1
+        builds.clear()
+        result = stability_experiment(bg, 0.25, f, dipole_bump(grid8), [0.125, 0.0625],
+                                      2.0, 1.0, cfg, max_workers=2)
+        assert not result.partial
+        assert len(builds) == 1
 
 
 class TestMonitor:
