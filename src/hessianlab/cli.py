@@ -74,9 +74,8 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     solver_cfg = cfg.build_solver_config()
     report = {"command": "solve", "seed": cfg.seed, "t": cfg.t, "m": cfg.m}
 
-    if cfg.f == "manufactured" and cfg.grid_sizes:
+    if cfg.grid_sizes:
         rows = []
-        state = None
         for points in cfg.grid_sizes:
             grid = cfg.build_grid(points)
             bg = cfg.build_background(grid)

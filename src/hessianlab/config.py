@@ -97,6 +97,8 @@ class ExperimentConfig:
             raise ConfigError(f"experiment.grid_sizes must list at most {MAX_LIST_SOLVES} sizes")
         for points in self.grid_sizes:
             self._check_points("experiment.grid_sizes", points)
+        if self.grid_sizes and self.f != "manufactured":
+            raise ConfigError(f"experiment.grid_sizes needs problem.f = manufactured, not {self.f}")
         if self.kappa < 0:
             raise ConfigError("problem.kappa must be nonnegative")
         if self.chi not in _CHI_KINDS:

@@ -10,7 +10,7 @@ log S_m - log C(n, m) - m f, divided by m, so the Newton iterate is phi
 alone.  The Newton loop holds X, its line-search step and T / S_m as n * n
 real planes (the layout of ``grid.hessian_planes``) and evaluates them with
 the real-arithmetic ``planes_kernel``.  Each step linearizes the log of the
-operator, solves the bordered system by ``gmres``, restarted
+operator, solves for the mean-zero correction by ``gmres``, restarted
 right-preconditioned GMRES started at M^-1 rhs, and guards the cone margin
 with a damped line search.  The matvec contracts the planes of T / S_m,
 scaled per plane, with the difference planes of the Krylov vector; the
@@ -370,58 +370,46 @@ class _NewtonDriver:
         return np.einsum("kp,kp->p", coeff, planes.reshape(coeff.shape))
 
     def krylov_operators(self, a_over_s: np.ndarray):
-        """The bordered matvec and its preconditioner at one Newton step.
+        """The projected matvec and its preconditioner at one Newton step.
 
-        Both act on (delta phi, delta b) flattened to num_points + 1 entries.
-        The matvec contracts ``stencil_coefficients`` with the difference
-        planes of the Krylov vector and appends its mean.  The
-        preconditioner inverts the model operator c(x) Laplacian_h with
+        Both act on delta phi flattened to num_points entries.  The matvec
+        contracts ``stencil_coefficients`` with the difference planes of the
+        Krylov vector and removes the mean.  The preconditioner inverts the
+        model operator c(x) Laplacian_h on mean-zero fields with
         c = tr(a_over_s) / (4n) pointwise, which is exact for a_over_s = c I.
         """
-        P = self.grid.num_points
-        m, shape = self.m, self.grid.shape
+        shape = self.grid.shape
         coeff = self.stencil_coefficients(a_over_s)
 
         def matvec(v):
-            phi_v = v[:P].reshape(shape)
-            out = np.empty(P + 1)
-            out[:P] = self.apply_stencil(coeff, phi_v) - m * v[P]
-            out[P] = phi_v.mean()
-            return out
+            out = self.apply_stencil(coeff, v.reshape(shape))
+            return out - out.mean()
 
         trace = a_over_s[:: self.n + 1].sum(axis=0).reshape(shape)
         inv_c = (4.0 * self.n) / np.maximum(trace, 1e-30)
 
         def precondition(v):
-            r = v[:P].reshape(shape)
-            r_mean = r.mean()
-            out = np.empty(P + 1)
-            out[:P] = (self.laplacian_inverse((r - r_mean) * inv_c) + v[P]).ravel()
-            out[P] = -r_mean / m
-            return out
+            return self.laplacian_inverse((v - v.mean()).reshape(shape) * inv_c).ravel()
 
         return matvec, precondition
 
     def solve_linear(self, a_over_s: np.ndarray, rhs_field: np.ndarray,
-                     rtol: float):
-        """Bordered Krylov solve for (delta phi, delta b) with mean(delta phi)=0.
+                     rtol: float) -> np.ndarray:
+        """Mean-zero delta phi with Pi L delta phi = rhs, Pi removing the mean.
 
-        The delta b unknown keeps the system square on mean-zero delta phi;
-        the step reads b off its new X instead.  ``gmres`` starts at
-        M^-1 rhs, not at 0, and stops at rtol ||rhs||.
+        The system is singular but consistent: its null space, the
+        constants, meets its range, the mean-zero fields, only at 0.  Each
+        preconditioner output has mean zero, and so has delta phi.  ``gmres``
+        starts at M^-1 rhs, not at 0, and stops at rtol ||rhs||.
         """
         P, shape = self.grid.num_points, self.grid.shape
-        rhs = np.concatenate([rhs_field.ravel(), [0.0]])
-        if not np.any(rhs):
-            return np.zeros(shape), 0.0
+        rhs = rhs_field.ravel() - rhs_field.mean()
         matvec, precondition = self.krylov_operators(a_over_s)
-        op = spla.LinearOperator((P + 1, P + 1), matvec=matvec, dtype=float)
-        mop = spla.LinearOperator((P + 1, P + 1), matvec=precondition, dtype=float)
+        op = spla.LinearOperator((P, P), matvec=matvec, dtype=float)
+        mop = spla.LinearOperator((P, P), matvec=precondition, dtype=float)
         sol, _ = spla.lgmres(op, rhs, x0=precondition(rhs), M=mop, rtol=rtol,
                              maxiter=KRYLOV_MAXITER)
-        dphi = sol[:P].reshape(shape)
-        dphi = dphi - dphi.mean()
-        return dphi, float(sol[P])
+        return sol.reshape(shape)
 
     # -- one Newton step -----------------------------------------------------
 
@@ -435,7 +423,7 @@ class _NewtonDriver:
         resid = analysis["residual"]
         resid_sup = float(np.abs(resid).max())
         rtol = min(KRYLOV_RTOL, max(resid_sup, 1e-14))
-        dphi, _ = self.solve_linear(analysis["a_over_s"], -resid, rtol)
+        dphi = self.solve_linear(analysis["a_over_s"], -resid, rtol)
         hess_step = self.hessian(dphi)
 
         step_size = 1.0

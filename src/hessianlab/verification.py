@@ -15,13 +15,15 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .background import BackgroundData, TrigPolynomial
-from .errors import DomainError, NonConvergenceError
+from .errors import ConeViolationError, DomainError, NonConvergenceError
 from .grid import ScalarField, complex_gradient, complex_hessian, integrate, lp_norm
 from .solver import SolverConfig, SolverState, _NewtonDriver
 from .symfunc import binom, esp_margins, planes_kernel, planes_to_hermitian
 
 # the epsilon of the stability exponent floor q' / (n q* + q' + epsilon)
 STABILITY_EPSILON = 0.5
+# the twin solve halves a noisy start outside the cone at most this many times
+TWIN_START_HALVINGS = 20
 
 # ---------------------------------------------------------------------------
 # stability
@@ -240,16 +242,24 @@ def twin_solve_uniqueness(bg: BackgroundData, t: float, f: ScalarField,
     """Solve twice on one Newton driver, from zero and from a cone-safe noisy start.
 
     The noisy start is a random trig polynomial of amplitude 0.01 drawn
-    from ``rng``.  Returns ``(energy_normalized, sup_difference, state_a,
-    state_b)``.  The energy is normalized by sup S_1 of the stage form
-    relative to omega times the omega-gradient energy of the first
-    solution, the integral of conj(du) omega^(-1) du (zero when that
-    vanishes), so it does not depend on how omega is scaled.
+    from ``rng``, halved at most ``TWIN_START_HALVINGS`` times while its X
+    lies outside the cone: X is affine in the scale and inside at scale 0.
+    Returns ``(energy_normalized, sup_difference, state_a, state_b)``.  The
+    energy is normalized by sup S_1 of the stage form relative to omega
+    times the omega-gradient energy of the first solution, the integral of
+    conj(du) omega^(-1) du (zero when that vanishes), so it does not
+    depend on how omega is scaled.
     """
     driver = _NewtonDriver(bg, config)
     state_a, _ = driver.solve(t, f)
-    start = TrigPolynomial.random(bg.grid.n, rng, amplitude=0.01).sample(bg.grid)
-    state_b, _ = driver.solve(t, f, start.data)
+    start = TrigPolynomial.random(bg.grid.n, rng, amplitude=0.01).sample(bg.grid).data
+    for halvings in range(TWIN_START_HALVINGS + 1):
+        try:
+            state_b, _ = driver.solve(t, f, 0.5**halvings * start)
+            break
+        except ConeViolationError:
+            if halvings == TWIN_START_HALVINGS:
+                raise
 
     energy = uniqueness_energy(state_a.phi, state_b.phi, bg, t)
     sup_diff = float(np.abs(state_a.phi.data - state_b.phi.data).max())

@@ -207,6 +207,20 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("config error: experiment.grid_sizes must be even and >= 4")
 
+    @pytest.mark.parametrize("f", ["constant", "trig", "spike"])
+    def test_grid_sizes_need_manufactured_density(self, tmp_path, capsys, f):
+        # only the manufactured problem has a truth to measure the error
+        # against, so grid_sizes with another density fails at load, not in
+        # one solve at grid_points with no error-vs-h table
+        path = write_config(tmp_path, **{"problem.f": f, "experiment.grid_sizes": "8, 12"})
+        with pytest.raises(ConfigError, match="experiment.grid_sizes"):
+            load_config(path)
+        assert main(["solve", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: experiment.grid_sizes")
+        assert f"problem.f = manufactured, not {f}" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("setting, command, named", HUGE_COUNTS)
     def test_huge_count_is_config_error(self, tmp_path, capsys, setting, command, named):
         # each setting is bounded at load, before any work grows with it
@@ -221,8 +235,9 @@ class TestConfig:
                                                      ("grid_sizes", "8", "solve")])
     def test_solve_lists_bounded(self, tmp_path, capsys, monkeypatch, key, entry, command):
         # each entry is one solve: a longer list fails at load, by name,
-        # before any driver is built
-        at_bound = write_config(tmp_path, "at.ini", **{
+        # before any driver is built; grid_sizes needs the manufactured density
+        density = {"problem.f": "manufactured"} if key == "grid_sizes" else {}
+        at_bound = write_config(tmp_path, "at.ini", **density, **{
             f"experiment.{key}": " ".join([entry] * MAX_LIST_SOLVES)})
         assert len(getattr(load_config(at_bound), key)) == MAX_LIST_SOLVES
 
@@ -231,7 +246,8 @@ class TestConfig:
 
         monkeypatch.setattr(_NewtonDriver, "__init__", no_driver)
         for count in (MAX_LIST_SOLVES + 1, 100_000):
-            path = write_config(tmp_path, **{f"experiment.{key}": " ".join([entry] * count)})
+            path = write_config(tmp_path, **density,
+                                **{f"experiment.{key}": " ".join([entry] * count)})
             assert main([command, "--config", str(path)]) == 1
             err = capsys.readouterr().err
             assert err.startswith(f"config error: experiment.{key} must list")
@@ -548,6 +564,19 @@ class TestVerifyCommand:
         }
         printed = capsys.readouterr().out
         assert printed.count("[PASS]") == 4
+
+    def test_noisy_start_outside_cone_is_halved(self, tmp_path, capsys):
+        # at kappa = 0 and t = 0.4 the amplitude-0.01 twin start's X lies
+        # outside the cone; unhalved, it ends verify with exit 2
+        path = write_config(
+            tmp_path,
+            **{"problem.kappa": 0.0, "problem.f": "trig", "problem.f_amplitude": 0.1,
+               "solver.t": 0.4, "experiment.lemma_families": 2, "run.seed": 5},
+        )
+        assert main(["verify", "--config", str(path)]) == 0
+        report = json.loads((tmp_path / "out" / "verify.json").read_text())
+        assert report["all_pass"]
+        assert "cone violation" not in capsys.readouterr().err
 
     def test_spike_injection_fails_viscosity(self, tmp_path, capsys):
         path = write_config(
