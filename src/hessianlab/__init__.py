@@ -49,14 +49,13 @@ from .solver import (
     SolveReport,
     SolverConfig,
     SolverState,
-    bracket_bounds,
     compatibility_constant,
     continuation_degenerate,
     decreasing_sequence,
     degenerate_brackets,
-    normalize_density,
     residual,
     solve_nondegenerate,
+    stage_masses,
     wedge_integral,
 )
 from .symfunc import (

@@ -190,8 +190,8 @@ class ExperimentConfig:
             f = lq_spike(grid, q=self.q)
         elif self.f == "hlf1":
             f = read_field(self.f_path)
-            if not isinstance(f, ScalarField):
-                raise ConfigError("problem.f_path must hold a scalar field")
+            if not isinstance(f, ScalarField) or f.grid != grid:
+                raise ConfigError("problem.f_path must hold a scalar field on the config grid")
         else:  # manufactured
             phi_star, f = self.manufactured(bg)
             return f, phi_star

@@ -18,13 +18,17 @@ preconditioner divides the residual by c = tr(T / S_m) / (4n) and applies
 the inverse difference Laplacian.  A Newton driver holds the fixed data of
 one (bg, config) problem and takes the stage (t, f) as an argument, so all
 solves of one problem share it.  The degenerate problem is approached along
-a decreasing schedule of t, with one table of the wedge moments of chi for
-the whole family: every stage mass is a polynomial in kappa + t over that
-table.  Each stage keeps the first start whose solve converges: from stage
-2 on the Lagrange extrapolation in t through the last min(i, 5) solutions,
-then the previous solution, then zero, whose X is the base form and so
-inside the cone once ``bg.validate`` passes (``StageRecord.start``).  The
-weak-solution certificate is the decreasing sequence phi_t + C / 2^i.
+a decreasing schedule of t, with one table of the wedge moments of chi,
+relative to the omega^n mass, for the whole family (``stage_masses``):
+every stage mass is a polynomial in kappa + t over that table.  The density
+is shifted by the t = 0 compatibility constant, and the brackets bound
+V_t / exp(n b_t) relative to the omega^n mass, so they do not depend on how
+omega, chi or the period is scaled.  Each stage keeps the first start whose
+solve converges: from stage 2 on the Lagrange extrapolation in t through
+the last min(i, 5) solutions, then the previous solution, then zero, whose
+X is the base form and so inside the cone once ``bg.validate`` passes
+(``StageRecord.start``).  The weak-solution certificate is the decreasing
+sequence phi_t + C / 2^i.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from .grid import (
     hessian_planes,
     hessian_scale,
     integrate,
+    tree_sum,
     worst_point,
 )
 from .symfunc import binom, esp_margins, planes_kernel
@@ -155,84 +160,66 @@ def wedge_integral(bg: BackgroundData, form: HermitianField, k: int) -> float:
     return integrate(ScalarField(bg.grid, S[..., k] / binom(bg.grid.n, k)), bg.volume)
 
 
-def _chi_moments(bg: BackgroundData, m: int) -> tuple:
-    """The wedge integrals of chi^k wedge omega^(n-k), k = 0..m (k = 0: the volume)."""
-    return (bg.volume * bg.grid.period ** (2 * bg.grid.n),) + tuple(
-        wedge_integral(bg, bg.chi, k) for k in range(1, m + 1))
+@dataclass(frozen=True)
+class StageMasses:
+    """The masses of one degenerate family relative to the omega^n mass.
 
-
-def _stage_mass(bg: BackgroundData, t: float, m: int, moments: tuple) -> float:
-    """``wedge_integral(bg, bg.base_form(t), m)`` from the ``_chi_moments``.
-
-    With s = kappa + t, (chi + s omega)^m = sum_k C(m, k) s^(m-k) chi^k omega^(m-k).
+    ``mu[k]`` is the mass of chi^k wedge omega^(n-k) over that of omega^n,
+    k = 0..m, so ``mu[0] = 1``; see ``stage_masses``.
     """
-    s = bg.kappa + t
-    return sum(binom(m, k) * s ** (m - k) * moment for k, moment in enumerate(moments))
+
+    n: int
+    kappa: float
+    mu: tuple
+
+    @property
+    def m(self) -> int:
+        return len(self.mu) - 1
+
+    def at(self, t: float) -> float:
+        """Relative mass of (chi + s omega)^m wedge omega^(n-m), s = kappa + t.
+
+        (chi + s omega)^m = sum_k C(m, k) s^(m-k) chi^k wedge omega^(m-k).
+        """
+        m, s = self.m, self.kappa + t
+        return sum(binom(m, k) * s ** (m - k) * mu for k, mu in enumerate(self.mu))
 
 
-def compatibility_constant(bg: BackgroundData, t: float, f: ScalarField, m: int,
-                           moments: tuple | None = None) -> float:
+def stage_masses(bg: BackgroundData, m: int) -> StageMasses:
+    """The moment table of chi, k = 0..m, relative to the omega^n mass volume * period^(2n)."""
+    omega_mass = bg.volume * bg.grid.period ** (2 * bg.grid.n)
+    return StageMasses(bg.grid.n, bg.kappa, (1.0,) + tuple(
+        wedge_integral(bg, bg.chi, k) / omega_mass for k in range(1, m + 1)))
+
+
+def compatibility_constant(masses: StageMasses, t: float, f: ScalarField) -> float:
     """The constant b making the stage-t equation integrally consistent.
 
-    exp(m b) equals the mass of S_m(lam(chi + (kappa + t) omega)) divided
-    by the mass of C(n, m) exp(m f), both against the omega volume; the
-    first is ``_stage_mass`` of the chi ``moments`` (built here if None).
+    exp(m b) is the relative mass ``masses.at(t)`` over that of exp(m f),
+    which is its grid mean, as the omega volume density is constant.
     """
-    num = binom(bg.grid.n, m) * _stage_mass(bg, t, m, moments or _chi_moments(bg, m))
-    den = binom(bg.grid.n, m) * integrate(
-        ScalarField(bg.grid, np.exp(m * f.data)), bg.volume
-    )
+    num = masses.at(t)
+    den = tree_sum(np.exp(masses.m * f.data)) / f.grid.num_points
     if num <= 0 or den <= 0:
         raise ConfigError(f"compatibility integrals must be positive (got {num:.3e}, {den:.3e})")
-    return float(np.log(num / den) / m)
+    return float(np.log(num / den) / masses.m)
 
 
-def normalize_density(bg: BackgroundData, f: ScalarField, m: int,
-                      moments: tuple | None = None):
-    """Shift f by the constant enforcing the degenerate-limit mass identity.
+def degenerate_brackets(masses: StageMasses, t: float):
+    """Two-sided bound data ``(lower, mid, upper)`` for V_t / exp(n b_t) at stage t.
 
-    After the shift the mass of exp(m f) equals the mass of
-    (chi + kappa omega)^m wedge omega^(n-m), so the stage constants b_t tend
-    to zero as t decreases: the shift is b_0 (``compatibility_constant``,
-    given ``moments``).  Returns ``(shifted_f, shift)``.
+    Every mass is relative to the omega^n mass, so the ends do not change
+    when omega, chi or the period is scaled.  V_t = (kappa + t)^n is the
+    relative mass of ((kappa + t) omega)^n and b_t the stage constant of a
+    density normalized to the t = 0 mass M_0, exp(m b_t) = M_t / M_0, with
+    M_t = ``masses.at(t)``: mid = (kappa + t)^n (M_0 / M_t)^(n/m),
+    lower = kappa^n / M_1^(n/m) and upper = M_0^(n/m).
     """
-    shift = compatibility_constant(bg, 0.0, f, m, moments)
-    return ScalarField(f.grid, f.data + shift), float(shift)
-
-
-def bracket_bounds(bg: BackgroundData, m: int, moments: tuple | None = None):
-    """The t-independent ends ``(lower, upper)`` of ``degenerate_brackets``.
-
-    lower and upper are the bracketing integrals built from
-    (kappa omega)^n, whose mass is kappa^n times the omega volume,
-    (chi + (kappa + 1) omega)^m wedge omega^(n-m),
-    (chi + kappa omega)^m wedge omega^(n-m) and the omega volume; the two
-    wedge masses are ``_stage_mass`` at t = 1 and 0 of the ``moments``.
-    """
-    n = bg.grid.n
-    moments = moments or _chi_moments(bg, m)
-    vol_total = moments[0]
-    lower = bg.kappa**n * vol_total / _stage_mass(bg, 1.0, m, moments) ** (n / m)
-    upper = _stage_mass(bg, 0.0, m, moments) ** (n / m) / vol_total ** ((n - m) / m)
-    return float(lower), float(upper)
-
-
-def degenerate_brackets(bg: BackgroundData, t: float, b_t: float, m: int,
-                        bounds: tuple | None = None):
-    """Two-sided bound data for V_t / exp(n b_t) at one stage.
-
-    Returns ``(lower, mid, upper)`` where mid = V_t / exp(n b_t) with
-    V_t = (kappa + t)^n times the omega volume, the total mass of
-    ((kappa + t) omega)^n, and b_t the stage compatibility constant
-    ``compatibility_constant(bg, t, f, m)``; lower and upper are
-    ``bracket_bounds(bg, m)``, computed here unless passed as ``bounds``,
-    which a continuation does once for all its stages.
-    """
-    n = bg.grid.n
-    v_t = (bg.kappa + t) ** n * (bg.volume * bg.grid.period ** (2 * n))
-    mid = v_t / np.exp(n * b_t)
-    lower, upper = bracket_bounds(bg, m) if bounds is None else bounds
-    return lower, float(mid), upper
+    n, m = masses.n, masses.m
+    mass_0 = masses.at(0.0)
+    lower = masses.kappa ** n / masses.at(1.0) ** (n / m)
+    mid = (masses.kappa + t) ** n * (mass_0 / masses.at(t)) ** (n / m)
+    return float(lower), float(mid), float(mass_0 ** (n / m))
 
 
 # ---------------------------------------------------------------------------
@@ -555,16 +542,17 @@ def continuation_degenerate(bg: BackgroundData, f: ScalarField,
     only a failed zero start ends the continuation, with a
     NonConvergenceError carrying the partial report.
 
-    The density is shifted once to match the degenerate-limit mass
-    identity.  Per stage the report records b_t, the residual history, the
-    inf of phi_t (its sup is 0), the cone margin, the start used and the
-    bracket on V_t / exp(n b_t); it also carries the t-uniformity proxy.
+    The density is shifted once, by ``compatibility_constant`` at t = 0, to
+    match the degenerate-limit mass identity, and one ``stage_masses`` table
+    serves the shift and every bracket.  Per stage the report records b_t,
+    the residual history, the inf of phi_t (its sup is 0), the cone margin,
+    the start used and the bracket on V_t / exp(n b_t); it also carries the
+    t-uniformity proxy.
     """
     bg.validate(config.m)
-    moments = _chi_moments(bg, config.m)
-    f_norm, shift = normalize_density(bg, f, config.m, moments)
-    bounds = bracket_bounds(bg, config.m, moments)
-    mass_0 = _stage_mass(bg, 0.0, config.m, moments)
+    masses = stage_masses(bg, config.m)
+    shift = compatibility_constant(masses, 0.0, f)
+    f_norm = ScalarField(f.grid, f.data + shift)
     report = SolveReport(meta={"mass_shift": shift})
     driver = _NewtonDriver(bg, config)
     states = []
@@ -588,10 +576,8 @@ def continuation_degenerate(bg: BackgroundData, f: ScalarField,
             ) from err
         record.seconds = time.perf_counter() - t_start
         record.start = start
-        # f_norm has mass _stage_mass(0) by construction
-        b_t = float(np.log(_stage_mass(bg, t, config.m, moments) / mass_0) / config.m)
-        lower, mid, upper = degenerate_brackets(bg, t, b_t, config.m, bounds)
-        record.bracket_lower, record.bracket_mid, record.bracket_upper = lower, mid, upper
+        record.bracket_lower, record.bracket_mid, record.bracket_upper = (
+            degenerate_brackets(masses, t))
         report.stages.append(record)
         states.append(state)
 

@@ -354,6 +354,22 @@ def test_file_and_syntax_faults_are_config_errors(tmp_path, capsys, make):
     assert err.startswith("config error:") and named in err
 
 
+@pytest.mark.parametrize("command", ["solve", "continuation", "stability", "verify"])
+@pytest.mark.parametrize("points, period", [(8, 1.0), (6, 2.0)])
+def test_density_file_off_the_config_grid_is_config_error(tmp_path, capsys, command,
+                                                          points, period):
+    # f read from a file on another grid than the config's N = 6, period 1:
+    # other N ended in a broadcast traceback, another period was used as is
+    grid = hessianlab.TorusGrid(n=2, points_per_axis=points, period=period)
+    hessianlab.write_field(tmp_path / "f.hlf1", hessianlab.ScalarField.constant(grid, 0.0))
+    path = write_config(tmp_path, **{
+        "problem.grid_points": 6, "problem.f": "hlf1", "problem.f_path": tmp_path / "f.hlf1",
+        "schedule.num_stages": 3, "experiment.lemma_families": 2})
+    assert main([command, "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "problem.f_path" in err
+
+
 class TestSolveCommand:
     def test_constant_case(self, tmp_path, capsys):
         path = write_config(tmp_path)

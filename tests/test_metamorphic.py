@@ -6,7 +6,8 @@ conjugation of every coordinate at once, a shift by whole grid points, a
 scaling of omega and chi, and a change of the torus period.  They pin the
 plane layout of Hermitian fields (a plane read with the wrong sign or at
 the wrong index breaks one of them) and the way the period enters the
-difference Hessian and the masses.
+difference Hessian and the masses.  The bracket ends of the degenerate
+family, relative masses, stay put under both scalings.
 """
 
 import numpy as np
@@ -14,12 +15,16 @@ import pytest
 
 from hessianlab import (
     BackgroundData,
+    ContinuationSchedule,
     HermitianField,
     ScalarField,
     SolverConfig,
     TorusGrid,
     TrigPolynomial,
+    continuation_degenerate,
+    degenerate_brackets,
     solve_nondegenerate,
+    stage_masses,
 )
 
 from conftest import anisotropic_spd
@@ -113,3 +118,37 @@ def test_period_scales_phi(n, period):
     phi2, b2 = solve(scaled, omega, chi, f)
     assert np.abs(phi2 - period**2 * phi).max() <= TOL * period**2 * np.abs(phi).max()
     assert abs(b2 - b) <= TOL * abs(b)
+
+
+def bracket_ends(grid, omega, chi, m):
+    """``degenerate_brackets`` at t = 1, 0.25 and 2^-8, kappa = 0.5, as an array."""
+    bg = BackgroundData(omega=omega, chi=HermitianField.from_matrices(grid, chi), kappa=0.5)
+    masses = stage_masses(bg, m)
+    return np.array([degenerate_brackets(masses, t) for t in (1.0, 0.25, 2.0**-8)])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("c, period", [(2.0, 1.0), (0.1, 1.0), (1.0, 0.5), (1.0, 3.0)])
+def test_bracket_ends_do_not_depend_on_scale(n, c, period):
+    # omega, chi -> c (omega, chi) multiplies every mass by c^n, a period p
+    # by p^(2n); relative to the omega^n mass the ends stay put, in order
+    grid, omega, chi, _ = problem(n)
+    scaled = TorusGrid(n=n, points_per_axis=grid.points_per_axis, period=period)
+    for m in range(1, n + 1):
+        ends = bracket_ends(grid, omega, chi, m)
+        ends2 = bracket_ends(scaled, c * omega, c * chi, m)
+        assert np.all(np.abs(ends2 - ends) <= TOL * np.abs(ends))
+        assert np.all(ends2[:, 0] <= ends2[:, 1]) and np.all(ends2[:, 1] <= ends2[:, 2])
+
+
+def test_brackets_ordered_at_half_period():
+    # the bench continuation problem (N = 6, chi = diag(0.4, 0), kappa = 1,
+    # trig f of amplitude 0.3, seed 7, twelve stages) on a torus of period 0.5
+    grid = TorusGrid(n=2, points_per_axis=6, period=0.5)
+    bg = BackgroundData.flat(grid, chi_matrix=np.diag([0.4, 0.0]), kappa=1.0)
+    f = TrigPolynomial.random(2, np.random.default_rng(7 + 2), amplitude=0.3).sample(grid)
+    _, report = continuation_degenerate(bg, f, ContinuationSchedule.default(),
+                                        SolverConfig(m=2))
+    assert len(report.stages) == 12
+    for rec in report.stages:
+        assert rec.bracket_lower <= rec.bracket_mid <= rec.bracket_upper

@@ -19,19 +19,18 @@ from hessianlab import (
     compatibility_constant,
     complex_hessian,
     continuation_degenerate,
-    bracket_bounds,
     decreasing_sequence,
     degenerate_brackets,
     integrate,
     lq_spike,
     manufactured_solution,
-    normalize_density,
     residual,
     solve_nondegenerate,
+    stage_masses,
     wedge_integral,
 )
 from hessianlab import solver
-from hessianlab.solver import _NewtonDriver, _chi_moments, _stage_mass, _stage_starts, gmres
+from hessianlab.solver import _NewtonDriver, _stage_starts, gmres
 from hessianlab.symfunc import binom, hermitian_to_planes, planes_kernel, planes_to_hermitian
 
 from conftest import anisotropic_spd, random_hermitian
@@ -66,38 +65,42 @@ class TestCompatibilityConstant:
         # chi + kappa omega = omega and t > 0: S_m((1+t) id) gives b = log(1+t)
         bg = BackgroundData.flat(grid12, kappa=1.0)
         f = ScalarField.constant(grid12, 0.0)
+        masses = stage_masses(bg, 2)
         for t in (0.25, 0.5, 1.0):
-            assert compatibility_constant(bg, t, f, 2) == pytest.approx(
+            assert compatibility_constant(masses, t, f) == pytest.approx(
                 np.log(1.0 + t), rel=1e-12
             )
 
     def test_matched_normalization(self, grid12):
         bg = BackgroundData.flat(grid12, kappa=1.0)
         f = ScalarField.constant(grid12, 0.0)
-        assert compatibility_constant(bg, 0.0, f, 2) == pytest.approx(0.0, abs=1e-13)
+        assert compatibility_constant(stage_masses(bg, 2), 0.0, f) == pytest.approx(
+            0.0, abs=1e-13)
 
     def test_normalize_density_shift(self, grid12):
+        # the continuation shifts f by the t = 0 constant, after which it is zero
         bg = BackgroundData.flat(grid12, kappa=2.0)
         f = ScalarField.constant(grid12, 0.3)
-        f_norm, shift = normalize_density(bg, f, 2)
+        masses = stage_masses(bg, 2)
+        shift = compatibility_constant(masses, 0.0, f)
         assert shift == pytest.approx(np.log(2.0) - 0.3, rel=1e-12)
-        assert compatibility_constant(bg, 0.0, f_norm, 2) == pytest.approx(0.0, abs=1e-12)
+        f_norm = ScalarField(grid12, f.data + shift)
+        assert compatibility_constant(masses, 0.0, f_norm) == pytest.approx(0.0, abs=1e-12)
 
-    def test_brackets_random_background(self, grid12, rng):
+    def test_brackets_random_background(self, grid12):
         bg = BackgroundData.flat(
             grid12, chi_matrix=np.diag([0.6, 0.1]), kappa=1.3
         )
-        f = TrigPolynomial.random(2, rng, amplitude=0.2).sample(grid12)
-        f_norm, _ = normalize_density(bg, f, 2)
+        masses = stage_masses(bg, 2)
         for t in (1.0, 0.25, 2.0**-8):
-            b_t = compatibility_constant(bg, t, f_norm, 2)
-            lower, mid, upper = degenerate_brackets(bg, t, b_t, 2)
+            lower, mid, upper = degenerate_brackets(masses, t)
             assert lower - 1e-9 <= mid <= upper + 1e-9
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_closed_form_brackets_match_wedge_integrals(self, n):
-        # chi_tilde = kappa omega, so its n-th power has mass kappa^n times the
-        # omega volume; the oracle integrates the stored-form wedge products
+        # chi_tilde = kappa omega, so its n-th power has kappa^n times the
+        # omega^n mass; the oracle integrates the stored-form wedge products,
+        # each divided by the omega^n mass
         rng = np.random.default_rng(40 + n)
         grid = TorusGrid(n=n, points_per_axis=6 if n == 2 else 4, period=1.3)
         omega = anisotropic_spd(rng, n)
@@ -111,19 +114,25 @@ class TestCompatibilityConstant:
         def wedge_power(scale):
             return wedge_integral(bg, HermitianField.constant(grid, scale * omega), n)
 
-        lower, upper = bracket_bounds(bg, m)
-        oracle = wedge_power(kappa) / wedge_integral(bg, bg.base_form(1.0), m) ** (n / m)
-        assert lower == pytest.approx(oracle, rel=1e-13)
+        omega_mass = wedge_power(1.0)
+        masses = stage_masses(bg, m)
+        lower, _, _ = degenerate_brackets(masses, 1.0)
+        base = wedge_integral(bg, bg.base_form(1.0), m) / omega_mass
+        assert lower == pytest.approx(wedge_power(kappa) / omega_mass / base ** (n / m),
+                                      rel=1e-13)
+        f_norm = ScalarField(grid, f.data + compatibility_constant(masses, 0.0, f))
         for t in (1.0, 0.25, 2.0**-8):
-            b_t = compatibility_constant(bg, t, f, m)
-            _, mid, _ = degenerate_brackets(bg, t, b_t, m, bounds=(lower, upper))
-            assert mid == pytest.approx(wedge_power(kappa + t) / np.exp(n * b_t), rel=1e-13)
+            b_t = compatibility_constant(masses, t, f_norm)
+            _, mid, _ = degenerate_brackets(masses, t)
+            assert mid == pytest.approx(
+                wedge_power(kappa + t) / omega_mass / np.exp(n * b_t), rel=1e-13)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_stage_masses_match_wedge_integrals(self, n):
         # the stage masses are a polynomial in kappa + t over the moments of
-        # chi; the oracle integrates S_m of each base form directly, here for
-        # a chi with varying complex off-diagonal entries, outside the cone
+        # chi; the oracle integrates S_m of each base form directly and divides
+        # by the omega^n mass, here for a chi with varying complex
+        # off-diagonal entries, outside the cone
         rng = np.random.default_rng(50 + n)
         grid = TorusGrid(n=n, points_per_axis=6 if n == 2 else 4, period=1.3)
         omega = anisotropic_spd(rng, n)
@@ -135,27 +144,24 @@ class TestCompatibilityConstant:
         S, _ = planes_kernel(bg.chi.data, bg.omega_inv, 1)
         assert S[..., 1].min() < 0
         f = TrigPolynomial.random(n, rng, amplitude=0.2, max_mode=1).sample(grid)
-        vol_total = bg.volume * grid.period ** (2 * n)
+        omega_mass = wedge_integral(bg, HermitianField.constant(grid, omega), n)
         for m in range(1, n + 1):
             def wedge(t):
-                return wedge_integral(bg, bg.base_form(t), m)
+                return wedge_integral(bg, bg.base_form(t), m) / omega_mass
 
             def b_oracle(t):
                 density = integrate(ScalarField(grid, np.exp(m * f.data)), bg.volume)
-                return np.log(wedge(t) / density) / m
+                return np.log(wedge(t) / (density / omega_mass)) / m
 
-            moments = _chi_moments(bg, m)
+            masses = stage_masses(bg, m)
+            assert masses.mu[0] == 1.0
             for t in (1.0, 0.25, 2.0**-8, 0.0):
-                assert _stage_mass(bg, t, m, moments) == pytest.approx(wedge(t), rel=1e-13)
-                assert compatibility_constant(bg, t, f, m) == pytest.approx(
+                assert masses.at(t) == pytest.approx(wedge(t), rel=1e-13)
+                assert compatibility_constant(masses, t, f) == pytest.approx(
                     b_oracle(t), rel=1e-13, abs=1e-13)
-            _, shift = normalize_density(bg, f, m)
-            assert shift == pytest.approx(b_oracle(0.0), rel=1e-13, abs=1e-13)
-            lower, upper = bracket_bounds(bg, m)
-            assert lower == pytest.approx(
-                bg.kappa**n * vol_total / wedge(1.0) ** (n / m), rel=1e-13)
-            assert upper == pytest.approx(
-                wedge(0.0) ** (n / m) / vol_total ** ((n - m) / m), rel=1e-13)
+            lower, _, upper = degenerate_brackets(masses, 1.0)
+            assert lower == pytest.approx(bg.kappa**n / wedge(1.0) ** (n / m), rel=1e-13)
+            assert upper == pytest.approx(wedge(0.0) ** (n / m), rel=1e-13)
 
 
 class TestResidual:
@@ -697,8 +703,8 @@ class TestContinuation:
         assert all(b2 < b1 for b1, b2 in zip(b_vals, b_vals[1:]))
 
     def test_brackets_match_per_stage_computation(self, grid12, rng, monkeypatch):
-        # the t-independent bracket ends are computed once per continuation;
-        # every stage must still carry exactly what a per-stage computation gives
+        # the moment table is built once per continuation; every stage must
+        # still carry exactly what a per-stage computation gives
         import hessianlab.solver as solver
 
         bg = BackgroundData.flat(grid12, chi_matrix=np.diag([0.4, 0.0]), kappa=1.0)
@@ -709,19 +715,20 @@ class TestContinuation:
         monkeypatch.setattr(solver, "wedge_integral",
                             lambda *args: calls.append(args) or wedge(*args))
         _, report = continuation_degenerate(bg, f, sched, SolverConfig(m=2))
-        # one moment table of chi, k = 1..m, serves the shift, the bracket
-        # ends and every b_t
+        # one stage_masses table of chi, k = 1..m, serves the shift and the
+        # brackets of every stage
         assert [args[1:] for args in calls] == [(bg.chi, 1), (bg.chi, 2)]
         monkeypatch.undo()
-        f_norm, _ = normalize_density(bg, f, 2)
-        moments = solver._chi_moments(bg, 2)
-        mass_0 = solver._stage_mass(bg, 0.0, 2, moments)
+        masses = stage_masses(bg, 2)
+        shift = compatibility_constant(masses, 0.0, f)
+        assert shift == report.meta["mass_shift"]
+        f_norm = ScalarField(grid12, f.data + shift)
         for t, rec in zip(sched.t_values, report.stages):
-            # f_norm carries the mass _stage_mass(0), so b_t needs no integral of f
-            b_t = float(np.log(solver._stage_mass(bg, t, 2, moments) / mass_0) / 2)
-            assert b_t == pytest.approx(compatibility_constant(bg, t, f_norm, 2),
+            # f_norm carries the mass masses.at(0), so b_t needs no integral of f
+            b_t = float(np.log(masses.at(t) / masses.at(0.0)) / 2)
+            assert b_t == pytest.approx(compatibility_constant(masses, t, f_norm),
                                         rel=0, abs=1e-14)
-            fresh = degenerate_brackets(bg, t, b_t, 2)
+            fresh = degenerate_brackets(masses, t)
             assert (rec.bracket_lower, rec.bracket_mid, rec.bracket_upper) == fresh
 
     def test_spike_density_survives(self, grid8):
@@ -860,7 +867,7 @@ class TestContinuation:
 
         bg = BackgroundData.flat(grid12, kappa=1.0)
         f = lq_spike(grid12, q=2.0, cap=50.0)
-        _, shift = normalize_density(bg, f, 2)
+        shift = compatibility_constant(stage_masses(bg, 2), 0.0, f)
         h = grid12.spacing
         cfg = SolverConfig(m=2)
         solutions = []
