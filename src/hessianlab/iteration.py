@@ -4,11 +4,10 @@ Two level-set bootstrapping lemmas are realized as closed-form evaluations:
 a Kolodziej-type lower bound for a monotone increasing level function, and a
 De Giorgi vanishing threshold for a nonincreasing one.  The certification
 helper finds the minimal constant for which the lemma hypothesis holds on
-the sampled pairs as a factored max: every pair ratio divides by a power of
-one sample's phi, so the numerators are maximized per sample in one in-place
-buffer and only those k maxima are divided; the synthetic generators
-produce power-law families whose extremal pairs land exactly on the sample
-grid, so the lemma conclusions can be asserted with zero tolerance slack.
+the sampled pairs, with one lower-triangle kernel for both forms.  The
+synthetic generators produce power-law families whose extremal pairs land
+exactly on the sample grid, so the lemma conclusions are asserted with zero
+tolerance slack.
 
 The De Giorgi lemma is stated in the literature for increasing functions,
 but every use here is a level-set mass s -> measure{phi < -s}, which is
@@ -51,6 +50,28 @@ def degiorgi_threshold(C: float, alpha: float, delta: float, phi_s0: float) -> f
     return C ** (1.0 / alpha) * phi_s0 ** (delta / alpha) * 2.0 ** ((1.0 + delta) / delta)
 
 
+def _lower_pair_max(s: np.ndarray, phi: np.ndarray, power: float, grow: float) -> float:
+    """max over s_i <= s_j of (s_j - s_i)^power phi_i / phi_j^grow, s ascending, phi > 0.
+
+    Only pairs i <= j can be positive, so rows [0, h) meet columns [0, h)
+    and rows [h, k) all columns.  A pair i > j is clamped before a power; at
+    power 1 it stays <= 0, under the exact 0 on the diagonal.  Dividing
+    only the row maxima is exact: division by phi_j > 0 keeps order.
+    """
+    k, h = s.size, (s.size + 1) // 2
+    # one full-size buffer for both blocks: two fresh ones page-faulted on every call
+    top, buf = np.empty(k), np.empty(k * k)
+    for lo, hi in ((0, h), (h, k)):
+        num = buf[:(hi - lo) * hi].reshape(hi - lo, hi)
+        np.subtract.outer(s[lo:hi], s[:hi], out=num)
+        if power != 1.0:
+            np.maximum(num, 0.0, out=num)
+            num **= power
+        num *= phi[:hi]
+        num.max(axis=1, out=top[lo:hi])
+    return float((top / phi ** grow).max())
+
+
 def certify_iteration_hypothesis(s_values, phi_values, form: str, *,
                                  delta0: float | None = None,
                                  alpha: float | None = None,
@@ -58,61 +79,49 @@ def certify_iteration_hypothesis(s_values, phi_values, form: str, *,
     """Minimal constant making the lemma hypothesis hold on sampled pairs.
 
     Returns ``(C_min, feasible)``; ``feasible`` is False when the samples
-    violate the monotonicity/sign requirements of the chosen form.
+    break the sign or monotonicity of the form (steps within 1e-14 of phi
+    count as flat).  A C_min that is not finite raises ``DomainError``.
 
     * ``kolodziej``: phi increasing and positive on (0, s0); pairs are
       t phi(s - t) <= C phi(s)^(1 + delta0) over sampled 0 < s - t < s < s0
       where s0 is the largest sample.
     * ``degiorgi``: phi nonnegative and nonincreasing on [s0, inf); pairs
-      are (s')^alpha phi(s + s') <= C phi(s)^(1 + delta).
-
-    Each pair ratio divides by a power of one sample's phi, so the
-    numerators are maximized per sample first and only those maxima are
-    divided.  Division by a positive number preserves order under
-    round-to-nearest, so ``C_min`` equals the max of the full ratio matrix
-    bit for bit.
+      are (s')^alpha phi(s + s') <= C phi(s)^(1 + delta).  On the reflected
+      samples these are the Kolodziej pairs with the gap raised to alpha,
+      taken over the support phi > 0 (a zero phi weights its pairs by 0).
     """
     s = np.asarray(s_values, dtype=float)
     phi = np.asarray(phi_values, dtype=float)
     if s.size != phi.size or s.size < 3:
         raise DomainError("need at least 3 matching samples")
-    if not (np.all(np.isfinite(s)) and np.all(np.isfinite(phi))):
+    if not (np.isfinite(s).all() and np.isfinite(phi).all()):
         raise DomainError("s and phi samples must be finite")
     order = np.argsort(s)
     s, phi = s[order], phi[order]
 
     if form == KOLODZIEJ:
         _require_positive(delta0=delta0)
-        inner = s < s[-1]
-        if not np.any(inner):
+        keep = s < s[-1]
+        if not keep.any():
             raise DomainError("kolodziej form needs a sample below s0 = max(s)")
-        if np.any(np.diff(phi) < -1e-14) or np.any(phi <= 0):
-            return 0.0, False
-        si, pi = s[inner], phi[inner]
-        # row j holds t phi(s - t) = (s_j - s_i) phi_i over i, the numerators
-        # over phi_j^(1+delta0); clamping after the product is exact as phi > 0
-        num = np.subtract.outer(si, si)
-        num *= pi
-        np.maximum(num, 0.0, out=num)
-        return float((num.max(axis=1) / pi ** (1.0 + delta0)).max()), True
-
-    if form == DEGIORGI:
+        bad_sign, power, grow = (phi <= 0).any(), 1.0, 1.0 + delta0
+    elif form == DEGIORGI:
         _require_positive(alpha=alpha, delta=delta)
-        if np.any(np.diff(phi) > 1e-14) or np.any(phi < 0):
-            return 0.0, False
-        rows = phi > 0
-        if not np.any(rows):
-            return 0.0, True
-        # row i holds (s_j - s_i)_+^alpha phi_j over j, the numerators over
-        # phi_i^(1+delta); rows with phi_i = 0 carry no hypothesis
-        num = s - s[rows, None]
-        np.maximum(num, 0.0, out=num)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            num **= alpha
-            num *= phi
-            return float((num.max(axis=1) / phi[rows] ** (1.0 + delta)).max()), True
-
-    raise DomainError(f"unknown hypothesis form {form!r}")
+        s, phi = -s[::-1], phi[::-1]
+        keep = phi > 0
+        bad_sign, power, grow = (phi < 0).any(), alpha, 1.0 + delta
+    else:
+        raise DomainError(f"unknown hypothesis form {form!r}")
+    # phi nondecreasing, up to a fall of 1e-14 of the larger neighbour
+    if bad_sign or (np.diff(phi) < -1e-14 * phi[:-1]).any():
+        return 0.0, False
+    if not keep.any():
+        return 0.0, True
+    with np.errstate(all="ignore"):
+        c_min = _lower_pair_max(s[keep], phi[keep], power, grow)
+    if not math.isfinite(c_min):
+        raise DomainError(f"{form} certificate is not finite, got {c_min!r}")
+    return c_min, True
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +155,8 @@ def synthetic_kolodziej_family(rng: np.random.Generator) -> SyntheticFamily:
     k = FAMILY_SAMPLES
     s = s0 * np.arange(1, k + 1) / k
     phi = a * s**theta
-    return SyntheticFamily(
-        form=KOLODZIEJ, s=s, phi=phi,
-        params={"delta0": delta0, "a": a, "theta": theta, "tight": tight},
-        s0=s0,
-    )
+    params = {"delta0": delta0, "a": a, "theta": theta, "tight": tight}
+    return SyntheticFamily(form=KOLODZIEJ, s=s, phi=phi, params=params, s0=s0)
 
 
 def synthetic_degiorgi_family(rng: np.random.Generator) -> SyntheticFamily:
@@ -176,23 +182,17 @@ def synthetic_degiorgi_family(rng: np.random.Generator) -> SyntheticFamily:
     # keep s1 and the extremal offset on the grid: 3 u0 / k steps divide u0
     # when k is a multiple of 3, and u0 alpha/(alpha+gamma) needs k mult of 6
     phi = c * np.maximum(0.0, s1 - s) ** gamma
-    return SyntheticFamily(
-        form=DEGIORGI, s=s, phi=phi,
-        params={"alpha": alpha, "gamma": gamma, "delta": delta, "c": c, "u0": u0},
-        s0=s0,
-    )
+    params = {"alpha": alpha, "gamma": gamma, "delta": delta, "c": c, "u0": u0}
+    return SyntheticFamily(form=DEGIORGI, s=s, phi=phi, params=params, s0=s0)
 
 
 def assert_kolodziej_family(fam: SyntheticFamily):
     """Certify the hypothesis and check phi(s0) against the lower bound.
 
-    Returns ``(gap, c_min)`` with gap = phi(s0) - bound, expected >= 0 up to
-    rounding.
+    Returns ``(gap, c_min)`` with gap = phi(s0) - bound, >= 0 up to rounding.
     """
     delta0 = fam.params["delta0"]
-    c_min, feasible = certify_iteration_hypothesis(
-        fam.s, fam.phi, KOLODZIEJ, delta0=delta0
-    )
+    c_min, feasible = certify_iteration_hypothesis(fam.s, fam.phi, KOLODZIEJ, delta0=delta0)
     if not feasible:
         raise DomainError("synthetic family failed certification")
     bound = kolodziej_bound(c_min, delta0, fam.s0)
@@ -207,9 +207,8 @@ def assert_degiorgi_family(fam: SyntheticFamily):
     sampled phi value at s >= s0 + d - 1e-12 and should be zero.
     """
     alpha, delta = fam.params["alpha"], fam.params["delta"]
-    c_min, feasible = certify_iteration_hypothesis(
-        fam.s, fam.phi, DEGIORGI, alpha=alpha, delta=delta
-    )
+    c_min, feasible = certify_iteration_hypothesis(fam.s, fam.phi, DEGIORGI,
+                                                   alpha=alpha, delta=delta)
     if not feasible:
         raise DomainError("synthetic family failed certification")
     phi_s0 = float(fam.phi[np.argmin(np.abs(fam.s - fam.s0))])

@@ -56,21 +56,23 @@ def fd_laplacian_inverse_fft(grid, data):
 def certify_oracle(s_values, phi_values, form, *, delta0=None, alpha=None, delta=None):
     """Iteration-lemma certificate as the max over the full k x k ratio matrix.
 
-    Same contract as ``certify_iteration_hypothesis`` on valid input.
+    Same contract as ``certify_iteration_hypothesis`` on valid input, with
+    the same monotonicity slack, 1e-14 of the larger of two neighbours; a
+    certificate that is not finite is returned, not raised.
     """
     s = np.asarray(s_values, dtype=float)
     phi = np.asarray(phi_values, dtype=float)
     order = np.argsort(s)
     s, phi = s[order], phi[order]
     if form == "kolodziej":
-        if np.any(np.diff(phi) < -1e-14) or np.any(phi <= 0):
+        if np.any(np.diff(phi) < -1e-14 * phi[:-1]) or np.any(phi <= 0):
             return 0.0, False
         inner = s < s.max()
         si, pi = s[inner], phi[inner]
         tt = np.maximum(si[None, :] - si[:, None], 0.0)
         ratio = tt * pi[:, None] / pi[None, :] ** (1.0 + delta0)
         return float(ratio.max()), True
-    if np.any(np.diff(phi) > 1e-14) or np.any(phi < 0):
+    if np.any(np.diff(phi) > 1e-14 * phi[1:]) or np.any(phi < 0):
         return 0.0, False
     gap = np.maximum(s[None, :] - s[:, None], 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):

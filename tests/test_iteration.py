@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hessianlab import DomainError, degiorgi_threshold, kolodziej_bound
 from hessianlab.iteration import (
@@ -130,6 +130,19 @@ class TestCertify:
         with pytest.raises(DomainError, match="below s0"):
             certify_iteration_hypothesis(s, np.ones(5), KOLODZIEJ, delta0=1.0)
 
+    @pytest.mark.parametrize("form, s, phi, params", [
+        # phi^3 underflows to 0, so the first row reads 0/0
+        (KOLODZIEJ, [0.0, 1e-200, 2e-200], [1e-300] * 3, {"delta0": 2.0}),
+        # the squared gap overflows; the full matrix also meets a zero phi
+        (DEGIORGI, [0.0, 1e200, 2e200], [1.0, 1.0, 0.0], {"alpha": 2.0, "delta": 1.0}),
+    ])
+    def test_nonfinite_certificate_is_named(self, form, s, phi, params):
+        with np.errstate(all="ignore"):
+            c_oracle, _ = certify_oracle(s, phi, form, **params)
+        assert not math.isfinite(c_oracle)
+        with pytest.raises(DomainError, match=f"{form} certificate is not finite"):
+            certify_iteration_hypothesis(s, phi, form, **params)
+
 
 EXPONENTS = st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.1, 4.0)
 # small pools make ties in s and repeated phi values common
@@ -162,11 +175,24 @@ def level_samples(draw, zeros):
     return s, np.asarray(by_s)
 
 
+def pinned(s, phi):
+    return np.array(s), np.array(phi, dtype=float)
+
+
 class TestCertifyOracle:
-    """The factored max equals the full ratio-matrix max to the bit."""
+    """The lower-triangle kernel equals the full ratio-matrix max to the bit.
+
+    The pinned examples put equal s on both sides of the row split
+    h = (k + 1) // 2 of the kernel's k samples, at odd and even k, with runs
+    of equal phi.
+    """
 
     @settings(max_examples=200, deadline=None)
     @given(level_samples(zeros=False), EXPONENTS)
+    # 7 inner samples, h = 4
+    @example(pinned([0.1, 0.2, 0.3, 0.4, 0.4, 0.5, 0.6, 0.7], [1, 1, 1, 2, 2, 2, 3, 3]), 1.0)
+    # 8 inner samples, h = 4
+    @example(pinned([0.1, 0.2, 0.3, 0.4, 0.4, 0.5, 0.6, 0.7, 0.8], range(1, 10)), 0.5)
     def test_kolodziej_matches_oracle(self, samples, delta0):
         s, phi = samples
         if np.all(s == s.max()):
@@ -178,6 +204,11 @@ class TestCertifyOracle:
 
     @settings(max_examples=200, deadline=None)
     @given(level_samples(zeros=True), EXPONENTS, EXPONENTS)
+    # a support of 5 samples, h = 3 on the reflected support
+    @example(pinned([0.1, 0.2, 0.2, 0.3, 0.4, 0.5, 0.6], [3, 2, 2, 1, 1, 0, 0]), 2.0, 0.5)
+    # a support of 6 samples, h = 3
+    @example(pinned([0.1, 0.2, 0.3, 0.3, 0.4, 0.5, 0.6, 0.7], [3, 3, 2, 2, 1, 0.5, 0, 0]),
+             1.0, 1.0)
     def test_degiorgi_matches_oracle(self, samples, alpha, delta):
         s, phi = samples
         got = certify_iteration_hypothesis(s, phi, DEGIORGI, alpha=alpha, delta=delta)
@@ -188,6 +219,10 @@ class TestCertifyOracle:
         ([0.2, 0.2, 0.1], [1.0, 1.0, 0.5]),
         ([0.1, 0.3, 0.2], [1.0, 0.0, 0.5]),
         ([0.1, 0.2, 0.3], [0.0, 0.0, 0.0]),
+        # equal s across the split of the 2 inner (Kolodziej) or 3 (De Giorgi) samples
+        ([0.1, 0.1, 0.3], [1.0, 1.0, 1.0]),
+        # a single positive sample: a one-row kernel
+        ([0.1, 0.2, 0.3], [1.0, 0.0, 0.0]),
     ])
     def test_three_samples_match_oracle(self, s, phi):
         for form, params in ((KOLODZIEJ, {"delta0": 1.0}),

@@ -7,7 +7,9 @@ scaling of omega and chi, and a change of the torus period.  They pin the
 plane layout of Hermitian fields (a plane read with the wrong sign or at
 the wrong index breaks one of them) and the way the period enters the
 difference Hessian and the masses.  The bracket ends of the degenerate
-family, relative masses, stay put under both scalings.
+family, relative masses, stay put under both scalings.  A scaling of the
+level function phi keeps the iteration-lemma verdict and scales the
+certificate by a power of the scale.
 """
 
 import numpy as np
@@ -21,10 +23,17 @@ from hessianlab import (
     SolverConfig,
     TorusGrid,
     TrigPolynomial,
+    certify_iteration_hypothesis,
     continuation_degenerate,
     degenerate_brackets,
     solve_nondegenerate,
     stage_masses,
+)
+from hessianlab.iteration import (
+    DEGIORGI,
+    KOLODZIEJ,
+    synthetic_degiorgi_family,
+    synthetic_kolodziej_family,
 )
 
 from conftest import anisotropic_spd
@@ -152,3 +161,37 @@ def test_brackets_ordered_at_half_period():
     assert len(report.stages) == 12
     for rec in report.stages:
         assert rec.bracket_lower <= rec.bracket_mid <= rec.bracket_upper
+
+
+def lemma_samples():
+    """(form, s, phi, params) on both sides of each verdict.
+
+    Each flat-looking step is within 1e-14 of phi, each infeasible one a
+    drop (Kolodziej) or rise (De Giorgi) that a 2^-40 scaling takes below
+    1e-14 in absolute terms; the synthetic families, one of each form, are
+    drawn at seed 7.
+    """
+    rng = np.random.default_rng(7)
+    families = [synthetic_kolodziej_family(rng), synthetic_degiorgi_family(rng)]
+    cases = [(fam.form, fam.s, fam.phi, fam.params) for fam in families]
+    s = np.array([0.1, 0.2, 0.3, 0.4])
+    return cases + [
+        (KOLODZIEJ, s, [1.0, 1.0 - 2.0**-50, 1.5, 2.0], {"delta0": 1.0}),
+        (KOLODZIEJ, s[:3], [3e-3, 1e-3, 2e-3], {"delta0": 1.0}),
+        (DEGIORGI, s, [2.0, 1.0, 1.0 + 2.0**-50, 0.0], {"alpha": 2.0, "delta": 0.5}),
+        (DEGIORGI, s[:3], [1e-3, 3e-3, 2e-3], {"alpha": 1.0, "delta": 1.0}),
+    ]
+
+
+@pytest.mark.parametrize("c", [2.0**40, 2.0**-40])
+@pytest.mark.parametrize("form, s, phi, params", lemma_samples())
+def test_certificate_scales_with_phi(c, form, s, phi, params):
+    # t phi_i / phi_j^(1 + delta0) and (s')^alpha phi_j / phi_i^(1 + delta)
+    # scale by c^-delta0 and c^-delta
+    params = {key: params[key] for key in ("delta0", "alpha", "delta") if key in params}
+    c_min, feasible = certify_iteration_hypothesis(s, phi, form, **params)
+    c_scaled, feasible_scaled = certify_iteration_hypothesis(s, c * np.asarray(phi), form,
+                                                             **params)
+    assert feasible_scaled == feasible
+    power = params["delta0"] if form == KOLODZIEJ else params["delta"]
+    assert abs(c_scaled - c_min * c**-power) <= TOL * c_min * c**-power
