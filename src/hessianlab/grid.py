@@ -211,15 +211,21 @@ def complex_hessian(phi: ScalarField) -> HermitianField:
 
 
 def fd_laplacian_inverse(grid: TorusGrid):
-    """The inverse of the centered 2n-dimensional difference Laplacian.
+    """The inverse of a weighted centered difference Laplacian.
 
-    Returns a function mapping a field r to the mean-zero u with
-    Laplacian_h u = r - mean(r).  It works in the real orthonormal
-    eigenbasis Q of the periodic 1-D second difference, with columns
-    1/sqrt(N), sqrt(2/N) cos(2 pi k j / N), (-1)^j / sqrt(N) and
-    sqrt(2/N) sin(2 pi k j / N) and eigenvalues (2 cos(2 pi k / N) - 2) / h^2:
-    each transform is 2n reshape-matmuls, ``x.reshape(N, -1).T @ Q``, one
-    per axis, and the zero mode is projected out between them.
+    The operator is L_w = sum_i w_i (Delta_{x_i} + Delta_{y_i}), with n
+    positive weights w.  Returns ``(inverse_table, solve)``:
+    ``inverse_table(w)`` is the table of the inverse eigenvalues of L_w, 0 on
+    the zero mode, formed as one product ``w @ planes`` over the n per-plane
+    eigenvalue tables lambda_{x_i} + lambda_{y_i}, which are built here once;
+    ``solve(r, table)`` maps a field r to the mean-zero u with
+    L_w u = r - mean(r).  Unit weights give the 2n-dimensional Laplacian.
+    Both work in the real orthonormal eigenbasis Q of the periodic 1-D second
+    difference, with columns 1/sqrt(N), sqrt(2/N) cos(2 pi k j / N),
+    (-1)^j / sqrt(N) and sqrt(2/N) sin(2 pi k j / N) and eigenvalues
+    (2 cos(2 pi k / N) - 2) / h^2: each transform is 2n reshape-matmuls,
+    ``x.reshape(N, -1).T @ Q``, one per axis, and the zero mode is projected
+    out between them.
     """
     N, h = grid.points_per_axis, grid.spacing
     half = N // 2
@@ -230,25 +236,30 @@ def fd_laplacian_inverse(grid: TorusGrid):
     )
     Q[:, [0, half]] /= np.sqrt(2.0)
     one_axis = (2.0 * np.cos(2.0 * np.pi * k / N) - 2.0) / (h * h)
-    eig = np.zeros(grid.shape)
+    planes = np.zeros((grid.n,) + grid.shape)
     for a in range(2 * grid.n):
         shape = [1] * (2 * grid.n)
         shape[a] = N
-        eig = eig + one_axis.reshape(shape)
-    eig.flat[0] = 1.0
-    inv_eig = 1.0 / eig
-    inv_eig.flat[0] = 0.0
+        planes[a // 2] += one_axis.reshape(shape)
+    planes = planes.reshape(grid.n, -1)
+    # any nonzero zero-mode entry: its inverse is replaced by 0
+    planes[:, 0] = 1.0
 
-    def solve(data: np.ndarray) -> np.ndarray:
+    def inverse_table(weights: np.ndarray) -> np.ndarray:
+        table = 1.0 / (weights @ planes)
+        table[0] = 0.0
+        return table.reshape(grid.shape)
+
+    def solve(data: np.ndarray, table: np.ndarray) -> np.ndarray:
         x = data
         for _ in range(2 * grid.n):
             x = x.reshape(N, -1).T @ Q
-        x = x.reshape(grid.shape) * inv_eig
+        x = x.reshape(grid.shape) * table
         for _ in range(2 * grid.n):
             x = x.reshape(N, -1).T @ Q.T
         return x.reshape(grid.shape)
 
-    return solve
+    return inverse_table, solve
 
 
 def complex_gradient(phi: ScalarField) -> np.ndarray:

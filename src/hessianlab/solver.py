@@ -14,8 +14,9 @@ operator, solves for the mean-zero correction by ``gmres``, restarted
 right-preconditioned GMRES started at M^-1 rhs, and guards the cone margin
 with a damped line search.  The matvec contracts the planes of T / S_m,
 scaled per plane, with the difference planes of the Krylov vector; the
-preconditioner divides the residual by c = tr(T / S_m) / (4n) and applies
-the inverse difference Laplacian.  A Newton driver holds the fixed data of
+preconditioner scales the residual by tr(C) / tr(T / S_m) pointwise and
+inverts the difference operator with the grid means C of the diagonal of
+T / S_m as coefficients.  A Newton driver holds the fixed data of
 one (bg, config) problem and takes the stage (t, f) as an argument, so all
 solves of one problem share it.  The degenerate problem is approached along
 a decreasing schedule of t, with one table of the wedge moments of chi,
@@ -299,7 +300,7 @@ class _NewtonDriver:
         self.bg, self.grid, self.config = bg, grid, config
         self.m, self.n = config.m, grid.n
         self.binom = binom(grid.n, config.m)
-        self.laplacian_inverse = fd_laplacian_inverse(grid)
+        self.laplacian_table, self.laplacian_solve = fd_laplacian_inverse(grid)
         self.hess_scale = hessian_scale(grid)[:, None]
 
     def stage(self, t: float, f: ScalarField) -> tuple:
@@ -361,9 +362,18 @@ class _NewtonDriver:
 
         Both act on delta phi flattened to num_points entries.  The matvec
         contracts ``stencil_coefficients`` with the difference planes of the
-        Krylov vector and removes the mean.  The preconditioner inverts the
-        model operator c(x) Laplacian_h on mean-zero fields with
-        c = tr(a_over_s) / (4n) pointwise, which is exact for a_over_s = c I.
+        Krylov vector and removes the mean.  The preconditioner is
+        M^-1 r = (sum_i C_i (Laplacian_{x_i} + Laplacian_{y_i}) / 4)^-1
+        (r tr(C) / tr(a_over_s)), C_i the grid mean of diagonal plane (i, i)
+        of a_over_s and tr(a_over_s) pointwise: the frozen mean-diagonal
+        operator (Concus & Golub 1973), diagonal in the basis of
+        ``fd_laplacian_inverse``.  It inverts any constant diagonal a_over_s
+        exactly.  Weights and trace are floored at 1e-30, so a zero
+        diagonal plane divides by no zero.
+        The input is not projected to mean zero: ``gmres`` hands it the
+        mean-zero right-hand side of ``solve_linear`` and Arnoldi vectors
+        built from projected matvec outputs, each mean-zero to rounding, and
+        its output has mean zero.
         """
         shape = self.grid.shape
         coeff = self.stencil_coefficients(a_over_s)
@@ -372,11 +382,14 @@ class _NewtonDriver:
             out = self.apply_stencil(coeff, v.reshape(shape))
             return out - out.mean()
 
-        trace = a_over_s[:: self.n + 1].sum(axis=0).reshape(shape)
-        inv_c = (4.0 * self.n) / np.maximum(trace, 1e-30)
+        diag = a_over_s[:: self.n + 1]
+        weights = np.maximum(diag.mean(axis=1), 1e-30)
+        table = self.laplacian_table(weights)
+        # the 1/4 of the model operator is folded into the scaling
+        scale = (4.0 * weights.sum()) / np.maximum(diag.sum(axis=0), 1e-30).reshape(shape)
 
         def precondition(v):
-            return self.laplacian_inverse((v - v.mean()).reshape(shape) * inv_c).ravel()
+            return self.laplacian_solve(v.reshape(shape) * scale, table).ravel()
 
         return matvec, precondition
 
@@ -387,7 +400,9 @@ class _NewtonDriver:
         The system is singular but consistent: its null space, the
         constants, meets its range, the mean-zero fields, only at 0.  Each
         preconditioner output has mean zero, and so has delta phi.  ``gmres``
-        starts at M^-1 rhs, not at 0, and stops at rtol ||rhs||.
+        starts at M^-1 rhs, not at 0, and stops at rtol ||rhs||; for a
+        constant diagonal a_over_s that start is the solution, and the solve
+        takes one matvec.
         """
         P, shape = self.grid.num_points, self.grid.shape
         rhs = rhs_field.ravel() - rhs_field.mean()

@@ -34,21 +34,22 @@ def pencil_roots_oracle(A, G):
     return np.sort(roots.real)[::-1]
 
 
-def fd_laplacian_symbol(grid):
-    """Fourier symbol of the centered 2n-dimensional finite-difference Laplacian."""
+def fd_laplacian_symbol(grid, weights):
+    """Fourier symbol of sum_i w_i (Laplacian_{x_i} + Laplacian_{y_i}), centered differences."""
     N, h = grid.points_per_axis, grid.spacing
     one_axis = (2.0 * np.cos(2.0 * np.pi * np.arange(N) / N) - 2.0) / (h * h)
     sym = np.zeros(grid.shape)
     for a in range(2 * grid.n):
         shape = [1] * (2 * grid.n)
         shape[a] = N
-        sym = sym + one_axis.reshape(shape)
+        sym = sym + weights[a // 2] * one_axis.reshape(shape)
     return sym
 
 
-def fd_laplacian_inverse_fft(grid, data):
-    """FFT oracle for the mean-zero solution u of Laplacian_h u = data - mean(data)."""
-    sym = fd_laplacian_symbol(grid)
+def fd_laplacian_inverse_fft(grid, data, weights):
+    """FFT oracle for the mean-zero u of sum_i w_i (Laplacian_{x_i} + Laplacian_{y_i}) u
+    = data - mean(data)."""
+    sym = fd_laplacian_symbol(grid, weights)
     inv = np.where(sym != 0.0, 1.0 / np.where(sym != 0.0, sym, 1.0), 0.0)
     return np.fft.ifftn(np.fft.fftn(data - data.mean()) * inv).real
 

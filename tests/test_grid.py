@@ -195,12 +195,16 @@ class TestLaplacianInverse:
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("N", [4, 6, 8])
     def test_matches_fft_symbol(self, n, N):
-        # the real tensor-product eigenbasis against the complex FFT route
+        # the real tensor-product eigenbasis against the complex FFT route, with
+        # unit weights (the 2n-dimensional Laplacian) and with one per plane
         grid = TorusGrid(n=n, points_per_axis=N)
-        r = np.random.default_rng(10 * n + N).standard_normal(grid.shape)
-        got = fd_laplacian_inverse(grid)(r)
-        want = fd_laplacian_inverse_fft(grid, r)
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        rng = np.random.default_rng(10 * n + N)
+        r = rng.standard_normal(grid.shape)
+        inverse_table, solve = fd_laplacian_inverse(grid)
+        for weights in (np.ones(n), rng.uniform(0.1, 3.0, n)):
+            got = solve(r, inverse_table(weights))
+            want = fd_laplacian_inverse_fft(grid, r, weights)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestEigenField:

@@ -49,6 +49,11 @@ def count_matvecs(monkeypatch) -> list:
     return calls
 
 
+def constant_planes(grid, matrix):
+    """Planes (n * n, num_points) of the constant Hermitian field ``matrix``."""
+    return HermitianField.constant(grid, matrix).data.reshape(grid.n ** 2, -1)
+
+
 def rough_density(grid):
     """Trig data rough enough that the first full Newton step from zero leaves the cone."""
     return TrigPolynomial.random(grid.n, np.random.default_rng(0), amplitude=2.0).sample(grid)
@@ -241,16 +246,41 @@ class TestKrylovOperators:
 
     @pytest.mark.parametrize("n, N", [(2, 6), (3, 4)])
     def test_preconditioner_inverts_constant_coefficients(self, rng, n, N):
-        # with a_over_s = c I the model operator is the operator itself
+        # with a constant diagonal a_over_s, c I or anisotropic, the
+        # mean-diagonal model operator is the operator itself
         grid = TorusGrid(n=n, points_per_axis=N)
         bg = BackgroundData.flat(grid, kappa=1.0)
         driver = _NewtonDriver(bg, SolverConfig(m=2))
-        a = np.broadcast_to(0.7 * np.eye(n, dtype=complex), grid.shape + (n, n))
-        matvec, precondition = driver.krylov_operators(
-            hermitian_to_planes(a).reshape(n * n, -1))
+        for diag in ([0.7] * n, {2: [0.3, 1.7], 3: [0.2, 1.0, 3.0]}[n]):
+            matvec, precondition = driver.krylov_operators(constant_planes(grid, np.diag(diag)))
+            v = rng.standard_normal(grid.num_points)
+            v -= v.mean()
+            assert np.abs(precondition(matvec(v)) - v).max() <= 1e-12 * np.abs(v).max()
+
+    def test_constant_anisotropic_solve_takes_one_matvec(self, rng, monkeypatch):
+        # GMRES converges in one iteration: its start M^-1 rhs is the
+        # solution, so it returns after the start's residual matvec
+        grid = TorusGrid(n=2, points_per_axis=6)
+        driver = _NewtonDriver(BackgroundData.flat(grid, kappa=1.0), SolverConfig(m=2))
+        a_over_s = constant_planes(grid, np.diag([0.3, 1.7]))
+        rhs = rng.standard_normal(grid.shape)
+        matvecs = count_matvecs(monkeypatch)
+        dphi = driver.solve_linear(a_over_s, rhs, 1e-10)
+        assert len(matvecs) == 1
+        matvec, _ = driver.krylov_operators(a_over_s)
+        want = rhs.ravel() - rhs.mean()
+        assert np.linalg.norm(matvec(dphi.ravel()) - want) <= 1e-10 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("diag", [[1.0, 0.0], [0.0, 0.0]])
+    def test_zero_diagonal_plane_gives_finite_operators(self, rng, diag):
+        # the floored weights and trace divide by no zero
+        grid = TorusGrid(n=2, points_per_axis=6)
+        driver = _NewtonDriver(BackgroundData.flat(grid, kappa=1.0), SolverConfig(m=2))
         v = rng.standard_normal(grid.num_points)
-        v -= v.mean()
-        assert np.abs(precondition(matvec(v)) - v).max() <= 1e-12 * np.abs(v).max()
+        with np.errstate(all="raise"):
+            matvec, precondition = driver.krylov_operators(constant_planes(grid, np.diag(diag)))
+            out = precondition(matvec(v))
+            assert np.all(np.isfinite(precondition(v))) and np.all(np.isfinite(out))
 
     def test_spike_work_counts(self, monkeypatch):
         # the rough spike density of the verify benchmark at N = 8: Newton
@@ -264,6 +294,17 @@ class TestKrylovOperators:
         _, record = solve_nondegenerate(bg, 0.25, lq_spike(grid, q=2.0), SolverConfig(m=2))
         assert record.iters == 8
         assert len(matvecs) <= 70
+
+    def test_anisotropic_work_counts(self, monkeypatch):
+        # chi = diag(8, 0) makes a_over_s anisotropic: the mean-diagonal
+        # preconditioner takes 8 matvecs in 4 Newton steps (38 with its trace alone)
+        grid = TorusGrid(n=2, points_per_axis=8)
+        bg = BackgroundData.flat(grid, chi_matrix=np.diag([8.0, 0.0]), kappa=0.1)
+        f = TrigPolynomial.random(2, np.random.default_rng(3), amplitude=0.3).sample(grid)
+        matvecs = count_matvecs(monkeypatch)
+        _, record = solve_nondegenerate(bg, 0.05, f, SolverConfig(m=2))
+        assert record.iters == 4
+        assert len(matvecs) <= 10
 
     def test_krylov_solution_meets_forcing(self, monkeypatch):
         # GMRES stops on its Givens residual estimate; at every Newton step of
@@ -765,7 +806,8 @@ class TestContinuation:
     def test_default_schedule_work_count(self, monkeypatch):
         # the problem above on the default 12-stage schedule: the
         # extrapolated starts take at most 15 Newton steps (20 with secants),
-        # and their GMRES solves 64 matvecs (84 with left-preconditioned lgmres)
+        # and their GMRES solves 47 matvecs with the mean-diagonal
+        # preconditioner (64 with the trace alone, 84 with left-preconditioned lgmres)
         matvecs = count_matvecs(monkeypatch)
         grid = TorusGrid(n=2, points_per_axis=6)
         bg = BackgroundData.flat(grid, chi_matrix=np.diag([0.4, 0.0]), kappa=1.0)
@@ -775,7 +817,7 @@ class TestContinuation:
         assert [rec.start for rec in report.stages[2:]] == ["extrapolated"] * 10
         assert all(rec.residual_history[-1] < cfg.newton_tol for rec in report.stages)
         assert sum(rec.iters for rec in report.stages) <= 15
-        assert len(matvecs) <= 68
+        assert len(matvecs) <= 50
 
     @pytest.mark.parametrize("degree", range(5))
     def test_extrapolation_reproduces_polynomials(self, grid8, rng, degree):
