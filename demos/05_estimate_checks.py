@@ -24,8 +24,8 @@ from hessianlab import (
     viscosity_check,
 )
 from hessianlab.iteration import (
-    assert_degiorgi_family,
-    assert_kolodziej_family,
+    assert_degiorgi_families,
+    assert_kolodziej_families,
     certify_iteration_hypothesis,
     synthetic_degiorgi_family,
     synthetic_kolodziej_family,
@@ -42,14 +42,22 @@ print("linear family: C_min =", c_min, " bound =", kolodziej_bound(c_min, 1.0, 1
 print("direct threshold d(C=1, alpha=1, delta=1, phi=1) =",
       degiorgi_threshold(1.0, 1.0, 1.0, 1.0))
 
-worst_gap, worst_leftover = np.inf, 0.0
+# A stack (families, samples) of families sharing their parameters is
+# certified in one kernel pass: here phi(s) = s^p for three powers p.
+stack = s[None, :] ** np.array([[0.5], [1.0], [2.0]])
+c_stack, feasible = certify_iteration_hypothesis(np.broadcast_to(s, stack.shape), stack,
+                                                 "kolodziej", delta0=1.0)
+print("phi = s^0.5, s, s^2: C_min =", c_stack, " feasible =", feasible)
+
+# The asserts take a list of families and certify each parameter group as one stack.
+kolodziej, degiorgi = [], []
 for _ in range(50):
-    gap, _ = assert_kolodziej_family(synthetic_kolodziej_family(rng))
-    worst_gap = min(worst_gap, gap)
-    leftover, _, _ = assert_degiorgi_family(synthetic_degiorgi_family(rng))
-    worst_leftover = max(worst_leftover, leftover)
-print(f"50 synthetic families each: worst bound gap {worst_gap:.2e}, "
-      f"worst leftover mass {worst_leftover:.2e}")
+    kolodziej.append(synthetic_kolodziej_family(rng))
+    degiorgi.append(synthetic_degiorgi_family(rng))
+gaps, _ = assert_kolodziej_families(kolodziej)
+leftovers, _, _ = assert_degiorgi_families(degiorgi)
+print(f"50 synthetic families each: worst bound gap {gaps.min():.2e}, "
+      f"worst leftover mass {leftovers.max():.2e}")
 
 # --- shared solve setup ----------------------------------------------------
 grid = TorusGrid(n=2, points_per_axis=12)

@@ -23,12 +23,7 @@ from .config import ExperimentConfig, load_config
 from .errors import ConeViolationError, ConfigError, DomainError, NonConvergenceError
 from .grid import HermitianField, ScalarField, entropy_functional
 from .hlf import read_field, write_field
-from .iteration import (
-    assert_degiorgi_family,
-    assert_kolodziej_family,
-    synthetic_degiorgi_family,
-    synthetic_kolodziej_family,
-)
+from .iteration import lemma_sweep
 from .solver import continuation_degenerate, decreasing_sequence, solve_nondegenerate
 from .symfunc import (
     check_garding,
@@ -193,7 +188,10 @@ def cmd_stability(cfg: ExperimentConfig) -> int:
     _write_json(out / "report.json", payload)
     if result.partial:
         failed = ", ".join(repr(r.eps_scale) for r in result.records if not r.converged)
-        print(f"nonconvergence: no solve converged at eps_scale {failed}", file=sys.stderr)
+        cause = ("" if result.base_failure is None
+                 else f"the base solve failed ({result.base_failure}), so ")
+        print(f"nonconvergence: {cause}no solve converged at eps_scale {failed}",
+              file=sys.stderr)
         return EXIT_PARTIAL
     return EXIT_OK
 
@@ -212,30 +210,15 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     rng = cfg.rng()
     properties = {}
 
-    kol_worst = np.inf
-    kol_viol = 0
-    for _ in range(cfg.lemma_families):
-        fam = synthetic_kolodziej_family(rng)
-        gap, _ = assert_kolodziej_family(fam)
-        kol_worst = min(kol_worst, gap)
-        if gap < -1e-12:
-            kol_viol += 1
+    (worst_gap, gap_viol), (worst_leftover, leftover_viol) = lemma_sweep(
+        rng, cfg.lemma_families)
     properties["iteration_lower_bound"] = {
-        "pass": kol_viol == 0, "violations": kol_viol, "worst_gap": kol_worst,
+        "pass": gap_viol == 0, "violations": gap_viol, "worst_gap": worst_gap,
         "families": cfg.lemma_families,
     }
-
-    dg_worst = 0.0
-    dg_viol = 0
-    for _ in range(cfg.lemma_families):
-        fam = synthetic_degiorgi_family(rng)
-        leftover, _, _ = assert_degiorgi_family(fam)
-        dg_worst = max(dg_worst, leftover)
-        if leftover > 1e-12:
-            dg_viol += 1
     properties["iteration_vanishing"] = {
-        "pass": dg_viol == 0, "violations": dg_viol, "worst_leftover": dg_worst,
-        "families": cfg.lemma_families,
+        "pass": leftover_viol == 0, "violations": leftover_viol,
+        "worst_leftover": worst_leftover, "families": cfg.lemma_families,
     }
 
     grid = cfg.build_grid()

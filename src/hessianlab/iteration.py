@@ -4,10 +4,11 @@ Two level-set bootstrapping lemmas are realized as closed-form evaluations:
 a Kolodziej-type lower bound for a monotone increasing level function, and a
 De Giorgi vanishing threshold for a nonincreasing one.  The certification
 helper finds the minimal constant for which the lemma hypothesis holds on
-the sampled pairs, with one lower-triangle kernel for both forms.  The
-synthetic generators produce power-law families whose extremal pairs land
-exactly on the sample grid, so the lemma conclusions are asserted with zero
-tolerance slack.
+the sampled pairs, with one lower-triangle kernel for both forms, run on a
+stack of families that share their parameters.  The synthetic generators
+produce power-law families whose extremal pairs land exactly on the sample
+grid, so the lemma conclusions are asserted with zero tolerance slack; the
+assertions certify each parameter group of a list of families as one stack.
 
 The De Giorgi lemma is stated in the literature for increasing functions,
 but every use here is a level-set mass s -> measure{phi < -s}, which is
@@ -28,48 +29,89 @@ KOLODZIEJ = "kolodziej"
 DEGIORGI = "degiorgi"
 # samples of a synthetic family, a multiple of 6 so its extremal pairs lie on the grid
 FAMILY_SAMPLES = 240
+# float64 entries of the kernel's pair buffer: one synthetic family's full pair matrix
+KERNEL_BUFFER = FAMILY_SAMPLES * FAMILY_SAMPLES
+# row blocks of a kernel pass; more blocks skip more of the upper triangle
+ROW_BLOCKS = 8
+# families drawn and certified together, so memory does not grow with their number
+LEMMA_BATCH = 100
 
 
 def _require_positive(**values) -> None:
     for name, value in values.items():
-        if value is None or not 0.0 < value < math.inf:
-            raise DomainError(f"{name} must be positive and finite, got {value!r}")
+        v = np.asarray(np.nan if value is None else value, dtype=float)
+        bad = ~((0.0 < v) & (v < math.inf))
+        if bad.any():
+            shown = value if v.ndim == 0 else float(v[bad][0])
+            raise DomainError(f"{name} must be positive and finite, got {shown!r}")
 
 
-def kolodziej_bound(C0: float, delta0: float, s0: float) -> float:
-    """Lower bound (s0 (1 - 2^-delta0) / (2 C0))^(1/delta0) for phi(s0)."""
+def kolodziej_bound(C0, delta0: float, s0):
+    """Lower bound (s0 (1 - 2^-delta0) / (2 C0))^(1/delta0) for phi(s0), elementwise."""
     _require_positive(C0=C0, delta0=delta0, s0=s0)
     return (s0 * (1.0 - 2.0 ** -delta0) / (2.0 * C0)) ** (1.0 / delta0)
 
 
-def degiorgi_threshold(C: float, alpha: float, delta: float, phi_s0: float) -> float:
-    """Vanishing threshold d = C^(1/alpha) phi(s0)^(delta/alpha) 2^((1+delta)/delta)."""
+def degiorgi_threshold(C, alpha: float, delta: float, phi_s0):
+    """Vanishing threshold d = C^(1/alpha) phi(s0)^(delta/alpha) 2^((1+delta)/delta), elementwise."""
     _require_positive(C=C, alpha=alpha, delta=delta)
-    if not 0.0 <= phi_s0 < math.inf:
+    level = np.asarray(phi_s0, dtype=float)
+    if not ((0.0 <= level) & (level < math.inf)).all():
         raise DomainError(f"phi(s0) must be nonnegative and finite, got {phi_s0!r}")
     return C ** (1.0 / alpha) * phi_s0 ** (delta / alpha) * 2.0 ** ((1.0 + delta) / delta)
 
 
-def _lower_pair_max(s: np.ndarray, phi: np.ndarray, power: float, grow: float) -> float:
-    """max over s_i <= s_j of (s_j - s_i)^power phi_i / phi_j^grow, s ascending, phi > 0.
+def _lower_pair_max(s: np.ndarray, phi: np.ndarray, rows: np.ndarray, power: float,
+                    grow: float) -> np.ndarray:
+    """Per row f: max over s_i <= s_j, j in rows[f], of (s_j - s_i)^power phi_i / phi_j^grow.
 
-    Only pairs i <= j can be positive, so rows [0, h) meet columns [0, h)
-    and rows [h, k) all columns.  A pair i > j is clamped before a power; at
-    power 1 it stays <= 0, under the exact 0 on the diagonal.  Dividing
-    only the row maxima is exact: division by phi_j > 0 keeps order.
+    ``s`` and ``phi`` are stacks ``(families, samples)``, each row ascending
+    in s.  Only pairs i <= j can be positive, so row block [lo, hi) meets
+    columns [0, hi).  A pair i > j is clamped before a power; at power 1 it
+    stays <= 0, under the exact 0 on the diagonal, and so does a column with
+    phi_i = 0.  Dividing only the row maxima is exact: division by
+    phi_j > 0 keeps order.  Rows j outside ``rows`` are never divided by; a
+    family with no such row reads 0.  One buffer of at most KERNEL_BUFFER
+    entries (or one family's widest block, if larger) serves every pass, on
+    as many families at a time as fit.
     """
-    k, h = s.size, (s.size + 1) // 2
-    # one full-size buffer for both blocks: two fresh ones page-faulted on every call
-    top, buf = np.empty(k), np.empty(k * k)
-    for lo, hi in ((0, h), (h, k)):
-        num = buf[:(hi - lo) * hi].reshape(hi - lo, hi)
-        np.subtract.outer(s[lo:hi], s[:hi], out=num)
-        if power != 1.0:
-            np.maximum(num, 0.0, out=num)
-            num **= power
-        num *= phi[:hi]
-        num.max(axis=1, out=top[lo:hi])
-    return float((top / phi ** grow).max())
+    families, k = s.shape
+    edges = sorted({-(-b * k // ROW_BLOCKS) for b in range(ROW_BLOCKS + 1)})
+    blocks = list(zip(edges[:-1], edges[1:]))
+    widest = max((hi - lo) * hi for lo, hi in blocks)
+    chunk = max(1, KERNEL_BUFFER // widest)
+    top, buf = np.empty((families, k)), np.empty(min(families, chunk) * widest)
+    for f0 in range(0, families, chunk):
+        fs = slice(f0, f0 + chunk)
+        span = min(chunk, families - f0)
+        for lo, hi in blocks:
+            num = buf[:span * (hi - lo) * hi].reshape(span, hi - lo, hi)
+            np.subtract(s[fs, lo:hi, None], s[fs, None, :hi], out=num)
+            if power != 1.0:
+                np.maximum(num, 0.0, out=num)
+                num **= power
+            num *= phi[fs, None, :hi]
+            num.max(axis=2, out=top[fs, lo:hi])
+    ratio = np.divide(top, phi ** grow, out=np.full((families, k), -np.inf), where=rows)
+    return np.where(rows.any(axis=1), ratio.max(axis=1), 0.0)
+
+
+def _support_window(s: np.ndarray, phi: np.ndarray):
+    """The last columns of the stack, as many as the widest support phi > 0 holds.
+
+    Rows are ascending in s with phi nondecreasing and >= 0, so each support
+    is a suffix.  A narrower row is padded with its zero-phi columns, their
+    s moved to its first support sample, so a padded pair's gap is 0 or one
+    of the row's own gaps, weighted by phi = 0: a far zero sample cannot
+    overflow to inf * 0.
+    """
+    k = s.shape[1]
+    support = (phi > 0).sum(axis=1)
+    width = max(1, int(support.max(initial=0)))
+    phi_w = phi[:, k - width:]
+    first = np.minimum(k - support, k - 1)[:, None]
+    s_w = np.where(phi_w > 0, s[:, k - width:], np.take_along_axis(s, first, axis=1))
+    return s_w, np.ascontiguousarray(phi_w)
 
 
 def certify_iteration_hypothesis(s_values, phi_values, form: str, *,
@@ -78,13 +120,17 @@ def certify_iteration_hypothesis(s_values, phi_values, form: str, *,
                                  delta: float | None = None):
     """Minimal constant making the lemma hypothesis hold on sampled pairs.
 
-    Returns ``(C_min, feasible)``; ``feasible`` is False when the samples
+    ``s_values`` and ``phi_values`` are the samples of one family, or a
+    stack ``(families, samples)`` of families that share the parameters.
+    Returns ``(C_min, feasible)``, floats for one family and arrays of one
+    entry per family for a stack.  ``feasible`` is False where the samples
     break the sign or monotonicity of the form (steps within 1e-14 of phi
-    count as flat).  A C_min that is not finite raises ``DomainError``.
+    count as flat), and C_min is 0 there.  A feasible family whose C_min
+    is not finite raises ``DomainError`` naming its row.
 
     * ``kolodziej``: phi increasing and positive on (0, s0); pairs are
       t phi(s - t) <= C phi(s)^(1 + delta0) over sampled 0 < s - t < s < s0
-      where s0 is the largest sample.
+      where s0 is the family's largest sample.
     * ``degiorgi``: phi nonnegative and nonincreasing on [s0, inf); pairs
       are (s')^alpha phi(s + s') <= C phi(s)^(1 + delta).  On the reflected
       samples these are the Kolodziej pairs with the gap raised to alpha,
@@ -92,36 +138,49 @@ def certify_iteration_hypothesis(s_values, phi_values, form: str, *,
     """
     s = np.asarray(s_values, dtype=float)
     phi = np.asarray(phi_values, dtype=float)
-    if s.size != phi.size or s.size < 3:
-        raise DomainError("need at least 3 matching samples")
+    single = s.ndim == 1
+    if s.shape != phi.shape or s.ndim not in (1, 2) or s.shape[-1] < 3:
+        raise DomainError("need at least 3 matching samples per family")
     if not (np.isfinite(s).all() and np.isfinite(phi).all()):
         raise DomainError("s and phi samples must be finite")
-    order = np.argsort(s)
-    s, phi = s[order], phi[order]
+    s, phi = np.atleast_2d(s), np.atleast_2d(phi)
+    order = np.argsort(s, axis=1)
+    s, phi = np.take_along_axis(s, order, axis=1), np.take_along_axis(phi, order, axis=1)
 
     if form == KOLODZIEJ:
         _require_positive(delta0=delta0)
-        keep = s < s[-1]
-        if not keep.any():
-            raise DomainError("kolodziej form needs a sample below s0 = max(s)")
-        bad_sign, power, grow = (phi <= 0).any(), 1.0, 1.0 + delta0
+        rows = s < s[:, -1:]
+        lonely = np.flatnonzero(~rows.any(axis=1))
+        if lonely.size:
+            raise DomainError(f"kolodziej form needs a sample below s0 = max(s) "
+                              f"(row {lonely[0]})")
+        bad_sign, power, grow = (phi <= 0).any(axis=1), 1.0, 1.0 + delta0
     elif form == DEGIORGI:
         _require_positive(alpha=alpha, delta=delta)
-        s, phi = -s[::-1], phi[::-1]
-        keep = phi > 0
-        bad_sign, power, grow = (phi < 0).any(), alpha, 1.0 + delta
+        s, phi = -s[:, ::-1], phi[:, ::-1]
+        bad_sign, power, grow = (phi < 0).any(axis=1), alpha, 1.0 + delta
     else:
         raise DomainError(f"unknown hypothesis form {form!r}")
     # phi nondecreasing, up to a fall of 1e-14 of the larger neighbour
-    if bad_sign or (np.diff(phi) < -1e-14 * phi[:-1]).any():
-        return 0.0, False
-    if not keep.any():
-        return 0.0, True
+    feasible = ~(bad_sign | (np.diff(phi, axis=1) < -1e-14 * phi[:, :-1]).any(axis=1))
+    s, phi = s[feasible], phi[feasible]
+    if form == KOLODZIEJ:
+        rows = rows[feasible]
+    else:
+        s, phi = _support_window(s, phi)
+        rows = phi > 0
     with np.errstate(all="ignore"):
-        c_min = _lower_pair_max(s[keep], phi[keep], power, grow)
-    if not math.isfinite(c_min):
-        raise DomainError(f"{form} certificate is not finite, got {c_min!r}")
-    return c_min, True
+        certified = _lower_pair_max(s, phi, rows, power, grow)
+    broken = np.flatnonzero(~np.isfinite(certified))
+    if broken.size:
+        row = int(np.flatnonzero(feasible)[broken[0]])
+        raise DomainError(f"{form} certificate is not finite in row {row}, "
+                          f"got {float(certified[broken[0]])!r}")
+    c_min = np.zeros(feasible.size)
+    c_min[feasible] = certified
+    if single:
+        return float(c_min[0]), bool(feasible[0])
+    return c_min, feasible
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +206,8 @@ def synthetic_kolodziej_family(rng: np.random.Generator) -> SyntheticFamily:
     rest keep a strict gap; both kinds satisfy the certified hypothesis
     continuously, so the lower bound assertion has no sampling loophole.
     """
-    delta0 = float(rng.choice([0.5, 1.0, 2.0]))
+    # the value and generator state of rng.choice([0.5, 1.0, 2.0]), at a fifth of the cost
+    delta0 = [0.5, 1.0, 2.0][rng.integers(0, 3)]
     tight = bool(rng.integers(0, 2))
     theta = 1.0 / delta0 if tight else (1.0 / delta0) * float(rng.uniform(0.4, 0.8))
     a = float(rng.uniform(0.5, 2.0))
@@ -186,33 +246,83 @@ def synthetic_degiorgi_family(rng: np.random.Generator) -> SyntheticFamily:
     return SyntheticFamily(form=DEGIORGI, s=s, phi=phi, params=params, s0=s0)
 
 
-def assert_kolodziej_family(fam: SyntheticFamily):
-    """Certify the hypothesis and check phi(s0) against the lower bound.
+def _groups(fams: list, keys: tuple):
+    """(parameter values, family indices) of ``fams`` sharing ``keys``, in first-seen order."""
+    groups: dict = {}
+    for i, fam in enumerate(fams):
+        groups.setdefault(tuple(fam.params[key] for key in keys), []).append(i)
+    return groups.items()
 
-    Returns ``(gap, c_min)`` with gap = phi(s0) - bound, >= 0 up to rounding.
+
+def _certified_stack(fams: list, form: str, **params):
+    """Stacked (s, phi, s0, phi(s0), C_min) of families sharing ``params``.
+
+    phi(s0) is read at the sample nearest s0.  A family that fails
+    certification raises ``DomainError``.
     """
-    delta0 = fam.params["delta0"]
-    c_min, feasible = certify_iteration_hypothesis(fam.s, fam.phi, KOLODZIEJ, delta0=delta0)
-    if not feasible:
+    s = np.stack([fam.s for fam in fams])
+    phi = np.stack([fam.phi for fam in fams])
+    s0 = np.array([fam.s0 for fam in fams])
+    c_min, feasible = certify_iteration_hypothesis(s, phi, form, **params)
+    if not feasible.all():
         raise DomainError("synthetic family failed certification")
-    bound = kolodziej_bound(c_min, delta0, fam.s0)
-    phi_s0 = float(fam.phi[np.argmin(np.abs(fam.s - fam.s0))])
-    return phi_s0 - bound, c_min
+    nearest = np.abs(s - s0[:, None]).argmin(axis=1)
+    return s, phi, s0, phi[np.arange(len(fams)), nearest], c_min
 
 
-def assert_degiorgi_family(fam: SyntheticFamily):
-    """Certify the hypothesis and check vanishing beyond the threshold.
+def assert_kolodziej_families(fams: list):
+    """Certify each family's hypothesis and check phi(s0) against its lower bound.
 
-    Returns ``(max_phi_beyond, d, c_min)``; the first entry is the largest
-    sampled phi value at s >= s0 + d - 1e-12 and should be zero.
+    Families sharing ``delta0`` are certified as one stack.  Returns arrays
+    ``(gap, c_min)`` in family order, gap = phi(s0) - bound, >= 0 up to
+    rounding.
     """
-    alpha, delta = fam.params["alpha"], fam.params["delta"]
-    c_min, feasible = certify_iteration_hypothesis(fam.s, fam.phi, DEGIORGI,
-                                                   alpha=alpha, delta=delta)
-    if not feasible:
-        raise DomainError("synthetic family failed certification")
-    phi_s0 = float(fam.phi[np.argmin(np.abs(fam.s - fam.s0))])
-    d = degiorgi_threshold(c_min, alpha, delta, phi_s0)
-    beyond = fam.s >= fam.s0 + d - 1e-12
-    max_beyond = float(fam.phi[beyond].max()) if np.any(beyond) else 0.0
-    return max_beyond, d, c_min
+    gap, c_min = np.empty(len(fams)), np.empty(len(fams))
+    for (delta0,), idx in _groups(fams, ("delta0",)):
+        _, _, s0, phi_s0, c = _certified_stack([fams[i] for i in idx], KOLODZIEJ,
+                                               delta0=delta0)
+        gap[idx], c_min[idx] = phi_s0 - kolodziej_bound(c, delta0, s0), c
+    return gap, c_min
+
+
+def assert_degiorgi_families(fams: list):
+    """Certify each family's hypothesis and check vanishing beyond its threshold.
+
+    Families sharing ``(alpha, delta)`` are certified as one stack.  Returns
+    arrays ``(max_phi_beyond, d, c_min)`` in family order; the first is the
+    largest sampled phi value at s >= s0 + d - 1e-12 and should be zero.
+    """
+    leftover, d, c_min = np.empty(len(fams)), np.empty(len(fams)), np.empty(len(fams))
+    for (alpha, delta), idx in _groups(fams, ("alpha", "delta")):
+        s, phi, s0, phi_s0, c = _certified_stack([fams[i] for i in idx], DEGIORGI,
+                                                 alpha=alpha, delta=delta)
+        d[idx] = threshold = degiorgi_threshold(c, alpha, delta, phi_s0)
+        c_min[idx] = c
+        beyond = s >= (s0 + threshold - 1e-12)[:, None]
+        # phi >= 0, so the zeros put in for samples short of the threshold change no max
+        leftover[idx] = np.where(beyond, phi, 0.0).max(axis=1)
+    return leftover, d, c_min
+
+
+def lemma_sweep(rng: np.random.Generator, families: int):
+    """Draw and check ``families`` families of each lemma, Kolodziej first.
+
+    Returns ``((worst_gap, gap_violations), (worst_leftover,
+    leftover_violations))``; a bound gap below -1e-12 or a leftover above
+    1e-12 is a violation.  The families are drawn one by one, in the order
+    of a loop over single families, and certified LEMMA_BATCH at a time, so
+    working memory does not grow with ``families``.
+    """
+    batches = [min(LEMMA_BATCH, families - start) for start in range(0, families, LEMMA_BATCH)]
+    worst_gap, gap_violations = math.inf, 0
+    for size in batches:
+        gap, _ = assert_kolodziej_families([synthetic_kolodziej_family(rng) for _ in range(size)])
+        worst_gap = min(worst_gap, float(gap.min()))
+        gap_violations += int((gap < -1e-12).sum())
+    worst_leftover, leftover_violations = 0.0, 0
+    for size in batches:
+        leftover, _, _ = assert_degiorgi_families(
+            [synthetic_degiorgi_family(rng) for _ in range(size)])
+        worst_leftover = max(worst_leftover, float(leftover.max()))
+        leftover_violations += int((leftover > 1e-12).sum())
+    return (worst_gap, gap_violations), (worst_leftover, leftover_violations)

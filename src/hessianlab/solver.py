@@ -54,9 +54,10 @@ from .grid import (
     tree_sum,
     worst_point,
 )
-from .symfunc import binom, esp_margins, planes_kernel
+from .symfunc import binom, esp_margins, homogeneous_margin, margin_minima, planes_kernel
 
-# the line search accepts a trial step whose worst cone margin is at least this
+# the line search accepts a trial step whose degree-one cone margin is at least
+# this fraction of margin(chi) + kappa + t, so the floor scales with the problem
 CONE_MARGIN = 1e-8
 DAMPING_FLOOR = 2.0 ** -20
 # the extrapolated stage start interpolates at most this many previous stages
@@ -302,10 +303,21 @@ class _NewtonDriver:
         self.binom = binom(grid.n, config.m)
         self.laplacian_table, self.laplacian_solve = fd_laplacian_inverse(grid)
         self.hess_scale = hessian_scale(grid)[:, None]
+        S_chi, _ = planes_kernel(bg.chi.data, bg.omega_inv, config.m)
+        self.chi_margin = homogeneous_margin(margin_minima(S_chi, self.n))
 
     def stage(self, t: float, f: ScalarField) -> tuple:
-        """The stage-t equation with density f: base-form planes and m * f, flattened."""
-        return self.bg.base_form(float(t)).data.reshape(self.n ** 2, -1), self.m * f.data.ravel()
+        """The stage-t equation with density f and its line-search floor.
+
+        Returns the base-form planes and m * f, flattened, and the floor
+        CONE_MARGIN (margin(chi) + kappa + t).  By superadditivity that sum
+        is at most the ``homogeneous_margin`` of the base form
+        chi + (kappa + t) omega (omega's is 1), and like it, it scales with
+        chi, kappa and t.
+        """
+        base = self.bg.base_form(float(t)).data.reshape(self.n ** 2, -1)
+        floor = CONE_MARGIN * (self.chi_margin + self.bg.kappa + float(t))
+        return base, self.m * f.data.ravel(), floor
 
     def hessian(self, data: np.ndarray) -> np.ndarray:
         """Planes of the complex Hessian of grid values: ``hessian_planes`` scaled."""
@@ -419,8 +431,10 @@ class _NewtonDriver:
         """Cone-safeguarded Newton update from the ``analyze`` of phi.
 
         Returns ``(phi, analysis, step_size)``.  The line search starts at
-        the full step and halves it until the trial's worst cone margin is
-        at least ``CONE_MARGIN``.
+        the full step and halves it until the trial's ``homogeneous_margin``
+        is at least the floor of the ``stage``.  Both scale alike with X, so
+        a rescaled problem takes the same steps.  The analysis keeps the raw
+        worst margin.
         """
         resid = analysis["residual"]
         resid_sup = float(np.abs(resid).max())
@@ -428,13 +442,15 @@ class _NewtonDriver:
         dphi = self.solve_linear(analysis["a_over_s"], -resid, rtol)
         hess_step = self.hessian(dphi)
 
+        floor = analysis["stage"][2]
         step_size = 1.0
         x_now = analysis["x"]
         while True:
             x_trial = x_now + step_size * hess_step
             S, T = self.eigen(x_trial)
-            worst = float(self.margins(S).min())
-            if worst >= CONE_MARGIN:
+            minima = margin_minima(S, self.n)
+            # a floor that underflowed to 0 would admit the cone's boundary
+            if homogeneous_margin(minima) >= floor > 0.0:
                 break
             step_size *= 0.5
             if step_size < DAMPING_FLOOR:
@@ -442,10 +458,11 @@ class _NewtonDriver:
                     "cone-safeguard line search hit the damping floor",
                     diagnostics={
                         "residual_sup": resid_sup,
-                        "worst_margin": worst,
+                        "worst_margin": min(minima),
                         "step_size": step_size,
                     },
                 )
+        worst = min(minima)
         phi_new = phi_data + step_size * dphi
         phi_new = phi_new - phi_new.max()
         # X of phi_new is the accepted trial X (subtracting the max leaves the
@@ -517,9 +534,9 @@ def solve_nondegenerate(bg: BackgroundData, t: float, f: ScalarField,
     t must be positive and finite (ConfigError otherwise).  Starts from zero
     (or a warm start), which must lie strictly inside the cone (worst
     margin > 0; ConeViolationError otherwise).  ``CONE_MARGIN`` guards the
-    accepted steps: the line search keeps every later iterate's margin
-    >= CONE_MARGIN.  Stops when the sup-norm of the log-residual
-    drops below config.newton_tol.
+    accepted steps: the line search keeps every later iterate's degree-one
+    margin >= CONE_MARGIN (margin(chi) + kappa + t).  Stops when the
+    sup-norm of the log-residual drops below config.newton_tol.
     """
     return _NewtonDriver(bg, config).solve(t, f, None if warm_start is None else warm_start.data)
 

@@ -130,6 +130,25 @@ def esp_margins(S: np.ndarray, n: int) -> np.ndarray:
     return worst
 
 
+def margin_minima(S: np.ndarray, n: int) -> list:
+    """min over the batch of S_k / C(n,k), for k = 1..m; their min is that of ``esp_margins``.
+
+    One strided min per k: numpy's min over axis 0 of a (points, m + 1)
+    array takes several times as long.
+    """
+    return [float(S[..., k].min()) / binom(n, k) for k in range(1, S.shape[-1])]
+
+
+def homogeneous_margin(minima: list) -> float:
+    """min_k (S_k / C(n,k))^(1/k) from ``margin_minima``; 0 off the open cone (or at NaN).
+
+    Unlike ``esp_margins`` it has degree one: scaling the tuples by s > 0
+    scales it by s.  On the closed cone it is superadditive (Garding), so
+    the margin of a sum is at least the sum of the margins.
+    """
+    return min((v if v > 0.0 else 0.0) ** (1.0 / k) for k, v in enumerate(minima, 1))
+
+
 def cone_margins(values: np.ndarray, m: int) -> np.ndarray:
     """Worst normalized margin min_k S_k / C(n,k) over k = 1..m, batched."""
     vals = np.asarray(values, dtype=float)

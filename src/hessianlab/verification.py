@@ -52,12 +52,19 @@ class StabilityRecord:
 
 @dataclass
 class StabilityResult:
+    """Records and exponent fit of a stability experiment.
+
+    ``base_failure`` is the reason the unperturbed solve failed, None if it
+    converged; when it failed, no scale was solved.
+    """
+
     records: list
     floor: float
     fitted_exponent: float | None
     passed: bool
     required_constant: float | None
     partial: bool = False
+    base_failure: str | None = None
 
 
 def stability_floor(n: int, q: float, q_prime: float) -> float:
@@ -86,11 +93,12 @@ def stability_experiment(bg: BackgroundData, t: float, f_base: ScalarField,
     driver = _NewtonDriver(bg, config)
     try:
         base_state, _ = driver.solve(t, f_base)
-    except NonConvergenceError:
+    except NonConvergenceError as err:
         records = [StabilityRecord(float(s), np.nan, np.nan, np.nan, np.nan,
                                    np.nan, floor, converged=False) for s in scales]
         return StabilityResult(records=records, floor=floor, fitted_exponent=None,
-                               passed=False, required_constant=None, partial=True)
+                               passed=False, required_constant=None, partial=True,
+                               base_failure=str(err))
 
     errstate = np.geterr()  # numpy's error state does not reach pool threads
 

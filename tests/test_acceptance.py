@@ -35,8 +35,8 @@ from hessianlab import (
 )
 from hessianlab.cli import main as cli_main
 from hessianlab.iteration import (
-    assert_degiorgi_family,
-    assert_kolodziej_family,
+    assert_degiorgi_families,
+    assert_kolodziej_families,
     synthetic_degiorgi_family,
     synthetic_kolodziej_family,
 )
@@ -201,12 +201,12 @@ def test_c06_decreasing_sequence(continuation_run):
 def test_c07_iteration_lemmas():
     with criterion(7, "both iteration lemmas, 100 certified families, 0 violations"):
         rng = np.random.default_rng(777)
-        for _ in range(100):
-            gap, _ = assert_kolodziej_family(synthetic_kolodziej_family(rng))
-            assert gap >= -1e-12
-        for _ in range(100):
-            leftover, _, _ = assert_degiorgi_family(synthetic_degiorgi_family(rng))
-            assert leftover <= 1e-12
+        gap, _ = assert_kolodziej_families([synthetic_kolodziej_family(rng)
+                                            for _ in range(100)])
+        assert gap.size == 100 and (gap >= -1e-12).all()
+        leftover, _, _ = assert_degiorgi_families([synthetic_degiorgi_family(rng)
+                                                   for _ in range(100)])
+        assert leftover.size == 100 and (leftover <= 1e-12).all()
 
 
 def test_c08_stability_exponent():

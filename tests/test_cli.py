@@ -550,6 +550,28 @@ class TestStabilityCommand:
         err = capsys.readouterr().err
         assert err.startswith("nonconvergence:") and "eps_scale 0.125" in err
 
+    @pytest.mark.parametrize("max_newton, code", [(1, 3), (60, 0)])
+    def test_base_failure_is_named(self, tmp_path, capsys, max_newton, code):
+        # on this degenerate problem (base form margin 1e-8) the base solve
+        # converges since the line-search floor scales with the base form;
+        # with max_newton = 1 it fails, and the message and report name it
+        path = write_config(
+            tmp_path,
+            **{"problem.m": 1, "problem.grid_points": 12, "problem.kappa": 0.0,
+               "problem.chi": "diag", "problem.chi_diag": "0 0", "problem.f": "spike",
+               "problem.q": 1.5, "solver.t": 1e-8, "solver.max_newton": max_newton},
+        )
+        assert main(["stability", "--config", str(path)]) == code
+        err = capsys.readouterr().err
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        if code == 0:
+            assert err == "" and report["base_failure"] is None
+            return
+        reason = "no convergence in 1 Newton steps"
+        assert err.startswith(f"nonconvergence: the base solve failed ({reason}")
+        assert "so no solve converged at eps_scale 0.125, " in err
+        assert report["base_failure"].startswith(reason)
+
     def test_non_integer_thread_cap_is_config_error(self, tmp_path, capsys,
                                                     monkeypatch):
         monkeypatch.setenv("HESSIANLAB_THREADS", "abc")

@@ -1,6 +1,7 @@
 """Iteration-lemma formulas, hypothesis certification, synthetic assertions."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ from hessianlab import DomainError, degiorgi_threshold, kolodziej_bound
 from hessianlab.iteration import (
     DEGIORGI,
     KOLODZIEJ,
-    assert_degiorgi_family,
-    assert_kolodziej_family,
+    assert_degiorgi_families,
+    assert_kolodziej_families,
     certify_iteration_hypothesis,
+    lemma_sweep,
     synthetic_degiorgi_family,
     synthetic_kolodziej_family,
 )
@@ -140,8 +142,48 @@ class TestCertify:
         with np.errstate(all="ignore"):
             c_oracle, _ = certify_oracle(s, phi, form, **params)
         assert not math.isfinite(c_oracle)
-        with pytest.raises(DomainError, match=f"{form} certificate is not finite"):
+        with pytest.raises(DomainError, match=f"{form} certificate is not finite in row 0"):
             certify_iteration_hypothesis(s, phi, form, **params)
+        # the same samples as row 2 of a stack, behind a finite row and an infeasible one
+        stack_s = np.array([[0.1, 0.2, 0.3], [0.1, 0.2, 0.3], s])
+        stack_phi = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 1.0], phi])
+        with pytest.raises(DomainError, match=f"{form} certificate is not finite in row 2"):
+            certify_iteration_hypothesis(stack_s, stack_phi, form, **params)
+
+    def test_one_family_returns_floats(self):
+        s = np.linspace(0.1, 1.0, 10)
+        c_min, feasible = certify_iteration_hypothesis(s, s, KOLODZIEJ, delta0=1.0)
+        assert type(c_min) is float and type(feasible) is bool
+        stacked = certify_iteration_hypothesis(s[None], s[None], KOLODZIEJ, delta0=1.0)
+        assert stacked[0].shape == stacked[1].shape == (1,)
+        assert (stacked[0][0], stacked[1][0]) == (c_min, feasible)
+
+    def test_stack_shapes_must_match(self):
+        s = np.linspace(0.1, 1.0, 10)
+        with pytest.raises(DomainError, match="3 matching samples"):
+            certify_iteration_hypothesis(np.stack([s, s]), s, KOLODZIEJ, delta0=1.0)
+        with pytest.raises(DomainError, match="3 matching samples"):
+            certify_iteration_hypothesis(s[:2][None], s[:2][None], KOLODZIEJ, delta0=1.0)
+        with pytest.raises(DomainError, match="3 matching samples"):
+            certify_iteration_hypothesis(s.reshape(1, 2, 5), s.reshape(1, 2, 5), KOLODZIEJ,
+                                         delta0=1.0)
+
+    def test_degiorgi_padded_row_meets_no_overflow(self):
+        # row 0's support is 2 samples of the 3-wide window; its zero sample
+        # at 1e200 would square to inf, times phi = 0, were it not padded
+        s = np.array([[0.0, 1.0, 1e200], [0.0, 1.0, 2.0]])
+        phi = np.array([[1.0, 1.0, 0.0], [3.0, 2.0, 1.0]])
+        c_min, feasible = certify_iteration_hypothesis(s, phi, DEGIORGI, alpha=2.0, delta=1.0)
+        for i in range(2):
+            # the oracle's full matrix meets that inf * 0, so it sees the support alone
+            support = phi[i] > 0
+            assert (c_min[i], feasible[i]) == certify_oracle(
+                s[i][support], phi[i][support], DEGIORGI, alpha=2.0, delta=1.0)
+
+    def test_kolodziej_lonely_row_is_named(self):
+        s = np.array([[0.1, 0.2, 0.3], [0.7, 0.7, 0.7]])
+        with pytest.raises(DomainError, match=r"below s0 = max\(s\) \(row 1\)"):
+            certify_iteration_hypothesis(s, np.ones_like(s), KOLODZIEJ, delta0=1.0)
 
 
 EXPONENTS = st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.1, 4.0)
@@ -151,14 +193,15 @@ PHI_POOL = st.sampled_from([0.25, 0.5, 1.0, 1.5, 3.0]) | st.floats(1e-2, 10.0)
 
 
 @st.composite
-def level_samples(draw, zeros):
+def level_samples(draw, zeros, k=None):
     """Unsorted (s, phi), phi nondecreasing or nonincreasing along sorted s.
 
     Half the draws shuffle phi afterwards, so they are infeasible for both
     forms.  ``zeros`` lets phi take the value 0, including the all-zero and
-    single-positive cases.
+    single-positive cases.  ``k`` fixes the sample count.
     """
-    k = draw(st.integers(3, 30))
+    if k is None:
+        k = draw(st.integers(3, 30))
     s = np.array(draw(st.lists(S_POOL, min_size=k, max_size=k)))
     pool = PHI_POOL | st.just(0.0) if zeros else PHI_POOL
     phi = np.sort(draw(st.lists(pool, min_size=k, max_size=k)))
@@ -173,6 +216,18 @@ def level_samples(draw, zeros):
     if draw(st.booleans()):
         by_s = draw(st.permutations(list(by_s)))
     return s, np.asarray(by_s)
+
+
+@st.composite
+def level_stacks(draw, zeros):
+    """A stack ``(families, samples)`` of ``level_samples`` rows of one sample count.
+
+    Rows mix feasible and shuffled ones, ties at max(s), and, with ``zeros``,
+    every support width from none to all samples.
+    """
+    k = draw(st.integers(3, 30))
+    rows = draw(st.lists(level_samples(zeros, k), min_size=1, max_size=6))
+    return np.array([s for s, _ in rows]), np.array([phi for _, phi in rows])
 
 
 def pinned(s, phi):
@@ -230,42 +285,96 @@ class TestCertifyOracle:
             got = certify_iteration_hypothesis(s, phi, form, **params)
             assert got == certify_oracle(s, phi, form, **params)
 
+    @settings(max_examples=200, deadline=None)
+    @given(level_stacks(zeros=False), EXPONENTS)
+    def test_kolodziej_stack_matches_oracle_by_row(self, stack, delta0):
+        s, phi = stack
+        lonely = [i for i, row in enumerate(s) if np.all(row == row.max())]
+        if lonely:
+            with pytest.raises(DomainError, match=rf"\(row {lonely[0]}\)"):
+                certify_iteration_hypothesis(s, phi, KOLODZIEJ, delta0=delta0)
+            return
+        c_min, feasible = certify_iteration_hypothesis(s, phi, KOLODZIEJ, delta0=delta0)
+        for i in range(len(s)):
+            assert (c_min[i], feasible[i]) == certify_oracle(s[i], phi[i], KOLODZIEJ,
+                                                             delta0=delta0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(level_stacks(zeros=True), EXPONENTS, EXPONENTS)
+    def test_degiorgi_stack_matches_oracle_by_row(self, stack, alpha, delta):
+        s, phi = stack
+        c_min, feasible = certify_iteration_hypothesis(s, phi, DEGIORGI, alpha=alpha,
+                                                       delta=delta)
+        for i in range(len(s)):
+            assert (c_min[i], feasible[i]) == certify_oracle(s[i], phi[i], DEGIORGI,
+                                                             alpha=alpha, delta=delta)
+
     def test_seed7_families_match_oracle(self):
-        # the 100 + 100 families one verify run with seed 7 draws
+        # the 100 + 100 families one verify run with seed 7 draws, certified as
+        # lemma_sweep does: one stack per parameter group
         rng = np.random.default_rng(7)
-        for make in [synthetic_kolodziej_family] * 100 + [synthetic_degiorgi_family] * 100:
-            fam = make(rng)
+        fams = [synthetic_kolodziej_family(rng) for _ in range(100)]
+        fams += [synthetic_degiorgi_family(rng) for _ in range(100)]
+        groups = {}
+        for fam in fams:
             params = {key: fam.params[key] for key in ("delta0", "alpha", "delta")
                       if key in fam.params}
-            got = certify_iteration_hypothesis(fam.s, fam.phi, fam.form, **params)
-            assert got == certify_oracle(fam.s, fam.phi, fam.form, **params)
-            assert got[1]
+            groups.setdefault((fam.form, tuple(params.items())), []).append(fam)
+        assert len(groups) == 7
+        for (form, params), members in groups.items():
+            s = np.stack([fam.s for fam in members])
+            phi = np.stack([fam.phi for fam in members])
+            c_min, feasible = certify_iteration_hypothesis(s, phi, form, **dict(params))
+            assert feasible.all()
+            for i, fam in enumerate(members):
+                assert (c_min[i], True) == certify_oracle(fam.s, fam.phi, form, **dict(params))
 
 
 class TestSyntheticFamilies:
     def test_kolodziej_lower_bound_holds(self, rng):
-        for _ in range(100):
-            fam = synthetic_kolodziej_family(rng)
-            gap, c_min = assert_kolodziej_family(fam)
-            assert c_min > 0
-            assert gap >= -1e-12
+        gap, c_min = assert_kolodziej_families(
+            [synthetic_kolodziej_family(rng) for _ in range(100)])
+        assert (c_min > 0).all()
+        assert (gap >= -1e-12).all()
 
     def test_degiorgi_vanishing_holds(self, rng):
-        for _ in range(100):
-            fam = synthetic_degiorgi_family(rng)
-            leftover, d, c_min = assert_degiorgi_family(fam)
-            assert c_min > 0
-            assert d > 0
-            assert leftover <= 1e-12
+        leftover, d, c_min = assert_degiorgi_families(
+            [synthetic_degiorgi_family(rng) for _ in range(100)])
+        assert (c_min > 0).all()
+        assert (d > 0).all()
+        assert (leftover <= 1e-12).all()
 
     def test_tight_kolodziej_gap_is_small(self, rng):
         # the equality family theta * delta0 = 1 certifies the exact
         # constant, so the bound matches phi(s0) almost exactly
-        found = False
-        for _ in range(50):
-            fam = synthetic_kolodziej_family(rng)
-            if fam.params["tight"] and fam.params["delta0"] == 1.0:
-                gap, _ = assert_kolodziej_family(fam)
-                assert abs(gap) < 1e-10
-                found = True
-        assert found
+        fams = [synthetic_kolodziej_family(rng) for _ in range(50)]
+        gap, _ = assert_kolodziej_families(fams)
+        tight = [fam.params["tight"] and fam.params["delta0"] == 1.0 for fam in fams]
+        assert any(tight)
+        assert (np.abs(gap[tight]) < 1e-10).all()
+
+    def test_stacked_asserts_follow_family_order(self, rng):
+        # one family certified alone gives the entry it has in a mixed stack
+        kol = [synthetic_kolodziej_family(rng) for _ in range(12)]
+        dg = [synthetic_degiorgi_family(rng) for _ in range(12)]
+        gap, c_min = assert_kolodziej_families(kol)
+        leftover, d, c_dg = assert_degiorgi_families(dg)
+        for i in (0, 5, 11):
+            assert assert_kolodziej_families([kol[i]]) == ([gap[i]], [c_min[i]])
+            assert assert_degiorgi_families([dg[i]]) == ([leftover[i]], [d[i]], [c_dg[i]])
+
+    def test_lemma_sweep_memory_does_not_grow_with_families(self):
+        # numpy reports its buffers to tracemalloc; families are drawn and
+        # certified a bounded batch at a time
+        def peak(families):
+            tracemalloc.start()
+            try:
+                sweep = lemma_sweep(np.random.default_rng(7), families)
+                return tracemalloc.get_traced_memory()[1], sweep
+            finally:
+                tracemalloc.stop()
+
+        small, ((_, gaps_small), (_, leftovers_small)) = peak(100)
+        large, ((_, gaps_large), (_, leftovers_large)) = peak(2000)
+        assert large <= 1.5 * small
+        assert gaps_small == gaps_large == leftovers_small == leftovers_large == 0

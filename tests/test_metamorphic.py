@@ -6,7 +6,9 @@ conjugation of every coordinate at once, a shift by whole grid points, a
 scaling of omega and chi, and a change of the torus period.  They pin the
 plane layout of Hermitian fields (a plane read with the wrong sign or at
 the wrong index breaks one of them) and the way the period enters the
-difference Hessian and the masses.  The bracket ends of the degenerate
+difference Hessian and the masses.  At chi = 0, a common scaling of kappa
+and t scales phi, down to scales where an absolute cone-margin floor would
+stall the line search.  The bracket ends of the degenerate
 family, relative masses, stay put under both scalings.  A scaling of the
 level function phi keeps the iteration-lemma verdict and scales the
 certificate by a power of the scale.
@@ -113,6 +115,26 @@ def test_scaling_omega_and_chi_scales_phi(n):
     phi2, b2 = solve(grid, 2.0 * omega, 2.0 * chi, f)
     assert np.abs(phi2 - 2.0 * phi).max() <= TOL
     assert abs(b2 - b) <= TOL
+
+
+@pytest.mark.parametrize("s", [1e-5, 1e-7])
+def test_kappa_and_t_scale_phi(s):
+    # at chi = 0, X = 2 s omega + dd^c phi: phi -> s phi solves kappa = t = s
+    # with b -> b + log s.  The line-search floor scales with the base form,
+    # so the small problems take the steps of s = 1 and do not stall at it
+    grid = TorusGrid(n=2, points_per_axis=8)
+    f = TrigPolynomial.random(2, np.random.default_rng(5), amplitude=0.2).sample(grid)
+
+    def solve_at(scale):
+        bg = BackgroundData.flat(grid, kappa=scale)
+        state, record = solve_nondegenerate(bg, scale, f, SolverConfig(m=2))
+        return state.phi.data, state.b, record.iters
+
+    phi, b, iters = solve_at(1.0)
+    phi2, b2, iters2 = solve_at(s)
+    assert iters2 == iters
+    assert np.abs(phi2 / s - phi).max() <= TOL
+    assert abs(b2 - np.log(s) - b) <= TOL
 
 
 @pytest.mark.parametrize("n", [2, 3])

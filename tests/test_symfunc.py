@@ -28,6 +28,8 @@ from hessianlab.symfunc import (
     esp_margins,
     hermitian_to_planes,
     hermitize,
+    homogeneous_margin,
+    margin_minima,
     metric_inv_sqrt,
     pencil_eigh,
     planes_kernel,
@@ -121,6 +123,28 @@ class TestCone:
         assert member
         member, _ = cone_membership([1, 1, 1], ConeSpec(n=3, m=2, margin=1.0))
         assert not member  # strict inequality at the slack level
+
+    def test_margin_minima_give_the_esp_margin(self, rng):
+        for n, m in ((2, 2), (3, 2), (4, 3)):
+            S = elem_sym_table(rng.uniform(-0.5, 2.0, size=(50, n)))[..., : m + 1]
+            assert min(margin_minima(S, n)) == esp_margins(S, n).min()
+
+    def test_homogeneous_margin(self, rng):
+        # degree one, 0 off the open cone, and superadditive on it (Garding),
+        # which bounds the base form's margin below by margin(chi) + c
+        for n, m in ((2, 2), (3, 2), (4, 3)):
+            lams = sample_cone_tuples(rng, n, m, 100)
+
+            def margin(values):
+                return homogeneous_margin(margin_minima(elem_sym_table(values)[..., : m + 1], n))
+
+            assert margin(np.ones((1, n))) == pytest.approx(1.0)
+            for lam in lams[:20]:
+                assert margin(0.01 * lam[None]) == pytest.approx(0.01 * margin(lam[None]))
+                for c in (1e-6, 0.3, 2.0):
+                    assert margin(lam[None] + c) >= (margin(lam[None]) + c) * (1 - 1e-12)
+            assert margin(np.array([[1.0] * (n - 1) + [-5.0]])) == 0.0
+            assert homogeneous_margin([1.0, math.nan]) == 0.0
 
     def test_monotonicity_under_positive_shift(self, rng):
         for n, m in ((3, 2), (4, 3)):

@@ -103,7 +103,7 @@ class TestStability:
         cfg = SolverConfig(m=2)
         scales = [2.0**-k for k in range(3, 7)]
         result = stability_experiment(bg, 0.25, f, pert, scales, 2.0, 1.0, cfg)
-        assert not result.partial
+        assert not result.partial and result.base_failure is None
         assert result.fitted_exponent >= result.floor - 0.1
         assert np.isfinite(result.required_constant)
         sups = [r.sup_gap for r in result.records]
@@ -119,6 +119,7 @@ class TestStability:
         result = stability_experiment(bg, 0.25, f, pert, [0.125], 2.0, 1.0, cfg)
         assert result.partial
         assert not result.passed
+        assert result.base_failure.startswith("no convergence in 1 Newton steps")
 
     def test_parallel_matches_serial(self, grid8, rng):
         # the pool threads share one Newton driver; with more threads than
