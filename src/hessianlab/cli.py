@@ -10,6 +10,7 @@ Diagnostics go to stderr; results land in the configured output directory.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -308,7 +309,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it as it was."""
     parser = _Parser(
         prog="hessianlab",
         description="Complex Hessian equation solver and estimate checks",

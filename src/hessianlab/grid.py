@@ -132,23 +132,29 @@ class HermitianField:
 @functools.lru_cache(maxsize=None)
 def _difference_matrices(N: int) -> tuple:
     """Read-only circulants on N periodic points: the first difference
-    v[j+1] - v[j-1] and the second difference v[j+1] + v[j-1] - 2 v[j]."""
+    v[j+1] - v[j-1] and the second difference v[j+1] + v[j-1] - 2 v[j].
+
+    Each comes as a (2, N, N) stack of the matrix and its C-contiguous
+    transpose: the first difference is antisymmetric, the second symmetric.
+    """
     eye = np.eye(N)
     up, down = np.roll(eye, 1, axis=1), np.roll(eye, -1, axis=1)
     delta, delta2 = up - down, up + down - 2.0 * eye
+    delta, delta2 = np.stack([delta, -delta]), np.stack([delta2, delta2])
     delta.flags.writeable = delta2.flags.writeable = False
     return delta, delta2
 
 
 def _along(M: np.ndarray, data: np.ndarray, axis: int, out=None) -> np.ndarray:
-    """(N, N) M applied along one axis of ``data`` by one matmul, into C-contiguous ``out``."""
-    N = M.shape[0]
+    """A (2, N, N) stack [M, M^T] of ``_difference_matrices`` applied along one axis
+    of ``data`` by one matmul, into C-contiguous ``out``."""
+    N = M.shape[1]
     out = np.empty(data.shape) if out is None else out
     if axis == data.ndim - 1:
-        np.matmul(data.reshape(-1, N), M.T, out=out.reshape(-1, N))
+        np.matmul(data.reshape(-1, N), M[1], out=out.reshape(-1, N))
     else:
         stack = (N ** axis, N, -1)
-        np.matmul(M, data.reshape(stack), out=out.reshape(stack))
+        np.matmul(M[0], data.reshape(stack), out=out.reshape(stack))
     return out
 
 

@@ -4,8 +4,8 @@ Two level-set bootstrapping lemmas are realized as closed-form evaluations:
 a Kolodziej-type lower bound for a monotone increasing level function, and a
 De Giorgi vanishing threshold for a nonincreasing one.  The certification
 helper finds the minimal constant for which the lemma hypothesis holds on
-the sampled pairs, with one lower-triangle kernel for both forms, run on a
-stack of families that share their parameters.  The synthetic generators
+the sampled pairs, with one monotone-argmax kernel for both forms, run on
+a stack of families that share their parameters.  The synthetic generators
 produce power-law families whose extremal pairs land exactly on the sample
 grid, so the lemma conclusions are asserted with zero tolerance slack; the
 assertions certify each parameter group of a list of families as one stack.
@@ -31,8 +31,6 @@ DEGIORGI = "degiorgi"
 FAMILY_SAMPLES = 240
 # float64 entries of the kernel's pair buffer: one synthetic family's full pair matrix
 KERNEL_BUFFER = FAMILY_SAMPLES * FAMILY_SAMPLES
-# row blocks of a kernel pass; more blocks skip more of the upper triangle
-ROW_BLOCKS = 8
 # families drawn and certified together, so memory does not grow with their number
 LEMMA_BATCH = 100
 
@@ -61,37 +59,105 @@ def degiorgi_threshold(C, alpha: float, delta: float, phi_s0):
     return C ** (1.0 / alpha) * phi_s0 ** (delta / alpha) * 2.0 ** ((1.0 + delta) / delta)
 
 
+def _normal_pairs(s: np.ndarray, phi: np.ndarray, power: float) -> bool:
+    """Whether every nonzero gap, its power and its pair value lie in [2^-1000, 2^1000].
+
+    Any pair gap s_j - s_i > 0 lies between the stack's smallest positive
+    neighbour gap and its widest row span, so these ends bound every pair.
+    With no positive gap or no positive phi, every pair value is 0.
+    """
+    gaps = np.diff(s, axis=1)
+    low_gap = float(gaps.min(where=gaps > 0, initial=math.inf))
+    low_phi = float(phi.min(where=phi > 0, initial=math.inf))
+    if math.inf in (low_gap, low_phi):
+        return True
+    span, high_phi = float((s[:, -1] - s[:, 0]).max()), float(phi.max())
+    if math.inf in (span, high_phi):
+        return False
+    gap_ends = (math.log2(low_gap), math.log2(span))
+    ends = gap_ends + tuple(power * g for g in gap_ends) + (
+        power * gap_ends[0] + math.log2(low_phi), power * gap_ends[1] + math.log2(high_phi))
+    return all(abs(end) < 1000.0 for end in ends)
+
+
+def _pair_values(num: np.ndarray, phi_cols: np.ndarray, power: float) -> np.ndarray:
+    """(s_j - s_i)_+^power phi_i in place, from the gaps s_j - s_i in ``num``.
+
+    At power 1 there is no clamp: a pair i > j stays <= 0.
+    """
+    if power != 1.0:
+        np.maximum(num, 0.0, out=num)
+        num **= power
+    num *= phi_cols
+    return num
+
+
 def _lower_pair_max(s: np.ndarray, phi: np.ndarray, rows: np.ndarray, power: float,
                     grow: float) -> np.ndarray:
     """Per row f: max over s_i <= s_j, j in rows[f], of (s_j - s_i)^power phi_i / phi_j^grow.
 
     ``s`` and ``phi`` are stacks ``(families, samples)``, each row ascending
-    in s.  Only pairs i <= j can be positive, so row block [lo, hi) meets
-    columns [0, hi).  A pair i > j is clamped before a power; at power 1 it
-    stays <= 0, under the exact 0 on the diagonal, and so does a column with
-    phi_i = 0.  Dividing only the row maxima is exact: division by
-    phi_j > 0 keeps order.  Rows j outside ``rows`` are never divided by; a
-    family with no such row reads 0.  One buffer of at most KERNEL_BUFFER
-    entries (or one family's widest block, if larger) serves every pass, on
-    as many families at a time as fit.
+    in s with phi >= 0.  A pair i > j is clamped before a power; at power 1
+    it stays <= 0, under the exact 0 on the diagonal, and so does a column
+    with phi_i = 0.
+
+    The numerator maxima are a totally monotone matrix search: for
+    s_i <= s_i', the ratio of the pair values of columns i' and i,
+    (phi_i' / phi_i) ((s_j - s_i') / (s_j - s_i))^power, grows with s_j, so
+    the maximizing columns of row j never move left as j grows.  Anchor
+    rows, every r-th one with r = ceil(sqrt(k)) and the last, are scanned
+    in full.  A row between two anchors is scanned over the columns from
+    the first near-max column of the anchor above to the last near-max
+    column of the anchor below, one shared window width for the stack.
+    Near-max means within a relative slack of the anchor's max far above
+    the rounding error of four pair values, so every window holds its row's
+    max to the bit.  That bound needs normal floats; where a pair value
+    could leave their range (``_normal_pairs``), every row is an anchor.
+
+    Dividing only the row maxima is exact: division by phi_j > 0 keeps
+    order.  Rows j outside ``rows`` are never divided by; a family with no
+    such row reads 0.  Each pass fills one buffer of at most KERNEL_BUFFER
+    entries (or one family's share, if larger) with as many families at a
+    time as fit.
     """
     families, k = s.shape
-    edges = sorted({-(-b * k // ROW_BLOCKS) for b in range(ROW_BLOCKS + 1)})
-    blocks = list(zip(edges[:-1], edges[1:]))
-    widest = max((hi - lo) * hi for lo, hi in blocks)
-    chunk = max(1, KERNEL_BUFFER // widest)
-    top, buf = np.empty((families, k)), np.empty(min(families, chunk) * widest)
+    step = math.isqrt(k - 1) + 1 if _normal_pairs(s, phi, power) else 1
+    anchors = np.append(np.arange(0, k - 1, step), k - 1)
+    near_max = 1.0 - (power + 4.0) * 2.0 ** -46
+    top = np.empty((families, k))
+    first = np.empty((families, anchors.size), dtype=np.intp)
+    last = np.empty_like(first)
+    chunk = max(1, KERNEL_BUFFER // (anchors.size * k))
+    buf = np.empty(min(families, chunk) * anchors.size * k)
     for f0 in range(0, families, chunk):
         fs = slice(f0, f0 + chunk)
         span = min(chunk, families - f0)
-        for lo, hi in blocks:
-            num = buf[:span * (hi - lo) * hi].reshape(span, hi - lo, hi)
-            np.subtract(s[fs, lo:hi, None], s[fs, None, :hi], out=num)
-            if power != 1.0:
-                np.maximum(num, 0.0, out=num)
-                num **= power
-            num *= phi[fs, None, :hi]
-            num.max(axis=2, out=top[fs, lo:hi])
+        num = buf[:span * anchors.size * k].reshape(span, anchors.size, k)
+        np.subtract(s[fs, anchors, None], s[fs, None, :], out=num)
+        best = _pair_values(num, phi[fs, None, :], power).max(axis=2)
+        top[fs, anchors] = best
+        near = num >= (best * near_max)[..., None]
+        first[fs] = near.argmax(axis=2)
+        last[fs] = k - 1 - near[..., ::-1].argmax(axis=2)
+    if step > 1 and families:
+        # block b: the rows strictly between anchors b and b + 1, the last,
+        # shorter block padded with repeats of its last row
+        blocks = np.minimum(anchors[:-1, None] + np.arange(1, step), anchors[1:, None] - 1)
+        width = int((last[:, 1:] - first[:, :-1]).max()) + 1
+        start = np.minimum(first[:, :-1], k - width)
+        # windows as (width, families, k - width + 1), so that a row max is a
+        # reduction over the leading axis
+        s_win, phi_win = (np.lib.stride_tricks.sliding_window_view(a, width, axis=1)
+                          .transpose(2, 0, 1) for a in (s, phi))
+        chunk = max(1, KERNEL_BUFFER // (blocks.size * width))
+        buf = np.empty(min(families, chunk) * blocks.size * width)
+        for f0 in range(0, families, chunk):
+            fam = np.arange(f0, min(f0 + chunk, families))[:, None]
+            cols = (slice(None), fam, start[f0:f0 + chunk])
+            num = buf[:fam.size * blocks.size * width].reshape(width, fam.size, *blocks.shape)
+            np.subtract(s[fam[:, :, None], blocks], s_win[cols][..., None], out=num)
+            top[fam[:, :, None], blocks] = _pair_values(num, phi_win[cols][..., None],
+                                                       power).max(axis=0)
     ratio = np.divide(top, phi ** grow, out=np.full((families, k), -np.inf), where=rows)
     return np.where(rows.any(axis=1), ratio.max(axis=1), 0.0)
 

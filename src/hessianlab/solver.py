@@ -62,8 +62,9 @@ CONE_MARGIN = 1e-8
 DAMPING_FLOOR = 2.0 ** -20
 # the extrapolated stage start interpolates at most this many previous stages
 PREDICTOR_ORDER = 5
-# the largest Krylov tolerance, relative to the right-hand side
-KRYLOV_RTOL = 1e-2
+# the largest Krylov tolerance, relative to the right-hand side; at 1e-1 some
+# solves take more Newton steps
+KRYLOV_RTOL = 5e-2
 # restart cycles of one Krylov solve, and the Arnoldi steps of one cycle
 KRYLOV_MAXITER = 20
 KRYLOV_RESTART = 30

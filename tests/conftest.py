@@ -75,7 +75,9 @@ def certify_oracle(s_values, phi_values, form, *, delta0=None, alpha=None, delta
         return float(ratio.max()), True
     if np.any(np.diff(phi) > 1e-14 * phi[1:]) or np.any(phi < 0):
         return 0.0, False
-    gap = np.maximum(s[None, :] - s[:, None], 0.0)
+    # a pair whose far sample has phi = 0 weighs 0: its gap is masked before
+    # the power, so a gap that overflows meets no inf * 0
+    gap = np.where(phi[None, :] > 0, np.maximum(s[None, :] - s[:, None], 0.0), 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(
             (gap > 0) & (phi[:, None] > 0),

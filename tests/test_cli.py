@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import hessianlab
+from hessianlab import cli
 from hessianlab.cli import _STAGE_COLUMNS, main
 from hessianlab.config import _SCHEMA, MAX_LIST_SOLVES, ExperimentConfig, load_config
 from hessianlab.errors import ConfigError
@@ -116,6 +117,30 @@ def test_cli_import_stays_light():
     run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
                          capture_output=True, text=True, timeout=60, check=True)
     assert run.stdout.split() == []
+
+
+def test_one_parser_serves_every_command(tmp_path, capsys, monkeypatch):
+    # main builds its parser once per process; a conecheck's options reach
+    # neither the solve after it nor the conecheck after that
+    built = []
+
+    class Counting(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.prog)
+
+    monkeypatch.setattr(cli, "_Parser", Counting)
+    cli._build_parser.cache_clear()
+    try:
+        assert main(["conecheck", "--tuple", "1 1", "--m", "2"]) == 0
+        assert main(["solve", "--config", str(write_config(tmp_path))]) == 0
+        assert main(["conecheck", "--tuple", "3,-1,-1"]) == 0
+    finally:
+        cli._build_parser.cache_clear()
+    assert built.count("hessianlab") == 1
+    out = capsys.readouterr().out
+    assert out.count("member: True") == 1 and out.count("member: False") == 1
+    assert json.loads((tmp_path / "out" / "report.json").read_text())["residual_sup"] < 1e-9
 
 
 class TestConfig:
@@ -602,6 +627,21 @@ class TestVerifyCommand:
         }
         printed = capsys.readouterr().out
         assert printed.count("[PASS]") == 4
+
+    def test_bench_spike_config_passes(self, tmp_path):
+        # the verify-spike benchmark config: 100 families per iteration lemma
+        # and a twin solve on the rough L^q spike density
+        path = write_config(
+            tmp_path,
+            **{"problem.f": "spike", "problem.q": 2.0, "problem.entropy_p": 4.0,
+               "solver.t": 0.25, "run.seed": 7},
+        )
+        assert main(["verify", "--config", str(path)]) == 0
+        report = json.loads((tmp_path / "out" / "verify.json").read_text())
+        assert report["all_pass"]
+        for lemma in ("iteration_lower_bound", "iteration_vanishing"):
+            assert report["properties"][lemma]["families"] == 100
+            assert report["properties"][lemma]["violations"] == 0
 
     def test_noisy_start_outside_cone_is_halved(self, tmp_path, capsys):
         # at kappa = 0 and t = 0.4 the amplitude-0.01 twin start's X lies

@@ -135,7 +135,7 @@ class TestCertify:
     @pytest.mark.parametrize("form, s, phi, params", [
         # phi^3 underflows to 0, so the first row reads 0/0
         (KOLODZIEJ, [0.0, 1e-200, 2e-200], [1e-300] * 3, {"delta0": 2.0}),
-        # the squared gap overflows; the full matrix also meets a zero phi
+        # the squared gap to a positive phi overflows
         (DEGIORGI, [0.0, 1e200, 2e200], [1.0, 1.0, 0.0], {"alpha": 2.0, "delta": 1.0}),
     ])
     def test_nonfinite_certificate_is_named(self, form, s, phi, params):
@@ -175,10 +175,8 @@ class TestCertify:
         phi = np.array([[1.0, 1.0, 0.0], [3.0, 2.0, 1.0]])
         c_min, feasible = certify_iteration_hypothesis(s, phi, DEGIORGI, alpha=2.0, delta=1.0)
         for i in range(2):
-            # the oracle's full matrix meets that inf * 0, so it sees the support alone
-            support = phi[i] > 0
-            assert (c_min[i], feasible[i]) == certify_oracle(
-                s[i][support], phi[i][support], DEGIORGI, alpha=2.0, delta=1.0)
+            assert (c_min[i], feasible[i]) == certify_oracle(s[i], phi[i], DEGIORGI,
+                                                             alpha=2.0, delta=1.0)
 
     def test_kolodziej_lonely_row_is_named(self):
         s = np.array([[0.1, 0.2, 0.3], [0.7, 0.7, 0.7]])
@@ -230,16 +228,54 @@ def level_stacks(draw, zeros):
     return np.array([s for s, _ in rows]), np.array([phi for _, phi in rows])
 
 
+@st.composite
+def tie_stacks(draw):
+    """(form, s, phi, params): 1 to 4 families of k = 3 to 240 samples built around ties.
+
+    Each family is a power law a x^theta on a uniform grid, x = s for
+    Kolodziej and x = (cut - s)_+ for De Giorgi, where theta can make the
+    lemma tight (theta delta0 = 1, or theta delta = alpha).  Runs of equal s
+    and runs of equal phi put exact ties in the pair matrix, an alternating
+    wobble of 5e-15 makes phi fall within the 1e-14 monotonicity slack, and
+    the De Giorgi cuts give the rows of a stack different supports, so the
+    kernel pads them.
+    """
+    k = draw(st.integers(3, 240))
+    form = draw(st.sampled_from([KOLODZIEJ, DEGIORGI]))
+    exponent, delta = (draw(st.sampled_from([0.5, 1.0, 2.0])) for _ in range(2))
+    if form == KOLODZIEJ:
+        params, tight = {"delta0": exponent}, 1.0 / exponent
+    else:
+        params, tight = {"alpha": exponent, "delta": delta}, exponent / delta
+    grid, index = np.arange(1, k + 1) / k, np.arange(k)
+    s_rows, phi_rows = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        s_run, phi_run = draw(st.integers(1, min(3, k - 1))), draw(st.integers(1, 8))
+        s = draw(st.sampled_from([0.5, 1.0, 1.7])) * grid[index // s_run * s_run]
+        x = grid[index // phi_run * phi_run]
+        if form == DEGIORGI:
+            x = np.maximum(0.0, draw(st.integers(0, k)) / k + 0.5 / k - x)
+        theta = draw(st.sampled_from([tight, 0.5, 1.0, 2.0]))
+        phi = draw(st.sampled_from([0.5, 1.0, 1.3])) * x ** theta
+        if draw(st.booleans()):
+            phi *= 1.0 + (1 if form == DEGIORGI else -1) * 5e-15 * (index % 2)
+        s_rows.append(s)
+        phi_rows.append(phi)
+    return form, np.array(s_rows), np.array(phi_rows), params
+
+
 def pinned(s, phi):
     return np.array(s), np.array(phi, dtype=float)
 
 
 class TestCertifyOracle:
-    """The lower-triangle kernel equals the full ratio-matrix max to the bit.
+    """The anchor-window kernel equals the full ratio-matrix max to the bit.
 
-    The pinned examples put equal s on both sides of the row split
-    h = (k + 1) // 2 of the kernel's k samples, at odd and even k, with runs
-    of equal phi.
+    Pinned examples put equal s on both sides of the middle row of the k
+    samples, at odd and even k, with runs of equal phi.  Two more pin two
+    columns one ulp apart in s and phi, whose winner flips by rounding as
+    s_j grows: a window cut at the anchors' exact argmaxes, not at their
+    near-max columns, misses a row max.
     """
 
     @settings(max_examples=200, deadline=None)
@@ -248,6 +284,16 @@ class TestCertifyOracle:
     @example(pinned([0.1, 0.2, 0.3, 0.4, 0.4, 0.5, 0.6, 0.7], [1, 1, 1, 2, 2, 2, 3, 3]), 1.0)
     # 8 inner samples, h = 4
     @example(pinned([0.1, 0.2, 0.3, 0.4, 0.4, 0.5, 0.6, 0.7, 0.8], range(1, 10)), 0.5)
+    # column 1 wins rows 2-3 by rounding, column 0 anchor row 4: the
+    # window of rows 1-3 must reach past anchor 4's argmax
+    @example(pinned([1.2395252079666916, 1.2395252079666919] + [3.664674511245496] * 2
+                    + [3.8289694351627457] * 6, [1.5123499633587707] + [1.512349963358771] * 9),
+             1.0)
+    # column 1 wins anchor row 4, column 0 rows 5-7: the window of rows 5-7
+    # must start before anchor 4's argmax
+    @example(pinned([1.154030335623291, 1.1540303356232913] + [2.5025778114202257] * 3
+                    + [3.16168406174976] * 3 + [3.66168406174976] * 2,
+                    [2.498409499604557] + [2.4984094996045574] * 9), 1.0)
     def test_kolodziej_matches_oracle(self, samples, delta0):
         s, phi = samples
         if np.all(s == s.max()):
@@ -308,6 +354,16 @@ class TestCertifyOracle:
         for i in range(len(s)):
             assert (c_min[i], feasible[i]) == certify_oracle(s[i], phi[i], DEGIORGI,
                                                              alpha=alpha, delta=delta)
+
+    @settings(max_examples=150, deadline=None)
+    @given(tie_stacks())
+    def test_tie_stacks_match_oracle_by_row(self, stack):
+        # the anchor windows hold every row max when pairs tie exactly or
+        # nearly, whatever the sample count
+        form, s, phi, params = stack
+        c_min, feasible = certify_iteration_hypothesis(s, phi, form, **params)
+        for i in range(len(s)):
+            assert (c_min[i], feasible[i]) == certify_oracle(s[i], phi[i], form, **params)
 
     def test_seed7_families_match_oracle(self):
         # the 100 + 100 families one verify run with seed 7 draws, certified as
