@@ -27,8 +27,8 @@ from hessianlab.iteration import (
     assert_degiorgi_families,
     assert_kolodziej_families,
     certify_iteration_hypothesis,
-    synthetic_degiorgi_family,
-    synthetic_kolodziej_family,
+    synthetic_degiorgi_families,
+    synthetic_kolodziej_families,
 )
 
 rng = np.random.default_rng(99)
@@ -49,13 +49,11 @@ c_stack, feasible = certify_iteration_hypothesis(np.broadcast_to(s, stack.shape)
                                                  "kolodziej", delta0=1.0)
 print("phi = s^0.5, s, s^2: C_min =", c_stack, " feasible =", feasible)
 
-# The asserts take a list of families and certify each parameter group as one stack.
-kolodziej, degiorgi = [], []
-for _ in range(50):
-    kolodziej.append(synthetic_kolodziej_family(rng))
-    degiorgi.append(synthetic_degiorgi_family(rng))
-gaps, _ = assert_kolodziej_families(kolodziej)
-leftovers, _, _ = assert_degiorgi_families(degiorgi)
+# The families are drawn as arrays, a batch at a time, and the asserts certify
+# the families of each parameter case as one stack.
+case, s, phi, s0, _ = synthetic_kolodziej_families(rng, 50)
+gaps, _ = assert_kolodziej_families(case, s, phi, s0)
+leftovers, _, _ = assert_degiorgi_families(*synthetic_degiorgi_families(rng, 50))
 print(f"50 synthetic families each: worst bound gap {gaps.min():.2e}, "
       f"worst leftover mass {leftovers.max():.2e}")
 

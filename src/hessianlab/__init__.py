@@ -41,8 +41,8 @@ from .iteration import (
     certify_iteration_hypothesis,
     degiorgi_threshold,
     kolodziej_bound,
-    synthetic_degiorgi_family,
-    synthetic_kolodziej_family,
+    synthetic_degiorgi_families,
+    synthetic_kolodziej_families,
 )
 from .solver import (
     ContinuationSchedule,

@@ -28,7 +28,7 @@ from .grid import (
     complex_hessian_spectral,
     worst_point,
 )
-from .symfunc import (binom, esp_margins, hermitian_to_planes, hermitize,
+from .symfunc import (binom, esp_margins, hermitian_to_planes, hermitize, margin_minima,
                       metric_inv_sqrt, planes_kernel)
 
 OMEGA_MIN_MARGIN = 1e-8
@@ -71,12 +71,15 @@ class BackgroundData:
     def grid(self) -> TorusGrid:
         return self.chi.grid
 
-    def validate(self, m: int) -> None:
+    def validate(self, m: int) -> list:
+        """The ``margin_minima`` of chi; ConeViolationError off the closed degree-m cone."""
         S, _ = planes_kernel(self.chi.data, self.omega_inv, m)
-        worst, point = worst_point(esp_margins(S, self.grid.n), self.grid.shape)
-        if worst < -1e-10:
+        minima = margin_minima(S, self.grid.n)
+        if min(minima) < -1e-10:
+            worst, point = worst_point(esp_margins(S, self.grid.n), self.grid.shape)
             raise ConeViolationError(f"chi leaves the closed degree-{m} cone at {point}",
                                      point=point, margin=worst)
+        return minima
 
     def base_form(self, t: float) -> HermitianField:
         """chi + chi_tilde + t * omega = chi + (kappa + t) * omega, summed on planes."""

@@ -6,9 +6,10 @@ De Giorgi vanishing threshold for a nonincreasing one.  The certification
 helper finds the minimal constant for which the lemma hypothesis holds on
 the sampled pairs, with one monotone-argmax kernel for both forms, run on
 a stack of families that share their parameters.  The synthetic generators
-produce power-law families whose extremal pairs land exactly on the sample
-grid, so the lemma conclusions are asserted with zero tolerance slack; the
-assertions certify each parameter group of a list of families as one stack.
+draw batches of power-law families, as arrays, whose extremal pairs land
+exactly on the sample grid, so the lemma conclusions are asserted with zero
+tolerance slack; the assertions certify each parameter case of a batch as
+one stack.
 
 The De Giorgi lemma is stated in the literature for increasing functions,
 but every use here is a level-set mass s -> measure{phi < -s}, which is
@@ -19,7 +20,6 @@ samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -252,122 +252,101 @@ def certify_iteration_hypothesis(s_values, phi_values, form: str, *,
 # ---------------------------------------------------------------------------
 # synthetic families for the lemma assertions
 
-
-@dataclass
-class SyntheticFamily:
-    """One sampled level function together with its lemma parameters."""
-
-    form: str
-    s: np.ndarray
-    phi: np.ndarray
-    params: dict
-    s0: float
+# the delta0 of each Kolodziej case
+KOLODZIEJ_CASES = (0.5, 1.0, 2.0)
+# the (alpha, gamma, delta) of each De Giorgi case, alpha >= gamma delta; the first is tight
+DEGIORGI_CASES = ((1.0, 1.0, 1.0), (2.0, 1.0, 1.0), (1.0, 1.0, 0.5), (2.0, 1.0, 2.0))
 
 
-def synthetic_kolodziej_family(rng: np.random.Generator) -> SyntheticFamily:
-    """Power family phi(s) = a s^theta on a uniform grid ending at s0.
+def synthetic_kolodziej_families(rng: np.random.Generator, count: int):
+    """``count`` power families phi(s) = a s^theta on uniform grids ending at s0.
 
-    Half the draws sit exactly on the equality case theta * delta0 = 1
-    whose extremal pair (s, s * theta / (1 + theta)) lies on the grid, the
-    rest keep a strict gap; both kinds satisfy the certified hypothesis
-    continuously, so the lower bound assertion has no sampling loophole.
+    Half the draws sit exactly on the equality case theta delta0 = 1, whose
+    extremal pair (s, s theta / (1 + theta)) lies on the grid; the rest keep
+    a strict gap.  Both kinds satisfy the certified hypothesis continuously,
+    so the lower bound assertion has no sampling loophole.  Each parameter
+    is one array of ``count`` draws.  Returns ``(case, s, phi, s0, tight)``:
+    ``case`` indexes ``KOLODZIEJ_CASES``, ``s`` and ``phi`` are
+    ``(count, FAMILY_SAMPLES)`` and ``tight`` marks the equality draws.
     """
-    # the value and generator state of rng.choice([0.5, 1.0, 2.0]), at a fifth of the cost
-    delta0 = [0.5, 1.0, 2.0][rng.integers(0, 3)]
-    tight = bool(rng.integers(0, 2))
-    theta = 1.0 / delta0 if tight else (1.0 / delta0) * float(rng.uniform(0.4, 0.8))
-    a = float(rng.uniform(0.5, 2.0))
-    s0 = float(rng.uniform(0.5, 2.0))
-    k = FAMILY_SAMPLES
-    s = s0 * np.arange(1, k + 1) / k
-    phi = a * s**theta
-    params = {"delta0": delta0, "a": a, "theta": theta, "tight": tight}
-    return SyntheticFamily(form=KOLODZIEJ, s=s, phi=phi, params=params, s0=s0)
+    case = rng.integers(0, len(KOLODZIEJ_CASES), size=count)
+    tight = rng.integers(0, 2, size=count).astype(bool)
+    delta0 = np.take(KOLODZIEJ_CASES, case)
+    theta = np.where(tight, 1.0, rng.uniform(0.4, 0.8, size=count)) / delta0
+    a = rng.uniform(0.5, 2.0, size=count)
+    s0 = rng.uniform(0.5, 2.0, size=count)
+    s = s0[:, None] * (np.arange(1, FAMILY_SAMPLES + 1) / FAMILY_SAMPLES)
+    return case, s, a[:, None] * s ** theta[:, None], s0, tight
 
 
-def synthetic_degiorgi_family(rng: np.random.Generator) -> SyntheticFamily:
-    """Family phi(s) = c max(0, s1 - s)^gamma sampled on [s0, s0 + 3 u0].
+def synthetic_degiorgi_families(rng: np.random.Generator, count: int):
+    """``count`` families phi(s) = c max(0, s1 - s)^gamma sampled on [s0, s0 + 3 u0].
 
-    Parameter triples keep alpha >= gamma * delta so the hypothesis holds
+    The cases keep alpha >= gamma delta so the hypothesis holds
     continuously, with the extremal pair (s0, s0 + u0 alpha / (alpha +
     gamma)) on the grid; the threshold then lands at or beyond the true
-    vanishing point s1 = s0 + u0.
+    vanishing point s1 = s0 + u0.  The grid steps 3 u0 / FAMILY_SAMPLES
+    divide u0 and that offset, as FAMILY_SAMPLES is a multiple of 6.
+    Returns ``(case, s, phi, s0)``: ``case`` indexes ``DEGIORGI_CASES``, and
+    ``s`` and ``phi`` are ``(count, FAMILY_SAMPLES + 1)``.
     """
-    alpha, gamma, delta = [
-        (1.0, 1.0, 1.0),   # exactly tight: threshold equals u0
-        (2.0, 1.0, 1.0),
-        (1.0, 1.0, 0.5),
-        (2.0, 1.0, 2.0),
-    ][int(rng.integers(0, 4))]
-    c = float(rng.uniform(0.5, 2.0))
-    s0 = float(rng.uniform(0.0, 1.0))
-    u0 = float(rng.uniform(0.5, 1.5))
-    k = FAMILY_SAMPLES
-    s = s0 + 3.0 * u0 * np.arange(0, k + 1) / k
-    s1 = s0 + u0
-    # keep s1 and the extremal offset on the grid: 3 u0 / k steps divide u0
-    # when k is a multiple of 3, and u0 alpha/(alpha+gamma) needs k mult of 6
-    phi = c * np.maximum(0.0, s1 - s) ** gamma
-    params = {"alpha": alpha, "gamma": gamma, "delta": delta, "c": c, "u0": u0}
-    return SyntheticFamily(form=DEGIORGI, s=s, phi=phi, params=params, s0=s0)
+    case = rng.integers(0, len(DEGIORGI_CASES), size=count)
+    c = rng.uniform(0.5, 2.0, size=count)[:, None]
+    s0 = rng.uniform(0.0, 1.0, size=count)
+    u0 = rng.uniform(0.5, 1.5, size=count)[:, None]
+    s = s0[:, None] + 3.0 * u0 * np.arange(0, FAMILY_SAMPLES + 1) / FAMILY_SAMPLES
+    gamma = np.array(DEGIORGI_CASES)[case, 1][:, None]
+    return case, s, c * np.maximum(0.0, s0[:, None] + u0 - s) ** gamma, s0
 
 
-def _groups(fams: list, keys: tuple):
-    """(parameter values, family indices) of ``fams`` sharing ``keys``, in first-seen order."""
-    groups: dict = {}
-    for i, fam in enumerate(fams):
-        groups.setdefault(tuple(fam.params[key] for key in keys), []).append(i)
-    return groups.items()
+def _certified(s, phi, s0, form: str, **params):
+    """C_min and phi(s0), read at the sample nearest s0, of a stack sharing ``params``.
 
-
-def _certified_stack(fams: list, form: str, **params):
-    """Stacked (s, phi, s0, phi(s0), C_min) of families sharing ``params``.
-
-    phi(s0) is read at the sample nearest s0.  A family that fails
-    certification raises ``DomainError``.
+    A family that fails certification raises ``DomainError``.
     """
-    s = np.stack([fam.s for fam in fams])
-    phi = np.stack([fam.phi for fam in fams])
-    s0 = np.array([fam.s0 for fam in fams])
     c_min, feasible = certify_iteration_hypothesis(s, phi, form, **params)
     if not feasible.all():
         raise DomainError("synthetic family failed certification")
     nearest = np.abs(s - s0[:, None]).argmin(axis=1)
-    return s, phi, s0, phi[np.arange(len(fams)), nearest], c_min
+    return c_min, phi[np.arange(len(s)), nearest]
 
 
-def assert_kolodziej_families(fams: list):
+def assert_kolodziej_families(case, s, phi, s0):
     """Certify each family's hypothesis and check phi(s0) against its lower bound.
 
-    Families sharing ``delta0`` are certified as one stack.  Returns arrays
+    Takes the first four arrays of ``synthetic_kolodziej_families``; the
+    families of one case are certified as one stack.  Returns arrays
     ``(gap, c_min)`` in family order, gap = phi(s0) - bound, >= 0 up to
     rounding.
     """
-    gap, c_min = np.empty(len(fams)), np.empty(len(fams))
-    for (delta0,), idx in _groups(fams, ("delta0",)):
-        _, _, s0, phi_s0, c = _certified_stack([fams[i] for i in idx], KOLODZIEJ,
-                                               delta0=delta0)
-        gap[idx], c_min[idx] = phi_s0 - kolodziej_bound(c, delta0, s0), c
+    gap, c_min = np.empty(len(case)), np.empty(len(case))
+    for i, delta0 in enumerate(KOLODZIEJ_CASES):
+        idx = case == i
+        if idx.any():
+            c_min[idx], phi_s0 = _certified(s[idx], phi[idx], s0[idx], KOLODZIEJ,
+                                            delta0=delta0)
+            gap[idx] = phi_s0 - kolodziej_bound(c_min[idx], delta0, s0[idx])
     return gap, c_min
 
 
-def assert_degiorgi_families(fams: list):
+def assert_degiorgi_families(case, s, phi, s0):
     """Certify each family's hypothesis and check vanishing beyond its threshold.
 
-    Families sharing ``(alpha, delta)`` are certified as one stack.  Returns
-    arrays ``(max_phi_beyond, d, c_min)`` in family order; the first is the
-    largest sampled phi value at s >= s0 + d - 1e-12 and should be zero.
+    Takes the arrays of ``synthetic_degiorgi_families``; the families of one
+    case are certified as one stack.  Returns arrays ``(max_phi_beyond, d,
+    c_min)`` in family order; the first is the largest sampled phi value at
+    s >= s0 + d - 1e-12 and should be zero.
     """
-    leftover, d, c_min = np.empty(len(fams)), np.empty(len(fams)), np.empty(len(fams))
-    for (alpha, delta), idx in _groups(fams, ("alpha", "delta")):
-        s, phi, s0, phi_s0, c = _certified_stack([fams[i] for i in idx], DEGIORGI,
-                                                 alpha=alpha, delta=delta)
-        d[idx] = threshold = degiorgi_threshold(c, alpha, delta, phi_s0)
-        c_min[idx] = c
-        beyond = s >= (s0 + threshold - 1e-12)[:, None]
-        # phi >= 0, so the zeros put in for samples short of the threshold change no max
-        leftover[idx] = np.where(beyond, phi, 0.0).max(axis=1)
-    return leftover, d, c_min
+    d, c_min = np.empty(len(case)), np.empty(len(case))
+    for i, (alpha, _, delta) in enumerate(DEGIORGI_CASES):
+        idx = case == i
+        if idx.any():
+            c_min[idx], phi_s0 = _certified(s[idx], phi[idx], s0[idx], DEGIORGI,
+                                            alpha=alpha, delta=delta)
+            d[idx] = degiorgi_threshold(c_min[idx], alpha, delta, phi_s0)
+    beyond = s >= (s0 + d - 1e-12)[:, None]
+    # phi >= 0, so the zeros put in for samples short of the threshold change no max
+    return np.where(beyond, phi, 0.0).max(axis=1), d, c_min
 
 
 def lemma_sweep(rng: np.random.Generator, families: int):
@@ -375,20 +354,18 @@ def lemma_sweep(rng: np.random.Generator, families: int):
 
     Returns ``((worst_gap, gap_violations), (worst_leftover,
     leftover_violations))``; a bound gap below -1e-12 or a leftover above
-    1e-12 is a violation.  The families are drawn one by one, in the order
-    of a loop over single families, and certified LEMMA_BATCH at a time, so
-    working memory does not grow with ``families``.
+    1e-12 is a violation.  The families are drawn and certified LEMMA_BATCH
+    at a time, so working memory does not grow with ``families``.
     """
     batches = [min(LEMMA_BATCH, families - start) for start in range(0, families, LEMMA_BATCH)]
     worst_gap, gap_violations = math.inf, 0
     for size in batches:
-        gap, _ = assert_kolodziej_families([synthetic_kolodziej_family(rng) for _ in range(size)])
+        gap, _ = assert_kolodziej_families(*synthetic_kolodziej_families(rng, size)[:4])
         worst_gap = min(worst_gap, float(gap.min()))
         gap_violations += int((gap < -1e-12).sum())
     worst_leftover, leftover_violations = 0.0, 0
     for size in batches:
-        leftover, _, _ = assert_degiorgi_families(
-            [synthetic_degiorgi_family(rng) for _ in range(size)])
+        leftover, _, _ = assert_degiorgi_families(*synthetic_degiorgi_families(rng, size))
         worst_leftover = max(worst_leftover, float(leftover.max()))
         leftover_violations += int((leftover > 1e-12).sum())
     return (worst_gap, gap_violations), (worst_leftover, leftover_violations)

@@ -289,7 +289,9 @@ spla = SimpleNamespace(
 class _NewtonDriver:
     """Workspace holding the fixed data of one (bg, config) problem.
 
-    Its attributes are set in ``__init__`` only.  The stage, t and the
+    Its attributes are set in ``__init__`` only, which checks chi with
+    ``bg.validate`` (ConeViolationError off the closed cone) and keeps the
+    degree-one margin of chi for the line-search floor.  The stage, t and the
     density f, is an argument: ``analyze`` takes a ``stage(t, f)`` and each
     analysis carries it on to ``step``, so one driver serves every solve of
     the problem, also from several threads.  Hermitian fields, X, its
@@ -304,8 +306,7 @@ class _NewtonDriver:
         self.binom = binom(grid.n, config.m)
         self.laplacian_table, self.laplacian_solve = fd_laplacian_inverse(grid)
         self.hess_scale = hessian_scale(grid)[:, None]
-        S_chi, _ = planes_kernel(bg.chi.data, bg.omega_inv, config.m)
-        self.chi_margin = homogeneous_margin(margin_minima(S_chi, self.n))
+        self.chi_margin = homogeneous_margin(bg.validate(config.m))
 
     def stage(self, t: float, f: ScalarField) -> tuple:
         """The stage-t equation with density f and its line-search floor.
@@ -582,12 +583,11 @@ def continuation_degenerate(bg: BackgroundData, f: ScalarField,
     the start used and the bracket on V_t / exp(n b_t); it also carries the
     t-uniformity proxy.
     """
-    bg.validate(config.m)
+    driver = _NewtonDriver(bg, config)
     masses = stage_masses(bg, config.m)
     shift = compatibility_constant(masses, 0.0, f)
     f_norm = ScalarField(f.grid, f.data + shift)
     report = SolveReport(meta={"mass_shift": shift})
-    driver = _NewtonDriver(bg, config)
     states = []
     for i, t in enumerate(schedule.t_values):
         t_start = time.perf_counter()

@@ -15,15 +15,13 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .background import BackgroundData, TrigPolynomial
-from .errors import ConeViolationError, DomainError, NonConvergenceError
+from .errors import DomainError, NonConvergenceError
 from .grid import ScalarField, complex_gradient, complex_hessian, integrate, lp_norm
 from .solver import SolverConfig, SolverState, _NewtonDriver
 from .symfunc import binom, esp_margins, planes_kernel, planes_to_hermitian
 
 # the epsilon of the stability exponent floor q' / (n q* + q' + epsilon)
 STABILITY_EPSILON = 0.5
-# the twin solve halves a noisy start outside the cone at most this many times
-TWIN_START_HALVINGS = 20
 
 # ---------------------------------------------------------------------------
 # stability
@@ -181,10 +179,13 @@ def viscosity_check(phi: ScalarField, b: float, bg: BackgroundData, t: float,
     above resp. below.  A subsolution violation is F(X + eta I) falling
     below exp(b + f) - tol; a supersolution violation is F(X - eta I)
     exceeding exp(b + f) + tol, skipped when the downward-shifted tuple
-    leaves the closed cone.  tol is 10 h^2.  Report only.
+    leaves the closed cone.  tol is 10 h^2.  Here h is the grid spacing in
+    units of the period, 1 / points_per_axis: X and F do not change when
+    the period is rescaled with phi -> period^2 phi, and neither do tol and
+    eta.  Report only.
     """
     grid = phi.grid
-    n, h = grid.n, grid.spacing
+    n, h = grid.n, 1.0 / grid.points_per_axis
     tol = 10.0 * h * h
     etas = [2.0 * h * h, 4.0 * h * h]
     total = grid.num_points
@@ -247,27 +248,25 @@ def uniqueness_energy(phi1: ScalarField, phi2: ScalarField, bg: BackgroundData,
 
 def twin_solve_uniqueness(bg: BackgroundData, t: float, f: ScalarField,
                           config: SolverConfig, rng: np.random.Generator):
-    """Solve twice on one Newton driver, from zero and from a cone-safe noisy start.
+    """Solve twice on one Newton driver, from zero and from a noisy start inside the cone.
 
-    The noisy start is a random trig polynomial of amplitude 0.01 drawn
-    from ``rng``, halved at most ``TWIN_START_HALVINGS`` times while its X
-    lies outside the cone: X is affine in the scale and inside at scale 0.
-    Returns ``(energy_normalized, sup_difference, state_a, state_b)``.  The
-    energy is normalized by sup S_1 of the stage form relative to omega
-    times the omega-gradient energy of the first solution, the integral of
-    conj(du) omega^(-1) du (zero when that vanishes), so it does not
-    depend on how omega is scaled.
+    The noisy start is a random trig polynomial of amplitude period^2 drawn
+    from ``rng``, so its complex Hessian H is of order one at any period.
+    It is scaled so that sqrt(max(S_1^2 - 2 S_2)) of omega^(-1) H, a bound
+    on every eigenvalue, is (kappa + t) / 2.  Then X >= chi + (kappa + t)
+    omega / 2, which lies in the open cone.  Returns ``(energy_normalized,
+    sup_difference, state_a, state_b)``.  The energy is normalized by sup
+    S_1 of the stage form relative to omega times the omega-gradient energy
+    of the first solution, the integral of conj(du) omega^(-1) du (zero
+    when that vanishes), so it does not depend on how omega or the period
+    is scaled.
     """
     driver = _NewtonDriver(bg, config)
     state_a, _ = driver.solve(t, f)
-    start = TrigPolynomial.random(bg.grid.n, rng, amplitude=0.01).sample(bg.grid).data
-    for halvings in range(TWIN_START_HALVINGS + 1):
-        try:
-            state_b, _ = driver.solve(t, f, 0.5**halvings * start)
-            break
-        except ConeViolationError:
-            if halvings == TWIN_START_HALVINGS:
-                raise
+    noise = TrigPolynomial.random(bg.grid.n, rng, amplitude=bg.grid.period ** 2).sample(bg.grid)
+    S, _ = planes_kernel(complex_hessian(noise).data, bg.omega_inv, 2)
+    spread = float(np.sqrt((S[..., 1] ** 2 - 2.0 * S[..., 2]).max()))
+    state_b, _ = driver.solve(t, f, 0.5 * (bg.kappa + t) / spread * noise.data)
 
     energy = uniqueness_energy(state_a.phi, state_b.phi, bg, t)
     sup_diff = float(np.abs(state_a.phi.data - state_b.phi.data).max())
@@ -280,7 +279,7 @@ def twin_solve_uniqueness(bg: BackgroundData, t: float, f: ScalarField,
     )
     S, _ = planes_kernel(bg.base_form(t).data, bg.omega_inv, 1)
     denom = float(S[..., 1].max()) * grad_sq
-    normalized = energy / denom if denom > 1e-30 else 0.0
+    normalized = energy / denom if denom > 0.0 else 0.0
     return float(normalized), sup_diff, state_a, state_b
 
 

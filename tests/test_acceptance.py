@@ -37,8 +37,8 @@ from hessianlab.cli import main as cli_main
 from hessianlab.iteration import (
     assert_degiorgi_families,
     assert_kolodziej_families,
-    synthetic_degiorgi_family,
-    synthetic_kolodziej_family,
+    synthetic_degiorgi_families,
+    synthetic_kolodziej_families,
 )
 
 from conftest import esp_enumeration, random_hermitian, sample_cone_tuples
@@ -201,11 +201,9 @@ def test_c06_decreasing_sequence(continuation_run):
 def test_c07_iteration_lemmas():
     with criterion(7, "both iteration lemmas, 100 certified families, 0 violations"):
         rng = np.random.default_rng(777)
-        gap, _ = assert_kolodziej_families([synthetic_kolodziej_family(rng)
-                                            for _ in range(100)])
+        gap, _ = assert_kolodziej_families(*synthetic_kolodziej_families(rng, 100)[:4])
         assert gap.size == 100 and (gap >= -1e-12).all()
-        leftover, _, _ = assert_degiorgi_families([synthetic_degiorgi_family(rng)
-                                                   for _ in range(100)])
+        leftover, _, _ = assert_degiorgi_families(*synthetic_degiorgi_families(rng, 100))
         assert leftover.size == 100 and (leftover <= 1e-12).all()
 
 

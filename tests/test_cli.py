@@ -477,6 +477,25 @@ class TestContinuationCommand:
         assert capsys.readouterr().err == (
             "cone violation: chi leaves the closed degree-2 cone at (0, 0, 0, 0)\n")
 
+    def test_chi_from_file_matches_diag(self, tmp_path):
+        # a Hermitian field through the HLF1 boundary: the continuation with
+        # chi read from a file writes the phi bytes of chi = diag
+        grid = hessianlab.TorusGrid(n=2, points_per_axis=6)
+        hessianlab.write_field(tmp_path / "chi.hlf1",
+                               hessianlab.HermitianField.constant(grid, np.diag([0.4, 0.0])))
+        base = {"problem.grid_points": 6, "problem.f": "trig", "problem.f_amplitude": 0.3,
+                "schedule.num_stages": 3}
+        diag = write_config(tmp_path, "diag.ini", **base, **{
+            "problem.chi": "diag", "problem.chi_diag": "0.4 0.0",
+            "output.directory": tmp_path / "diag"})
+        from_file = write_config(tmp_path, "file.ini", **base, **{
+            "problem.chi": "hlf1", "problem.chi_path": tmp_path / "chi.hlf1",
+            "output.directory": tmp_path / "file"})
+        for path in (diag, from_file):
+            assert main(["continuation", "--config", str(path)]) == 0
+        phi = [(tmp_path / out / "phi.hlf1").read_bytes() for out in ("diag", "file")]
+        assert phi[0] == phi[1]
+
     def test_single_stage_matches_solve(self, tmp_path):
         cont = write_config(tmp_path, "c.ini", **{"schedule.t_values": "0.5"})
         assert main(["continuation", "--config", str(cont)]) == 0
@@ -643,9 +662,9 @@ class TestVerifyCommand:
             assert report["properties"][lemma]["families"] == 100
             assert report["properties"][lemma]["violations"] == 0
 
-    def test_noisy_start_outside_cone_is_halved(self, tmp_path, capsys):
-        # at kappa = 0 and t = 0.4 the amplitude-0.01 twin start's X lies
-        # outside the cone; unhalved, it ends verify with exit 2
+    def test_noisy_start_lies_in_cone_at_kappa_zero(self, tmp_path, capsys):
+        # at kappa = 0 and t = 0.4 a twin start of absolute amplitude 0.01
+        # puts X outside the cone; scaled by its Hessian, X >= 0.2 omega
         path = write_config(
             tmp_path,
             **{"problem.kappa": 0.0, "problem.f": "trig", "problem.f_amplitude": 0.1,
@@ -655,6 +674,20 @@ class TestVerifyCommand:
         report = json.loads((tmp_path / "out" / "verify.json").read_text())
         assert report["all_pass"]
         assert "cone violation" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("period", [1e-4, 1e-6, 1e-150, 1e3])
+    def test_passes_at_any_period(self, tmp_path, period):
+        # the problem at period p is the one at period 1 with phi -> p^2 phi.
+        # A twin start of absolute size left the cone at 1e-4 and 1e-6 and
+        # overflowed at 1e-150; the sup difference scales as p^2, so at 1e3 it
+        # fails an absolute bound; and absolute viscosity tolerances fail on
+        # rounding at 1e-150
+        path = write_config(
+            tmp_path,
+            **{"problem.period": period, "problem.f": "trig", "problem.f_amplitude": 0.5,
+               "solver.t": 0.25, "experiment.lemma_families": 2, "run.seed": 1},
+        )
+        assert main(["verify", "--config", str(path)]) == 0
 
     def test_spike_injection_fails_viscosity(self, tmp_path, capsys):
         path = write_config(

@@ -10,13 +10,16 @@ from hypothesis import example, given, settings, strategies as st
 from hessianlab import DomainError, degiorgi_threshold, kolodziej_bound
 from hessianlab.iteration import (
     DEGIORGI,
+    DEGIORGI_CASES,
+    FAMILY_SAMPLES,
     KOLODZIEJ,
+    KOLODZIEJ_CASES,
     assert_degiorgi_families,
     assert_kolodziej_families,
     certify_iteration_hypothesis,
     lemma_sweep,
-    synthetic_degiorgi_family,
-    synthetic_kolodziej_family,
+    synthetic_degiorgi_families,
+    synthetic_kolodziej_families,
 )
 
 from conftest import certify_oracle
@@ -367,35 +370,40 @@ class TestCertifyOracle:
 
     def test_seed7_families_match_oracle(self):
         # the 100 + 100 families one verify run with seed 7 draws, certified as
-        # lemma_sweep does: one stack per parameter group
+        # lemma_sweep does: one stack per parameter case
         rng = np.random.default_rng(7)
-        fams = [synthetic_kolodziej_family(rng) for _ in range(100)]
-        fams += [synthetic_degiorgi_family(rng) for _ in range(100)]
-        groups = {}
-        for fam in fams:
-            params = {key: fam.params[key] for key in ("delta0", "alpha", "delta")
-                      if key in fam.params}
-            groups.setdefault((fam.form, tuple(params.items())), []).append(fam)
-        assert len(groups) == 7
-        for (form, params), members in groups.items():
-            s = np.stack([fam.s for fam in members])
-            phi = np.stack([fam.phi for fam in members])
-            c_min, feasible = certify_iteration_hypothesis(s, phi, form, **dict(params))
+        case, s, phi, _, _ = synthetic_kolodziej_families(rng, 100)
+        stacks = [(KOLODZIEJ, s[case == i], phi[case == i], {"delta0": delta0})
+                  for i, delta0 in enumerate(KOLODZIEJ_CASES)]
+        case, s, phi, _ = synthetic_degiorgi_families(rng, 100)
+        stacks += [(DEGIORGI, s[case == i], phi[case == i], {"alpha": alpha, "delta": delta})
+                   for i, (alpha, _, delta) in enumerate(DEGIORGI_CASES)]
+        assert sum(len(stack[1]) for stack in stacks) == 200
+        assert all(len(stack[1]) for stack in stacks)
+        for form, s, phi, params in stacks:
+            c_min, feasible = certify_iteration_hypothesis(s, phi, form, **params)
             assert feasible.all()
-            for i, fam in enumerate(members):
-                assert (c_min[i], True) == certify_oracle(fam.s, fam.phi, form, **dict(params))
+            for i in range(len(s)):
+                assert (c_min[i], True) == certify_oracle(s[i], phi[i], form, **params)
 
 
 class TestSyntheticFamilies:
+    def test_batch_shapes_and_cases(self, rng):
+        case, s, phi, s0, tight = synthetic_kolodziej_families(rng, 7)
+        assert s.shape == phi.shape == (7, FAMILY_SAMPLES)
+        assert case.shape == s0.shape == tight.shape == (7,)
+        assert (s[:, -1] == s0).all() and set(case) <= set(range(len(KOLODZIEJ_CASES)))
+        case, s, phi, s0 = synthetic_degiorgi_families(rng, 7)
+        assert s.shape == phi.shape == (7, FAMILY_SAMPLES + 1)
+        assert (s[:, 0] == s0).all() and set(case) <= set(range(len(DEGIORGI_CASES)))
+
     def test_kolodziej_lower_bound_holds(self, rng):
-        gap, c_min = assert_kolodziej_families(
-            [synthetic_kolodziej_family(rng) for _ in range(100)])
+        gap, c_min = assert_kolodziej_families(*synthetic_kolodziej_families(rng, 100)[:4])
         assert (c_min > 0).all()
         assert (gap >= -1e-12).all()
 
     def test_degiorgi_vanishing_holds(self, rng):
-        leftover, d, c_min = assert_degiorgi_families(
-            [synthetic_degiorgi_family(rng) for _ in range(100)])
+        leftover, d, c_min = assert_degiorgi_families(*synthetic_degiorgi_families(rng, 100))
         assert (c_min > 0).all()
         assert (d > 0).all()
         assert (leftover <= 1e-12).all()
@@ -403,21 +411,23 @@ class TestSyntheticFamilies:
     def test_tight_kolodziej_gap_is_small(self, rng):
         # the equality family theta * delta0 = 1 certifies the exact
         # constant, so the bound matches phi(s0) almost exactly
-        fams = [synthetic_kolodziej_family(rng) for _ in range(50)]
-        gap, _ = assert_kolodziej_families(fams)
-        tight = [fam.params["tight"] and fam.params["delta0"] == 1.0 for fam in fams]
-        assert any(tight)
+        case, s, phi, s0, tight = synthetic_kolodziej_families(rng, 50)
+        gap, _ = assert_kolodziej_families(case, s, phi, s0)
+        tight &= np.take(KOLODZIEJ_CASES, case) == 1.0
+        assert tight.any()
         assert (np.abs(gap[tight]) < 1e-10).all()
 
     def test_stacked_asserts_follow_family_order(self, rng):
         # one family certified alone gives the entry it has in a mixed stack
-        kol = [synthetic_kolodziej_family(rng) for _ in range(12)]
-        dg = [synthetic_degiorgi_family(rng) for _ in range(12)]
-        gap, c_min = assert_kolodziej_families(kol)
-        leftover, d, c_dg = assert_degiorgi_families(dg)
+        kol = synthetic_kolodziej_families(rng, 12)[:4]
+        dg = synthetic_degiorgi_families(rng, 12)
+        gap, c_min = assert_kolodziej_families(*kol)
+        leftover, d, c_dg = assert_degiorgi_families(*dg)
         for i in (0, 5, 11):
-            assert assert_kolodziej_families([kol[i]]) == ([gap[i]], [c_min[i]])
-            assert assert_degiorgi_families([dg[i]]) == ([leftover[i]], [d[i]], [c_dg[i]])
+            one = slice(i, i + 1)
+            assert assert_kolodziej_families(*(a[one] for a in kol)) == ([gap[i]], [c_min[i]])
+            assert assert_degiorgi_families(*(a[one] for a in dg)) == (
+                [leftover[i]], [d[i]], [c_dg[i]])
 
     def test_lemma_sweep_memory_does_not_grow_with_families(self):
         # numpy reports its buffers to tracemalloc; families are drawn and

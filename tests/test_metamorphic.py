@@ -9,7 +9,8 @@ the wrong index breaks one of them) and the way the period enters the
 difference Hessian and the masses.  At chi = 0, a common scaling of kappa
 and t scales phi, down to scales where an absolute cone-margin floor would
 stall the line search.  The bracket ends of the degenerate
-family, relative masses, stay put under both scalings.  A scaling of the
+family, relative masses, stay put under both scalings, and the twin solve
+of the uniqueness check scales with the period.  A scaling of the
 level function phi keeps the iteration-lemma verdict and scales the
 certificate by a power of the scale.
 """
@@ -30,12 +31,15 @@ from hessianlab import (
     degenerate_brackets,
     solve_nondegenerate,
     stage_masses,
+    twin_solve_uniqueness,
 )
 from hessianlab.iteration import (
     DEGIORGI,
+    DEGIORGI_CASES,
     KOLODZIEJ,
-    synthetic_degiorgi_family,
-    synthetic_kolodziej_family,
+    KOLODZIEJ_CASES,
+    synthetic_degiorgi_families,
+    synthetic_kolodziej_families,
 )
 
 from conftest import anisotropic_spd
@@ -185,6 +189,30 @@ def test_brackets_ordered_at_half_period():
         assert rec.bracket_lower <= rec.bracket_mid <= rec.bracket_upper
 
 
+
+def test_twin_solve_scales_with_period():
+    # the twin problem at period p is the one at period 1 with phi -> p^2 phi
+    # (N = 8, kappa = 1, t = 0.25, trig f of amplitude 0.5).  The noisy start,
+    # drawn at amplitude p^2 and scaled by its Hessian, scales alike, so both
+    # solutions agree to rounding; a start of absolute size leaves the cone at
+    # p = 1e-4.  The difference of the two solutions is of the size of the
+    # Newton tolerance, so its rounding shows in the energy at about 1e-6.
+    runs = []
+    for period in (1.0, 1e-4, 1e-6):
+        grid = TorusGrid(n=2, points_per_axis=8, period=period)
+        bg = BackgroundData.flat(grid, kappa=1.0)
+        f = TrigPolynomial.random(2, np.random.default_rng(1), amplitude=0.5).sample(grid)
+        energy, sup_diff, state_a, state_b = twin_solve_uniqueness(
+            bg, 0.25, f, SolverConfig(m=2), np.random.default_rng(1))
+        runs.append((energy, sup_diff / period**2, state_a.phi.data / period**2,
+                     state_b.phi.data / period**2))
+    (energy, sup_diff, phi_a, phi_b), *scaled = runs
+    assert 0.0 < energy < 1e-8 and 0.0 < sup_diff < 1e-8
+    for energy2, sup_diff2, phi_a2, phi_b2 in scaled:
+        assert np.abs(phi_a2 - phi_a).max() <= TOL and np.abs(phi_b2 - phi_b).max() <= TOL
+        assert energy2 == pytest.approx(energy, rel=1e-4, abs=0.0)
+        assert sup_diff2 == pytest.approx(sup_diff, rel=1e-4, abs=0.0)
+
 def lemma_samples():
     """(form, s, phi, params) on both sides of each verdict.
 
@@ -194,8 +222,11 @@ def lemma_samples():
     drawn at seed 7.
     """
     rng = np.random.default_rng(7)
-    families = [synthetic_kolodziej_family(rng), synthetic_degiorgi_family(rng)]
-    cases = [(fam.form, fam.s, fam.phi, fam.params) for fam in families]
+    case, s, phi, _, _ = synthetic_kolodziej_families(rng, 1)
+    cases = [(KOLODZIEJ, s[0], phi[0], {"delta0": KOLODZIEJ_CASES[case[0]]})]
+    case, s, phi, _ = synthetic_degiorgi_families(rng, 1)
+    alpha, _, delta = DEGIORGI_CASES[case[0]]
+    cases.append((DEGIORGI, s[0], phi[0], {"alpha": alpha, "delta": delta}))
     s = np.array([0.1, 0.2, 0.3, 0.4])
     return cases + [
         (KOLODZIEJ, s, [1.0, 1.0 - 2.0**-50, 1.5, 2.0], {"delta0": 1.0}),
@@ -210,7 +241,6 @@ def lemma_samples():
 def test_certificate_scales_with_phi(c, form, s, phi, params):
     # t phi_i / phi_j^(1 + delta0) and (s')^alpha phi_j / phi_i^(1 + delta)
     # scale by c^-delta0 and c^-delta
-    params = {key: params[key] for key in ("delta0", "alpha", "delta") if key in params}
     c_min, feasible = certify_iteration_hypothesis(s, phi, form, **params)
     c_scaled, feasible_scaled = certify_iteration_hypothesis(s, c * np.asarray(phi), form,
                                                              **params)

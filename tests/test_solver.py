@@ -33,7 +33,7 @@ from hessianlab import solver
 from hessianlab.solver import _NewtonDriver, _stage_starts, gmres
 from hessianlab.symfunc import binom, hermitian_to_planes, planes_kernel, planes_to_hermitian
 
-from conftest import anisotropic_spd, random_hermitian
+from conftest import anisotropic_spd, random_hermitian, random_spd
 
 
 def count_matvecs(monkeypatch) -> list:
@@ -223,7 +223,7 @@ class TestKrylovOperators:
         # HermitianField planes outside it, agrees to the bit
         omega = anisotropic_spd(rng, 2)
         bg = BackgroundData(omega=omega, kappa=1.0, chi=HermitianField.constant(
-            grid12, 0.1 * random_hermitian(rng, 2)))
+            grid12, 0.1 * random_spd(rng, 2)))
         phi = TrigPolynomial.random(2, rng, amplitude=0.01).sample(grid12)
         driver = _NewtonDriver(bg, SolverConfig(m=2))
         stage = driver.stage(0.5, ScalarField.constant(grid12, 0.0))
@@ -297,7 +297,7 @@ class TestKrylovOperators:
 
     def test_anisotropic_work_counts(self, monkeypatch):
         # chi = diag(8, 0) makes a_over_s anisotropic: the mean-diagonal
-        # preconditioner takes 8 matvecs in 4 Newton steps (38 with its trace alone)
+        # preconditioner takes 7 matvecs in 4 Newton steps (38 with its trace alone)
         grid = TorusGrid(n=2, points_per_axis=8)
         bg = BackgroundData.flat(grid, chi_matrix=np.diag([8.0, 0.0]), kappa=0.1)
         f = TrigPolynomial.random(2, np.random.default_rng(3), amplitude=0.3).sample(grid)
@@ -546,6 +546,21 @@ class TestNewtonStep:
 
 class TestOneDriverPerProblem:
     """The stage is an argument: a driver holds only the fixed data of (bg, config)."""
+
+    def test_driver_checks_chi_once(self, monkeypatch):
+        # the driver takes chi's margin from bg.validate, which rejects a chi
+        # off the closed cone; a continuation checks chi only through its driver
+        grid = TorusGrid(n=2, points_per_axis=6)
+        off_cone = BackgroundData.flat(grid, chi_matrix=np.diag([-0.5, 0.0]), kappa=1.0)
+        with pytest.raises(ConeViolationError, match="chi leaves the closed degree-2 cone"):
+            _NewtonDriver(off_cone, SolverConfig(m=2))
+        validate, calls = BackgroundData.validate, []
+        monkeypatch.setattr(BackgroundData, "validate",
+                            lambda self, m: calls.append(m) or validate(self, m))
+        bg = BackgroundData.flat(grid, chi_matrix=np.diag([0.4, 0.0]), kappa=1.0)
+        continuation_degenerate(bg, ScalarField.constant(grid, 0.0),
+                                ContinuationSchedule.default(2), SolverConfig(m=2))
+        assert calls == [2]
 
     def test_driver_attributes_unchanged_by_solve_analyze_and_step(self, grid12):
         bg = BackgroundData.flat(grid12, kappa=1.0)
