@@ -155,27 +155,26 @@ class ExperimentConfig:
                          points_per_axis=self.grid_points if points is None else points)
 
     def build_background(self, grid: TorusGrid) -> BackgroundData:
+        """The problem's background; the Newton driver checks chi against the cone."""
         if self.chi == "zero":
-            bg = BackgroundData.flat(grid, kappa=self.kappa)
+            return BackgroundData.flat(grid, kappa=self.kappa)
         elif self.chi == "hlf1":
             chi = read_field(self.chi_path)
             if not isinstance(chi, HermitianField) or chi.grid != grid:
                 raise ConfigError(
                     "problem.chi_path must hold a Hermitian field on the config grid"
                 )
-            bg = BackgroundData(omega=np.eye(self.n), chi=chi, kappa=self.kappa)
+            return BackgroundData(omega=np.eye(self.n), chi=chi, kappa=self.kappa)
         elif self.chi == "diag":
-            bg = BackgroundData.flat(grid, chi_matrix=np.diag(self.chi_diag),
-                                     kappa=self.kappa)
+            return BackgroundData.flat(grid, chi_matrix=np.diag(self.chi_diag),
+                                       kappa=self.kappa)
         else:
             rng = np.random.default_rng(self.seed + 1)
             pot = TrigPolynomial.random(self.n, rng).scaled_to_curvature(
                 self.chi_potential_amplitude, self.period
             ).sample(grid)
             base = np.diag(self.chi_diag) if self.chi_diag else np.zeros((self.n, self.n))
-            bg = BackgroundData.with_potential_chi(grid, base, pot, kappa=self.kappa)
-        bg.validate(self.m)
-        return bg
+            return BackgroundData.with_potential_chi(grid, base, pot, kappa=self.kappa)
 
     def build_density(self, grid: TorusGrid, bg: BackgroundData):
         """Returns (f, phi_star): the manufactured truth, else None."""

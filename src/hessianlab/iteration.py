@@ -29,8 +29,6 @@ KOLODZIEJ = "kolodziej"
 DEGIORGI = "degiorgi"
 # samples of a synthetic family, a multiple of 6 so its extremal pairs lie on the grid
 FAMILY_SAMPLES = 240
-# float64 entries of the kernel's pair buffer: one synthetic family's full pair matrix
-KERNEL_BUFFER = FAMILY_SAMPLES * FAMILY_SAMPLES
 # families drawn and certified together, so memory does not grow with their number
 LEMMA_BATCH = 100
 
@@ -116,29 +114,19 @@ def _lower_pair_max(s: np.ndarray, phi: np.ndarray, rows: np.ndarray, power: flo
 
     Dividing only the row maxima is exact: division by phi_j > 0 keeps
     order.  Rows j outside ``rows`` are never divided by; a family with no
-    such row reads 0.  Each pass fills one buffer of at most KERNEL_BUFFER
-    entries (or one family's share, if larger) with as many families at a
-    time as fit.
+    such row reads 0.
     """
     families, k = s.shape
     step = math.isqrt(k - 1) + 1 if _normal_pairs(s, phi, power) else 1
     anchors = np.append(np.arange(0, k - 1, step), k - 1)
     near_max = 1.0 - (power + 4.0) * 2.0 ** -46
     top = np.empty((families, k))
-    first = np.empty((families, anchors.size), dtype=np.intp)
-    last = np.empty_like(first)
-    chunk = max(1, KERNEL_BUFFER // (anchors.size * k))
-    buf = np.empty(min(families, chunk) * anchors.size * k)
-    for f0 in range(0, families, chunk):
-        fs = slice(f0, f0 + chunk)
-        span = min(chunk, families - f0)
-        num = buf[:span * anchors.size * k].reshape(span, anchors.size, k)
-        np.subtract(s[fs, anchors, None], s[fs, None, :], out=num)
-        best = _pair_values(num, phi[fs, None, :], power).max(axis=2)
-        top[fs, anchors] = best
-        near = num >= (best * near_max)[..., None]
-        first[fs] = near.argmax(axis=2)
-        last[fs] = k - 1 - near[..., ::-1].argmax(axis=2)
+    num = s[:, anchors, None] - s[:, None, :]
+    best = _pair_values(num, phi[:, None, :], power).max(axis=2)
+    top[:, anchors] = best
+    near = num >= (best * near_max)[..., None]
+    first = near.argmax(axis=2)
+    last = k - 1 - near[..., ::-1].argmax(axis=2)
     if step > 1 and families:
         # block b: the rows strictly between anchors b and b + 1, the last,
         # shorter block padded with repeats of its last row
@@ -149,15 +137,11 @@ def _lower_pair_max(s: np.ndarray, phi: np.ndarray, rows: np.ndarray, power: flo
         # reduction over the leading axis
         s_win, phi_win = (np.lib.stride_tricks.sliding_window_view(a, width, axis=1)
                           .transpose(2, 0, 1) for a in (s, phi))
-        chunk = max(1, KERNEL_BUFFER // (blocks.size * width))
-        buf = np.empty(min(families, chunk) * blocks.size * width)
-        for f0 in range(0, families, chunk):
-            fam = np.arange(f0, min(f0 + chunk, families))[:, None]
-            cols = (slice(None), fam, start[f0:f0 + chunk])
-            num = buf[:fam.size * blocks.size * width].reshape(width, fam.size, *blocks.shape)
-            np.subtract(s[fam[:, :, None], blocks], s_win[cols][..., None], out=num)
-            top[fam[:, :, None], blocks] = _pair_values(num, phi_win[cols][..., None],
-                                                       power).max(axis=0)
+        fam = np.arange(families)[:, None]
+        cols = (slice(None), fam, start)
+        num = s[fam[:, :, None], blocks] - s_win[cols][..., None]
+        top[fam[:, :, None], blocks] = _pair_values(num, phi_win[cols][..., None],
+                                                   power).max(axis=0)
     ratio = np.divide(top, phi ** grow, out=np.full((families, k), -np.inf), where=rows)
     return np.where(rows.any(axis=1), ratio.max(axis=1), 0.0)
 

@@ -10,13 +10,14 @@ a maximum-principle monitor for the trace of the solution form.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
 from .background import BackgroundData, TrigPolynomial
 from .errors import DomainError, NonConvergenceError
-from .grid import ScalarField, complex_gradient, complex_hessian, integrate, lp_norm
+from .grid import (ScalarField, complex_gradient, complex_hessian, integrate, lp_norm,
+                   tree_sum)
 from .solver import SolverConfig, SolverState, _NewtonDriver
 from .symfunc import binom, esp_margins, planes_kernel, planes_to_hermitian
 
@@ -224,6 +225,11 @@ def viscosity_check(phi: ScalarField, b: float, bg: BackgroundData, t: float,
 # uniqueness energy
 
 
+def _energy_density(T: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """T^{ij} d_i u d_jbar u pointwise, from Newton-tensor planes and a gradient of u."""
+    return np.einsum("...ij,...i,...j->...", planes_to_hermitian(T), grad, np.conj(grad)).real
+
+
 def uniqueness_energy(phi1: ScalarField, phi2: ScalarField, bg: BackgroundData,
                       t: float = 0.0) -> float:
     """Discrete gradient energy whose vanishing certifies uniqueness.
@@ -238,12 +244,9 @@ def uniqueness_energy(phi1: ScalarField, phi2: ScalarField, bg: BackgroundData,
         raise DomainError("uniqueness energy requires complex dimension >= 2")
     if phi1.grid != phi2.grid or phi1.grid != bg.grid:
         raise DomainError("fields live on different grids")
-    u = ScalarField(bg.grid, phi1.data - phi2.data)
-    grad = complex_gradient(u)
-
+    grad = complex_gradient(ScalarField(bg.grid, phi1.data - phi2.data))
     _, T = planes_kernel(bg.base_form(t).data, bg.omega_inv, 2)
-    density = np.einsum("...ij,...i,...j->...", planes_to_hermitian(T), grad, np.conj(grad)).real
-    return float(integrate(ScalarField(bg.grid, density), bg.volume))
+    return float(integrate(ScalarField(bg.grid, _energy_density(T, grad)), bg.volume))
 
 
 def twin_solve_uniqueness(bg: BackgroundData, t: float, f: ScalarField,
@@ -259,7 +262,10 @@ def twin_solve_uniqueness(bg: BackgroundData, t: float, f: ScalarField,
     S_1 of the stage form relative to omega times the omega-gradient energy
     of the first solution, the integral of conj(du) omega^(-1) du (zero
     when that vanishes), so it does not depend on how omega or the period
-    is scaled.
+    is scaled.  Both are formed in units of the period, from phi / period^2
+    differentiated on the unit-period grid, as grid sums: the factor
+    volume h^(2n) of both integrals cancels in the ratio, and without it
+    neither underflows at a small period.
     """
     driver = _NewtonDriver(bg, config)
     state_a, _ = driver.solve(t, f)
@@ -268,17 +274,16 @@ def twin_solve_uniqueness(bg: BackgroundData, t: float, f: ScalarField,
     spread = float(np.sqrt((S[..., 1] ** 2 - 2.0 * S[..., 2]).max()))
     state_b, _ = driver.solve(t, f, 0.5 * (bg.kappa + t) / spread * noise.data)
 
-    energy = uniqueness_energy(state_a.phi, state_b.phi, bg, t)
-    sup_diff = float(np.abs(state_a.phi.data - state_b.phi.data).max())
+    diff = state_a.phi.data - state_b.phi.data
+    sup_diff = float(np.abs(diff).max())
 
-    grad = complex_gradient(state_a.phi)
-    grad_sq = integrate(
-        ScalarField(bg.grid, np.einsum("...i,ij,...j->...", np.conj(grad),
-                                       bg.omega_inv, grad).real),
-        bg.volume,
-    )
-    S, _ = planes_kernel(bg.base_form(t).data, bg.omega_inv, 1)
-    denom = float(S[..., 1].max()) * grad_sq
+    unit = replace(bg.grid, period=1.0)
+    grad_u, grad = (complex_gradient(ScalarField(unit, data / bg.grid.period ** 2))
+                    for data in (diff, state_a.phi.data))
+    S, T = planes_kernel(bg.base_form(t).data, bg.omega_inv, 2)
+    energy = tree_sum(_energy_density(T, grad_u))
+    denom = float(S[..., 1].max()) * tree_sum(
+        np.einsum("...i,ij,...j->...", np.conj(grad), bg.omega_inv, grad).real)
     normalized = energy / denom if denom > 0.0 else 0.0
     return float(normalized), sup_diff, state_a, state_b
 

@@ -477,6 +477,16 @@ class TestContinuationCommand:
         assert capsys.readouterr().err == (
             "cone violation: chi leaves the closed degree-2 cone at (0, 0, 0, 0)\n")
 
+    def test_checks_chi_once(self, tmp_path, monkeypatch):
+        # the Newton driver is where a command checks chi against the cone
+        validate, calls = hessianlab.BackgroundData.validate, []
+        monkeypatch.setattr(hessianlab.BackgroundData, "validate",
+                            lambda self, m: calls.append(m) or validate(self, m))
+        path = write_config(tmp_path, **{"problem.chi": "diag", "problem.chi_diag": "0.4 0.0",
+                                         "schedule.num_stages": 2})
+        assert main(["continuation", "--config", str(path)]) == 0
+        assert calls == [2]
+
     def test_chi_from_file_matches_diag(self, tmp_path):
         # a Hermitian field through the HLF1 boundary: the continuation with
         # chi read from a file writes the phi bytes of chi = diag

@@ -188,47 +188,46 @@ class TestCertify:
 
 
 EXPONENTS = st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.1, 4.0)
-# small pools make ties in s and repeated phi values common
 S_POOL = st.sampled_from([0.125 * i for i in range(1, 17)]) | st.floats(0.01, 3.0)
 PHI_POOL = st.sampled_from([0.25, 0.5, 1.0, 1.5, 3.0]) | st.floats(1e-2, 10.0)
 
 
 @st.composite
-def level_samples(draw, zeros, k=None):
-    """Unsorted (s, phi), phi nondecreasing or nonincreasing along sorted s.
+def level_stacks(draw, zeros, families=6):
+    """A stack ``(rows, samples)`` of 1 to ``families`` unsorted (s, phi) rows.
 
-    Half the draws shuffle phi afterwards, so they are infeasible for both
-    forms.  ``zeros`` lets phi take the value 0, including the all-zero and
-    single-positive cases.  ``k`` fixes the sample count.
-    """
-    if k is None:
-        k = draw(st.integers(3, 30))
-    s = np.array(draw(st.lists(S_POOL, min_size=k, max_size=k)))
-    pool = PHI_POOL | st.just(0.0) if zeros else PHI_POOL
-    phi = np.sort(draw(st.lists(pool, min_size=k, max_size=k)))
-    if zeros and draw(st.booleans()):
-        # a single positive value, or none at all
-        phi[:-1] = 0.0
-        if draw(st.booleans()):
-            phi[-1] = 0.0
-    direction = draw(st.sampled_from([1, -1]))
-    by_s = np.empty(k)
-    by_s[np.argsort(s)] = phi if direction > 0 else phi[::-1]
-    if draw(st.booleans()):
-        by_s = draw(st.permutations(list(by_s)))
-    return s, np.asarray(by_s)
-
-
-@st.composite
-def level_stacks(draw, zeros):
-    """A stack ``(families, samples)`` of ``level_samples`` rows of one sample count.
-
-    Rows mix feasible and shuffled ones, ties at max(s), and, with ``zeros``,
-    every support width from none to all samples.
+    The samples index two small pools, drawn once per stack from S_POOL and
+    PHI_POOL, so ties in s and repeated phi values are common.  A row draws
+    its indices as one byte string, a byte per sample, shifted by the sample
+    position so that the all-zero string is not a constant row.  A row's phi
+    is nondecreasing or nonincreasing along sorted s, or in half the rows
+    along the draw order, which shuffles it against s, so infeasible for
+    both forms.  ``zeros`` lets phi take the value 0, including the
+    all-zero and single-positive rows, so every support width occurs.
     """
     k = draw(st.integers(3, 30))
-    rows = draw(st.lists(level_samples(zeros, k), min_size=1, max_size=6))
-    return np.array([s for s, _ in rows]), np.array([phi for _, phi in rows])
+    s_pool = np.array(draw(st.lists(S_POOL, min_size=8, max_size=16)))
+    phi_pool = np.array(draw(st.lists(PHI_POOL | st.just(0.0) if zeros else PHI_POOL,
+                                      min_size=1, max_size=8)))
+
+    def samples(pool):
+        index = np.frombuffer(draw(st.binary(min_size=k, max_size=k)), np.uint8) + np.arange(k)
+        return pool[index % len(pool)]
+
+    s_rows, phi_rows = [], []
+    for _ in range(draw(st.integers(1, families))):
+        s, phi = samples(s_pool), np.sort(samples(phi_pool))
+        if zeros and draw(st.booleans()):
+            # a single positive value, or none at all
+            phi[:-1] = 0.0
+            if draw(st.booleans()):
+                phi[-1] = 0.0
+        order = np.argsort(s) if draw(st.booleans()) else np.arange(k)
+        by_s = np.empty(k)
+        by_s[order] = phi if draw(st.booleans()) else phi[::-1]
+        s_rows.append(s)
+        phi_rows.append(by_s)
+    return np.array(s_rows), np.array(phi_rows)
 
 
 @st.composite
@@ -268,7 +267,7 @@ def tie_stacks(draw):
 
 
 def pinned(s, phi):
-    return np.array(s), np.array(phi, dtype=float)
+    return np.array([s]), np.array([phi], dtype=float)
 
 
 class TestCertifyOracle:
@@ -282,7 +281,7 @@ class TestCertifyOracle:
     """
 
     @settings(max_examples=200, deadline=None)
-    @given(level_samples(zeros=False), EXPONENTS)
+    @given(level_stacks(zeros=False, families=1), EXPONENTS)
     # 7 inner samples, h = 4
     @example(pinned([0.1, 0.2, 0.3, 0.4, 0.4, 0.5, 0.6, 0.7], [1, 1, 1, 2, 2, 2, 3, 3]), 1.0)
     # 8 inner samples, h = 4
@@ -297,8 +296,8 @@ class TestCertifyOracle:
     @example(pinned([1.154030335623291, 1.1540303356232913] + [2.5025778114202257] * 3
                     + [3.16168406174976] * 3 + [3.66168406174976] * 2,
                     [2.498409499604557] + [2.4984094996045574] * 9), 1.0)
-    def test_kolodziej_matches_oracle(self, samples, delta0):
-        s, phi = samples
+    def test_kolodziej_matches_oracle(self, stack, delta0):
+        (s,), (phi,) = stack
         if np.all(s == s.max()):
             with pytest.raises(DomainError):
                 certify_iteration_hypothesis(s, phi, KOLODZIEJ, delta0=delta0)
@@ -307,14 +306,14 @@ class TestCertifyOracle:
         assert got == certify_oracle(s, phi, KOLODZIEJ, delta0=delta0)
 
     @settings(max_examples=200, deadline=None)
-    @given(level_samples(zeros=True), EXPONENTS, EXPONENTS)
+    @given(level_stacks(zeros=True, families=1), EXPONENTS, EXPONENTS)
     # a support of 5 samples, h = 3 on the reflected support
     @example(pinned([0.1, 0.2, 0.2, 0.3, 0.4, 0.5, 0.6], [3, 2, 2, 1, 1, 0, 0]), 2.0, 0.5)
     # a support of 6 samples, h = 3
     @example(pinned([0.1, 0.2, 0.3, 0.3, 0.4, 0.5, 0.6, 0.7], [3, 3, 2, 2, 1, 0.5, 0, 0]),
              1.0, 1.0)
-    def test_degiorgi_matches_oracle(self, samples, alpha, delta):
-        s, phi = samples
+    def test_degiorgi_matches_oracle(self, stack, alpha, delta):
+        (s,), (phi,) = stack
         got = certify_iteration_hypothesis(s, phi, DEGIORGI, alpha=alpha, delta=delta)
         assert got == certify_oracle(s, phi, DEGIORGI, alpha=alpha, delta=delta)
 

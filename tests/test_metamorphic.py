@@ -197,8 +197,10 @@ def test_twin_solve_scales_with_period():
     # solutions agree to rounding; a start of absolute size leaves the cone at
     # p = 1e-4.  The difference of the two solutions is of the size of the
     # Newton tolerance, so its rounding shows in the energy at about 1e-6.
+    # The energy is formed in units of the period, so it does not underflow
+    # at 1e-60 or 1e-150.
     runs = []
-    for period in (1.0, 1e-4, 1e-6):
+    for period in (1.0, 1e-4, 1e-6, 1e-60, 1e-150):
         grid = TorusGrid(n=2, points_per_axis=8, period=period)
         bg = BackgroundData.flat(grid, kappa=1.0)
         f = TrigPolynomial.random(2, np.random.default_rng(1), amplitude=0.5).sample(grid)
