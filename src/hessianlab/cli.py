@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -150,19 +149,7 @@ def cmd_continuation(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _stability_workers() -> int:
-    """The stability worker cap: HESSIANLAB_THREADS, else every core."""
-    env = os.environ.get("HESSIANLAB_THREADS")
-    if env is None:
-        return os.cpu_count() or 1
-    try:
-        return max(1, int(env))
-    except ValueError as err:
-        raise ConfigError(f"HESSIANLAB_THREADS={env!r} is not an integer") from err
-
-
 def cmd_stability(cfg: ExperimentConfig) -> int:
-    workers = _stability_workers()
     out = _outdir(cfg)
     grid = cfg.build_grid()
     bg = cfg.build_background(grid)
@@ -175,9 +162,7 @@ def cmd_stability(cfg: ExperimentConfig) -> int:
                                - gaussian_bump(grid, 1.0, cfg.f_width, hi).data)
     solver_cfg = cfg.build_solver_config()
     result = stability_experiment(
-        bg, cfg.t, f_base, perturbation, cfg.scales, cfg.q, cfg.q_prime,
-        solver_cfg, max_workers=workers,
-    )
+        bg, cfg.t, f_base, perturbation, cfg.scales, cfg.q, cfg.q_prime, solver_cfg)
 
     _write_csv(out / "records.csv", [
         "eps_scale", "l1_gap", "lq_gap_plus", "sup_gap", "centered_gap",

@@ -4,9 +4,8 @@ The format is INI-style (configparser) with sections [problem], [solver],
 [schedule], [experiment], [run] and [output].  Unknown sections or keys are
 rejected by name before any computation, as are out-of-range values.  The
 same config drives every command; command-specific options live under
-[experiment].  A config holds what changes results; the stability worker
-cap, which does not, is the HESSIANLAB_THREADS environment variable, read
-by the CLI.
+[experiment].  A config holds what changes results; no environment
+variable does.
 """
 
 from __future__ import annotations

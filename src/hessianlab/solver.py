@@ -28,8 +28,10 @@ omega, chi or the period is scaled.  Each stage keeps the first start whose
 solve converges: from stage 2 on the Lagrange extrapolation in t through
 the last min(i, 5) solutions, then the previous solution, then zero, whose
 X is the base form and so inside the cone once ``bg.validate`` passes
-(``StageRecord.start``).  The weak-solution certificate is the decreasing
-sequence phi_t + C / 2^i.
+(``StageRecord.start``).  A solve at the density f + s p near a solution
+phi at f can start at the Euler-Newton tangent phi + s phi' (Allgower &
+Georg 1990, ch. 2), phi' from one Krylov solve (``_NewtonDriver.tangent``).
+The weak-solution certificate is the decreasing sequence phi_t + C / 2^i.
 """
 
 from __future__ import annotations
@@ -294,9 +296,9 @@ class _NewtonDriver:
     degree-one margin of chi for the line-search floor.  The stage, t and the
     density f, is an argument: ``analyze`` takes a ``stage(t, f)`` and each
     analysis carries it on to ``step``, so one driver serves every solve of
-    the problem, also from several threads.  Hermitian fields, X, its
-    line-search step and T / S_m, are held as real planes of shape
-    (n * n, num_points) in the layout of ``hessian_planes``.
+    the problem.  Hermitian fields, X, its line-search step and T / S_m, are
+    held as real planes of shape (n * n, num_points) in the layout of
+    ``hessian_planes``.
     """
 
     def __init__(self, bg: BackgroundData, config: SolverConfig):
@@ -427,6 +429,16 @@ class _NewtonDriver:
                              maxiter=KRYLOV_MAXITER)
         return sol.reshape(shape)
 
+    def tangent(self, t: float, f: ScalarField, phi: np.ndarray,
+                p: ScalarField) -> np.ndarray:
+        """phi', mean zero, of the stage-t solution phi along the density direction p.
+
+        Differentiating the equation at f + s p in s gives Pi L phi' = m Pi p,
+        L linearized at phi: one Krylov solve to ``KRYLOV_RTOL``.
+        """
+        analysis = self.analyze(phi, self.stage(t, f))
+        return self.solve_linear(analysis["a_over_s"], self.m * p.data, KRYLOV_RTOL)
+
     # -- one Newton step -----------------------------------------------------
 
     def step(self, phi_data: np.ndarray, analysis: dict):
@@ -515,6 +527,19 @@ class _NewtonDriver:
         )
         return state, record
 
+    def solve_first(self, t: float, f: ScalarField, starts: list):
+        """``(name, state, record)`` of the first start ``(name, phi0)`` whose solve converges.
+
+        A start whose solve raises ConeViolationError or NonConvergenceError
+        hands over to the next; the last start's error is raised.
+        """
+        for i, (name, phi0) in enumerate(starts, 1):
+            try:
+                return (name, *self.solve(t, f, phi0))
+            except (ConeViolationError, NonConvergenceError):
+                if i == len(starts):
+                    raise
+
 
 # ---------------------------------------------------------------------------
 # public operations
@@ -570,11 +595,10 @@ def continuation_degenerate(bg: BackgroundData, f: ScalarField,
                             schedule: ContinuationSchedule, config: SolverConfig):
     """Solve the decreasing-t family; returns (states, report).
 
-    One ``_NewtonDriver`` serves every stage and start.  Stage i tries the
-    starts of ``_stage_starts`` in order; a start whose solve raises
-    ConeViolationError or NonConvergenceError hands over to the next, and
-    only a failed zero start ends the continuation, with a
-    NonConvergenceError carrying the partial report.
+    One ``_NewtonDriver`` serves every stage and start.  Stage i keeps the
+    first of the starts of ``_stage_starts`` that converges
+    (``_NewtonDriver.solve_first``); only a failed zero start ends the
+    continuation, with a NonConvergenceError carrying the partial report.
 
     The density is shifted once, by ``compatibility_constant`` at t = 0, to
     match the degenerate-limit mass identity, and one ``stage_masses`` table
@@ -592,14 +616,8 @@ def continuation_degenerate(bg: BackgroundData, f: ScalarField,
     for i, t in enumerate(schedule.t_values):
         t_start = time.perf_counter()
         try:
-            for start, phi0 in _stage_starts(states, schedule.t_values, i):
-                try:
-                    state, record = driver.solve(t, f_norm, phi0)
-                    break
-                except (ConeViolationError, NonConvergenceError):
-                    # a failed start hands over to the next; zero is the last
-                    if start == "zero":
-                        raise
+            start, state, record = driver.solve_first(
+                t, f_norm, _stage_starts(states, schedule.t_values, i))
         except NonConvergenceError as err:
             report.meta["aborted_stage"] = i
             report.meta["abort_reason"] = str(err)
@@ -637,9 +655,9 @@ def decreasing_sequence(states: list) -> DecreasingSequenceResult:
 
     C is seeded from the measured consecutive oscillations.  If the
     pointwise ordering psi_{i+1} <= psi_i fails anywhere, C is enlarged once
-    to the minimal admissible constant max_i 2^(i+1) sup(phi_{i+1} - phi_i)
-    and the adjustment is reported.  The result keeps the consecutive
-    sup-differences sup(phi_{i+1} - phi_i).
+    to the minimal admissible constant max_i 2^(i+1) sup(phi_{i+1} - phi_i),
+    each sup rounded up one ulp, and the adjustment is reported.  The result
+    keeps the consecutive sup-differences sup(phi_{i+1} - phi_i).
     """
     phis = [s.phi for s in states]
     diffs = [float(np.max(b.data - a.data)) for a, b in zip(phis, phis[1:])]
@@ -653,8 +671,11 @@ def decreasing_sequence(states: list) -> DecreasingSequenceResult:
     cap_list, worst = caps_and_violation(cap_c)
     adjusted, adjustment = worst > 0.0, 0.0
     if adjusted:
-        # worst > 0 needs two states, so diffs is not empty
-        needed = max((2.0 ** (i + 1)) * max(d, 0.0) for i, d in enumerate(diffs))
+        # worst > 0 needs two states, so diffs is not empty; each d rounded up one
+        # ulp bounds the exact difference, and rounding is monotone, so the
+        # built fields hold their order exactly
+        needed = max((2.0 ** (i + 1)) * float(np.nextafter(max(d, 0.0), np.inf))
+                     for i, d in enumerate(diffs))
         adjustment, cap_c = needed - cap_c, needed
         cap_list, worst = caps_and_violation(cap_c)
     fields = [ScalarField(p.grid, p.data + c) for p, c in zip(phis, cap_list)]

@@ -9,7 +9,6 @@ a maximum-principle monitor for the trace of the solution form.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
@@ -74,8 +73,7 @@ def stability_floor(n: int, q: float, q_prime: float) -> float:
 
 def stability_experiment(bg: BackgroundData, t: float, f_base: ScalarField,
                          perturbation: ScalarField, scales, q: float,
-                         q_prime: float, config: SolverConfig,
-                         max_workers: int = 1) -> StabilityResult:
+                         q_prime: float, config: SolverConfig) -> StabilityResult:
     """Solve perturbed pairs and fit the sup-gap versus weak-gap exponent.
 
     For each scale the pair (f_base, f_base + scale * perturbation) is
@@ -84,7 +82,9 @@ def stability_experiment(bg: BackgroundData, t: float, f_base: ScalarField,
     oscillation (both readings of the sup distance are reported).  The fit
     of log sup-gap against log weak-gap must stay above the floor minus 0.1;
     the experiment checks the guaranteed direction only, never sharpness.
-    All solves run on one Newton driver, shared by the pool threads.
+    All solves run on one Newton driver, the scales in order.  Each scale
+    starts at the tangent phi_base + scale * phi' (``_NewtonDriver.tangent``)
+    and, if that solve fails, from zero.
     """
     m = config.m
     floor = stability_floor(bg.grid.n, q, q_prime)
@@ -99,22 +99,16 @@ def stability_experiment(bg: BackgroundData, t: float, f_base: ScalarField,
                                passed=False, required_constant=None, partial=True,
                                base_failure=str(err))
 
-    errstate = np.geterr()  # numpy's error state does not reach pool threads
-
-    def run(scale):
-        with np.errstate(**errstate):
-            f2 = ScalarField(f_base.grid, f_base.data + scale * perturbation.data)
-            try:
-                return scale, driver.solve(t, f2)[0], f2
-            except NonConvergenceError:
-                return scale, None, f2
-
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        outcomes = list(pool.map(run, scales))
-
+    tangent = driver.tangent(t, f_base, base_state.phi.data, perturbation)
     records = []
     partial = False
-    for scale, state2, f2 in outcomes:
+    for scale in scales:
+        f2 = ScalarField(f_base.grid, f_base.data + scale * perturbation.data)
+        starts = [("tangent", base_state.phi.data + scale * tangent), ("zero", None)]
+        try:
+            _, state2, _ = driver.solve_first(t, f2, starts)
+        except NonConvergenceError:
+            state2 = None
         gap_density = np.abs(np.exp(m * f_base.data) - np.exp(m * f2.data))
         l1 = integrate(ScalarField(bg.grid, gap_density), vol)
         if state2 is None:

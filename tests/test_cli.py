@@ -626,14 +626,6 @@ class TestStabilityCommand:
         assert "so no solve converged at eps_scale 0.125, " in err
         assert report["base_failure"].startswith(reason)
 
-    def test_non_integer_thread_cap_is_config_error(self, tmp_path, capsys,
-                                                    monkeypatch):
-        monkeypatch.setenv("HESSIANLAB_THREADS", "abc")
-        path = write_config(tmp_path, **{"experiment.scales": "0.125"})
-        assert main(["stability", "--config", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert "config error:" in err and "HESSIANLAB_THREADS" in err
-
     def test_threads_key_is_unknown(self, tmp_path, capsys):
         path = write_config(tmp_path, **{"run.threads": 2})
         assert main(["stability", "--config", str(path)]) == 1

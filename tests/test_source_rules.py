@@ -30,11 +30,11 @@ RULES = {
         r"scipy", lambda name: True,
         ("grid.py", "from scipy import sparse"),
     ),
-    # only the CLI reads the environment, so a library call gives the same
-    # result however its process was started
-    "environment read only in cli": (
-        r"os\.environ|getenv", lambda name: name != "cli.py",
-        ("solver.py", "    workers = os.environ.get('HESSIANLAB_THREADS')"),
+    # no file reads the environment, so a library call or a command gives
+    # the same result however its process was started
+    "no environment read": (
+        r"os\.environ|getenv", lambda name: True,
+        ("cli.py", "    workers = os.environ.get('HESSIANLAB_THREADS')"),
     ),
 }
 

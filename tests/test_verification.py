@@ -1,12 +1,11 @@
 """Verification experiments: stability, viscosity, uniqueness, monitor."""
 
-import sys
-
 import numpy as np
 import pytest
 
 from hessianlab import (
     BackgroundData,
+    ConeViolationError,
     HermitianField,
     ScalarField,
     SolverConfig,
@@ -19,6 +18,7 @@ from hessianlab import (
     gaussian_bump,
     integrate,
     laplacian_monitor,
+    lq_spike,
     manufactured_solution,
     residual,
     solve_nondegenerate,
@@ -121,24 +121,48 @@ class TestStability:
         assert not result.passed
         assert result.base_failure.startswith("no convergence in 1 Newton steps")
 
-    def test_parallel_matches_serial(self, grid8, rng):
-        # the pool threads share one Newton driver; with more threads than
-        # cores, switching often, every record still equals the serial one
+    @pytest.mark.parametrize("density", ["trig", "spike"])
+    def test_tangent_matches_central_difference(self, grid8, rng, density):
+        # phi' solves Pi L phi' = m Pi p; modulo constants it is the
+        # derivative of the solution at f + s p, here by central difference
         bg = BackgroundData.flat(grid8, kappa=1.0)
-        f = TrigPolynomial.random(2, rng, amplitude=0.2).sample(grid8)
-        pert = dipole_bump(grid8)
+        f = (TrigPolynomial.random(2, rng, amplitude=0.3).sample(grid8)
+             if density == "trig" else lq_spike(grid8, q=2.0))
+        pert = dipole_bump(grid8, width=0.1)
+        driver = _NewtonDriver(bg, SolverConfig(m=2))
+        base, _ = driver.solve(0.25, f)
+        tangent = driver.tangent(0.25, f, base.phi.data, pert)
+        s = 1e-3
+        plus, minus = (driver.solve(0.25, ScalarField(grid8, f.data + sign * pert.data))[0]
+                       for sign in (s, -s))
+        central = (plus.phi.data - minus.phi.data) / (2 * s)
+        central -= central.mean()
+        error = np.abs(tangent - tangent.mean() - central).max()
+        assert error <= 5e-2 * np.abs(central).max()
+
+    def test_records_match_zero_starts(self, grid8):
+        # at scale 2 the tangent start leaves the cone and the zero start
+        # converges; at every scale the record is that of a zero start
+        bg = BackgroundData.flat(grid8, kappa=1.0)
+        f = TrigPolynomial.random(2, np.random.default_rng(9), amplitude=0.3).sample(grid8)
+        pert = dipole_bump(grid8, width=0.1)
         cfg = SolverConfig(m=2)
-        scales = [0.125, 0.0625, 0.03125, 0.015625]
-        serial = stability_experiment(bg, 0.25, f, pert, scales, 2.0, 1.0, cfg,
-                                      max_workers=1)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threaded = stability_experiment(bg, 0.25, f, pert, scales, 2.0, 1.0, cfg,
-                                            max_workers=len(scales))
-        finally:
-            sys.setswitchinterval(interval)
-        assert threaded.records == serial.records
+        scales = [2.0, 0.125, 2.0**-6]
+        result = stability_experiment(bg, 0.25, f, pert, scales, 2.0, 1.0, cfg)
+        driver = _NewtonDriver(bg, cfg)
+        base, _ = driver.solve(0.25, f)
+        tangent = driver.tangent(0.25, f, base.phi.data, pert)
+        f2 = ScalarField(grid8, f.data + 2.0 * pert.data)
+        with pytest.raises(ConeViolationError):
+            driver.solve(0.25, f2, base.phi.data + 2.0 * tangent)
+        for scale, record in zip(scales, result.records):
+            zero, _ = driver.solve(0.25, ScalarField(grid8, f.data + scale * pert.data))
+            diff = zero.phi.data - base.phi.data
+            centered = diff - 0.5 * (diff.max() + diff.min())
+            assert record.converged
+            assert record.sup_gap == pytest.approx(diff.max(), abs=10 * cfg.newton_tol)
+            assert record.centered_gap == pytest.approx(centered.max(),
+                                                        abs=10 * cfg.newton_tol)
 
 
 class TestViscosity:
@@ -256,7 +280,7 @@ class TestUniquenessEnergy:
         assert normalized_energy(4.0) == pytest.approx(base, rel=1e-12)
 
     def test_twin_and_stability_build_one_driver(self, grid8, rng, monkeypatch):
-        # every solve of one (bg, config) problem, threaded or not, shares a driver
+        # every solve and tangent of one (bg, config) problem shares a driver
         bg = BackgroundData.flat(grid8, kappa=1.0)
         f = TrigPolynomial.random(2, rng, amplitude=0.2).sample(grid8)
         cfg = SolverConfig(m=2)
@@ -272,7 +296,7 @@ class TestUniquenessEnergy:
         assert len(builds) == 1
         builds.clear()
         result = stability_experiment(bg, 0.25, f, dipole_bump(grid8), [0.125, 0.0625],
-                                      2.0, 1.0, cfg, max_workers=2)
+                                      2.0, 1.0, cfg)
         assert not result.partial
         assert len(builds) == 1
 
